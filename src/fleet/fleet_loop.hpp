@@ -1,24 +1,26 @@
 // Fleet-scale serving: one admission queue, many replicas of differing
-// shapes, and a virtual-time autoscaler — all inside the same serial
-// discrete-event discipline as the serving layer's loop.
+// shapes, several tenants, and a virtual-time autoscaler.
 //
-// serve_fleet mirrors serve_events step for step (same event kinds, same
-// (cycle, seq) ordering, same batcher conditions, same completion
-// bookkeeping) and layers three fleet concerns on top:
+// serve_fleet is a configuration of the serving layer's one event loop
+// (serve_loop in serving/event_loop.hpp), not a loop of its own. It maps
+// a FleetSpec onto the loop and assembles the FleetReport:
 //
-//  * the FleetAdmissionQueue (priority tiers + per-tenant quotas) replaces
-//    the plain bounded deadline queue,
-//  * the router places each batch on the free replica that serves the
-//    head request cheapest (classes differ in card count and partition
-//    strategy, so their per-request pass costs differ), and
-//  * the autoscaler adds replicas under SLO pressure — paying an explicit
-//    cold-start latency — and retires idle ones, on a periodic tick.
+//  * each replica class becomes a loop class (its pass table referenced,
+//    not copied), so the loop places each batch on the free replica that
+//    serves the head request cheapest (classes differ in card count and
+//    partition strategy, so their per-request pass costs differ);
+//  * each tenant becomes a loop tenant with its tier and SLO override, and
+//    the TenantSet's quota slots bound the admission queue per tenant;
+//  * an enabled autoscaler becomes the loop's scaler hook: on each tick
+//    the Autoscaler decides, and the router's pick_spawn_class/pick_retire
+//    choose which class to add — paying an explicit cold-start latency —
+//    and which idle replica to retire.
 //
-// Degenerate-equivalence contract: with the autoscaler off, one tenant,
-// one replica class, and a fixed replica count, serve_fleet produces the
-// serve_events/serve_cluster report record for record — pinned by
-// tests/test_fleet.cpp. And like every loop in this repo, the virtual-time
-// phase is serial: thread count only touches the functional forwards.
+// With the autoscaler off, one tenant, one replica class and a fixed
+// replica count, the configuration is the one serve_events/serve_cluster
+// use, so the report matches theirs record for record. And like every loop
+// in this repo, the virtual-time phase is serial: thread count only
+// touches the functional forwards.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +28,6 @@
 #include <vector>
 
 #include "fleet/autoscaler.hpp"
-#include "fleet/router.hpp"
 #include "fleet/tenant.hpp"
 #include "serving/event_loop.hpp"
 
@@ -56,12 +57,7 @@ struct FleetSpec {
 };
 
 /// One autoscaler action, in decision order.
-struct FleetScaleEvent {
-  std::uint64_t cycle = 0;
-  bool up = false;    ///< spawn (true) or retire (false)
-  int instance = 0;   ///< replica instance id
-  int cls = 0;        ///< replica class index
-};
+using FleetScaleEvent = ScaleEvent;
 
 /// A replica class as reported (the pass table stays in the spec).
 struct FleetClassInfo {

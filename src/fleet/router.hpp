@@ -1,15 +1,11 @@
-// Heterogeneous fleet routing: placement, spawn-class, and retirement
-// choices over replicas of differing card counts and partition strategies.
+// Heterogeneous fleet scaling choices: which replica class to spawn and
+// which replica to retire, over replicas of differing card counts and
+// partition strategies. (Placement, the cheapest free replica, is the
+// serving loop's own: pick_replica in serving/event_loop.hpp.)
 //
-// Pure functions over the fleet loop's replica table, with every tie
-// broken explicitly, so routing is a deterministic function of its inputs:
+// Pure functions over the loop's replica table, with every tie broken
+// explicitly, so scaling is a deterministic function of its inputs:
 //
-//  * placement — among free replicas, the one whose class serves the head
-//    request cheapest (per-request pass cycles from the cluster cost
-//    model), tie-broken by lowest instance id. A homogeneous fleet
-//    degenerates to "lowest free instance id", which is exactly the
-//    serve_events executor scan — the hinge of the degenerate-equivalence
-//    guarantee.
 //  * spawn class — the cheapest class (per-request service estimate at
 //    request 0's pass, a stable proxy) that still has headroom under its
 //    max_replicas cap, tie-broken by lowest class index.
@@ -18,55 +14,23 @@
 //    newest first, keeping the long-lived low ids stable in traces).
 #pragma once
 
-#include <cstdint>
+#include <span>
 #include <vector>
 
-#include "fabric/pipeline.hpp"
+#include "serving/event_loop.hpp"
 
 namespace bfpsim {
-
-/// One provisioned replica in the fleet loop's table. Instance ids are
-/// dense and monotone (never reused), so a retired replica's id — and its
-/// Chrome-trace lane — stays retired forever.
-struct ReplicaInstance {
-  int instance = 0;   ///< dense monotone id (== index in the table)
-  int cls = 0;        ///< index into FleetSpec::classes
-  std::uint64_t ready_cycle = 0;   ///< spawn + cold start
-  std::uint64_t busy_until = 0;
-  bool retired = false;
-  std::uint64_t provisioned_cycle = 0;  ///< when the spawn was decided
-  std::uint64_t retired_cycle = 0;      ///< valid iff retired
-};
-
-/// pass.load + compute + store for request `id` in class `cls`'s table.
-std::uint64_t class_service_estimate(const std::vector<PassSpec>& passes,
-                                     int id);
-
-/// Free replica (ready, idle, not retired) that serves request `head_id`
-/// cheapest; -1 if none is free. `class_passes[c]` is class c's
-/// per-request pass table.
-int pick_replica(const std::vector<ReplicaInstance>& replicas,
-                 const std::vector<std::vector<PassSpec>>& class_passes,
-                 std::uint64_t now, int head_id);
-
-/// Cheapest service estimate for `head_id` over classes that have at
-/// least one live (non-retired, possibly busy or cold) replica — the
-/// batcher's "what would serving now cost" bound. 0 if no live replicas.
-std::uint64_t min_service_estimate(
-    const std::vector<ReplicaInstance>& replicas,
-    const std::vector<std::vector<PassSpec>>& class_passes, int head_id);
 
 /// Class to spawn the next replica from: cheapest class with live-count
 /// (non-retired instances, ready or cold) below `class_max[c]`; -1 when
 /// every class is at its cap.
 int pick_spawn_class(const std::vector<ReplicaInstance>& replicas,
-                     const std::vector<std::vector<PassSpec>>& class_passes,
+                     std::span<const PassTable> class_passes,
                      const std::vector<int>& class_max);
 
 /// Idle ready replica to retire (most expensive class, then highest
 /// instance id); -1 if none is idle.
 int pick_retire(const std::vector<ReplicaInstance>& replicas,
-                const std::vector<std::vector<PassSpec>>& class_passes,
-                std::uint64_t now);
+                std::span<const PassTable> class_passes, std::uint64_t now);
 
 }  // namespace bfpsim

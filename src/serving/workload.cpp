@@ -13,6 +13,17 @@ void ArrivalTrace::validate() const {
   BFP_REQUIRE(!arrivals.empty(), "ArrivalTrace: no initial arrivals");
   BFP_REQUIRE(arrivals.size() <= static_cast<std::size_t>(total_requests),
               "ArrivalTrace: more initial arrivals than total requests");
+  // The serving loop indexes per-request tables by id and hands closed-loop
+  // reinjections the ids from arrivals.size() on, so the initial ids must
+  // be exactly 0 .. arrivals.size()-1.
+  std::vector<bool> seen(arrivals.size(), false);
+  for (const RequestArrival& a : arrivals) {
+    const auto id = static_cast<std::size_t>(a.id);
+    BFP_REQUIRE(a.id >= 0 && id < arrivals.size() && !seen[id],
+                "ArrivalTrace: arrival ids must be 0..arrivals.size()-1, "
+                "each once");
+    seen[id] = true;
+  }
   for (std::size_t i = 1; i < arrivals.size(); ++i) {
     BFP_REQUIRE(arrivals[i - 1].cycle < arrivals[i].cycle ||
                     (arrivals[i - 1].cycle == arrivals[i].cycle &&

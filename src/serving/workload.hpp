@@ -37,8 +37,9 @@ struct RequestArrival {
 
 /// A complete, replayable workload description.
 struct ArrivalTrace {
-  /// Initial arrivals, sorted by (cycle, id). Open-loop: every request.
-  /// Closed-loop: the first request of each client.
+  /// Initial arrivals, sorted by (cycle, id), with ids exactly
+  /// 0 .. arrivals.size()-1. Open-loop: every request. Closed-loop: the
+  /// first request of each client.
   std::vector<RequestArrival> arrivals;
   int total_requests = 0;
   std::uint64_t seed = 1;      ///< request i uses embeddings seed `seed + i`

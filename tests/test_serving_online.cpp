@@ -100,28 +100,29 @@ TEST(ServingWorkload, ClosedLoopTraceShape) {
 }
 
 TEST(ServingQueue, RejectNewestAndShedOldest) {
-  QueueEntry victim;
-  bool had_victim = false;
   AdmissionQueue reject(2, DropPolicy::kRejectNewest);
-  EXPECT_TRUE(reject.push({0, 0, 100}, &victim, &had_victim));
-  EXPECT_TRUE(reject.push({1, 1, 101}, &victim, &had_victim));
-  EXPECT_FALSE(reject.push({2, 2, 102}, &victim, &had_victim));
-  EXPECT_FALSE(had_victim);
+  EXPECT_TRUE(reject.push({0, 0, 100}).admitted);
+  EXPECT_TRUE(reject.push({1, 1, 101}).admitted);
+  const PushOutcome rejected = reject.push({2, 2, 102});
+  EXPECT_FALSE(rejected.admitted);
+  EXPECT_FALSE(rejected.had_victim);
   EXPECT_EQ(reject.rejected(), 1u);
   EXPECT_EQ(reject.size(), 2u);
   EXPECT_EQ(reject.front().id, 0);
 
   AdmissionQueue shed(2, DropPolicy::kShedOldest);
-  EXPECT_TRUE(shed.push({0, 0, 100}, &victim, &had_victim));
-  EXPECT_TRUE(shed.push({1, 1, 101}, &victim, &had_victim));
-  EXPECT_TRUE(shed.push({2, 2, 102}, &victim, &had_victim));
-  EXPECT_TRUE(had_victim);
-  EXPECT_EQ(victim.id, 0);
+  EXPECT_TRUE(shed.push({0, 0, 100}).admitted);
+  EXPECT_TRUE(shed.push({1, 1, 101}).admitted);
+  const PushOutcome third = shed.push({2, 2, 102});
+  EXPECT_TRUE(third.admitted);
+  EXPECT_TRUE(third.had_victim);
+  EXPECT_EQ(third.victim.id, 0);
   EXPECT_EQ(shed.shed(), 1u);
   EXPECT_EQ(shed.front().id, 1);
   // Earliest deadline pops first regardless of push order.
-  EXPECT_TRUE(shed.push({9, 3, 50}, &victim, &had_victim));
-  EXPECT_EQ(victim.id, 1);
+  const PushOutcome urgent = shed.push({9, 3, 50});
+  EXPECT_TRUE(urgent.admitted);
+  EXPECT_EQ(urgent.victim.id, 1);
   EXPECT_EQ(shed.pop().id, 9);
 }
 
