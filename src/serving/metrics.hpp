@@ -83,7 +83,7 @@ struct ServeReport {
 
   std::vector<std::uint64_t> unit_busy_cycles;  ///< per unit
   std::uint64_t makespan_cycles = 0;  ///< last completion time
-  double utilization = 0.0;  ///< busy / (units * makespan)
+  double utilization = 0.0;  ///< busy / provisioned replica-cycles
 
   double freq_hz = 0.0;
   double offered_rps = 0.0;    ///< open-loop nominal arrival rate (0 = n/a)
