@@ -4,8 +4,13 @@
 //
 //  * functional — `forward` runs the sharded mixed bfp8/fp32 forward and
 //    returns features that are bit-identical to the single-card
-//    VitModel::forward_mixed for the same input (the partitioner's
-//    column-split / all-gather discipline guarantees this; tests pin it);
+//    VitModel::forward_mixed for the same input. Tensor parallelism runs
+//    the one encoder walk, forward_sharded (transformer/model.hpp), with
+//    one shard per card; the executor only builds the shard list, prices
+//    each all-gather on the topology and folds the per-card stats.
+//    Pipeline parallelism chains the stages' forward_mixed. The
+//    partitioner's column-split / all-gather discipline keeps the bits;
+//    tests pin them;
 //
 //  * timing — per-card compute cycles come from each card's
 //    AcceleratorSystem latency model applied to that card's slice shapes,
@@ -81,7 +86,7 @@ class ClusterExecutor {
   int num_cards() const { return topo_.num_cards(); }
   const ClusterTopology& topology() const { return topo_; }
   const PartitionPlan& plan() const { return plan_; }
-  const VitConfig& config() const { return weights_.cfg; }
+  const VitConfig& config() const { return plan_.cfg; }
 
   /// One sharded forward: x is (tokens x d) row-major; returns the final
   /// block output, bit-identical to VitModel::forward_mixed on one card.
@@ -119,7 +124,6 @@ class ClusterExecutor {
   StreamTiming assemble_timing(
       std::span<const ClusterStats> per_request) const;
 
-  VitWeights weights_;          ///< full model (replicated params, biases)
   ClusterTopology topo_;
   PartitionPlan plan_;
   std::vector<VitModel> stage_models_;  ///< pipeline strategy only

@@ -20,20 +20,6 @@ const char* to_string(PartitionStrategy s) {
 
 namespace {
 
-/// Copy columns [col_begin, col_begin + count) of a row-major rows x cols
-/// matrix.
-std::vector<float> slice_cols(const std::vector<float>& src, int rows,
-                              int cols, int col_begin, int count) {
-  std::vector<float> out(static_cast<std::size_t>(rows) * count);
-  for (int r = 0; r < rows; ++r) {
-    for (int c = 0; c < count; ++c) {
-      out[static_cast<std::size_t>(r) * count + c] =
-          src[static_cast<std::size_t>(r) * cols + col_begin + c];
-    }
-  }
-  return out;
-}
-
 PartitionPlan partition_pipeline(const VitWeights& w, int cards) {
   const VitConfig& cfg = w.cfg;
   if (cfg.depth % cards != 0) {
@@ -117,28 +103,21 @@ PartitionPlan partition_tensor(const VitWeights& w, int cards) {
     const int col0 = c * dc;
     for (const BlockWeights& b : w.blocks) {
       TensorBlockShard s;
-      // [Q_c | K_c | V_c]: the card's head columns of each segment.
-      s.qkv_w.resize(static_cast<std::size_t>(d) * 3 * dc);
-      s.qkv_b.resize(static_cast<std::size_t>(3) * dc);
-      for (int seg = 0; seg < 3; ++seg) {
-        const auto part =
-            slice_cols(b.qkv_w, d, 3 * d, seg * d + col0, dc);
-        for (int r = 0; r < d; ++r) {
-          for (int cc = 0; cc < dc; ++cc) {
-            s.qkv_w[static_cast<std::size_t>(r) * 3 * dc + seg * dc + cc] =
-                part[static_cast<std::size_t>(r) * dc + cc];
-          }
-        }
-        for (int cc = 0; cc < dc; ++cc) {
-          s.qkv_b[static_cast<std::size_t>(seg) * dc + cc] =
-              b.qkv_b[static_cast<std::size_t>(seg) * d + col0 + cc];
-        }
-      }
+      // LayerNorm runs replicated: every card holds the parameters.
+      s.ln1_gamma = b.ln1_gamma;
+      s.ln1_beta = b.ln1_beta;
+      s.ln2_gamma = b.ln2_gamma;
+      s.ln2_beta = b.ln2_beta;
+      // [Q_c | K_c | V_c]: read as 3d rows of d columns (one row per
+      // Q/K/V segment), qkv keeps columns [col0, col0 + dc) of each.
+      s.qkv_w = slice_cols(b.qkv_w, 3 * d, d, col0, dc);
+      s.qkv_b = slice_cols(b.qkv_b, 3, d, col0, dc);
       s.proj_w = slice_cols(b.proj_w, d, d, col0, dc);
+      s.proj_b = slice_cols(b.proj_b, 1, d, col0, dc);
       s.fc1_w = slice_cols(b.fc1_w, d, m, c * mc, mc);
-      s.fc1_b.assign(b.fc1_b.begin() + c * mc,
-                     b.fc1_b.begin() + (c + 1) * mc);
+      s.fc1_b = slice_cols(b.fc1_b, 1, m, c * mc, mc);
       s.fc2_w = slice_cols(b.fc2_w, m, d, col0, dc);
+      s.fc2_b = slice_cols(b.fc2_b, 1, d, col0, dc);
       shard.blocks.push_back(std::move(s));
     }
     plan.shards.push_back(std::move(shard));

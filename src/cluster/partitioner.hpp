@@ -6,8 +6,9 @@
 //    (depth / cards each); the only traffic is the (tokens x d) activation
 //    tensor crossing each stage boundary, point-to-point.
 //
-//  * tensor — every card owns depth/... no: every *block* is split across
-//    all cards Megatron-style by heads and FFN columns. To keep the
+//  * tensor — every block is split across all cards Megatron-style by
+//    heads and FFN columns (forward_sharded in transformer/model.hpp walks
+//    the split; each card's slice is a TensorBlockShard). To keep the
 //    sharded forward bit-identical to the single-card forward (the
 //    determinism contract tests pin), every split is a *column* split of
 //    the weight matrix at bfp-block boundaries, and boundaries are crossed
@@ -49,16 +50,8 @@ struct PipelineStage {
   VitWeights weights;  ///< cfg.depth == num_blocks; head params copied
 };
 
-/// One card's slice of every encoder block under tensor parallelism.
-struct TensorBlockShard {
-  std::vector<float> qkv_w;   ///< d x 3*(d/C): [Q_c | K_c | V_c] columns
-  std::vector<float> qkv_b;   ///< 3*(d/C)
-  std::vector<float> proj_w;  ///< d x (d/C) column slice
-  std::vector<float> fc1_w;   ///< d x (m/C) column slice
-  std::vector<float> fc1_b;   ///< m/C
-  std::vector<float> fc2_w;   ///< m x (d/C) column slice
-};
-
+/// One card's share of a tensor-parallel model; the executor runs
+/// forward_sharded (transformer/model.hpp) over the shards' blocks.
 struct TensorShard {
   int card = 0;
   int head_begin = 0;  ///< first owned attention head

@@ -28,6 +28,7 @@ struct OpCounter {
     return device_flops() + host_div + host_other;
   }
   OpCounter& operator+=(const OpCounter& o);
+  bool operator==(const OpCounter&) const = default;
 };
 
 /// ---------------- double-precision references ----------------

@@ -1,13 +1,12 @@
 #include "runtime/session.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <sstream>
 
 #include "common/error.hpp"
 #include "fabric/hbm.hpp"
-#include "fabric/scheduler.hpp"
 #include "transformer/checkpoint.hpp"
+#include "transformer/serving.hpp"
 
 namespace bfpsim {
 
@@ -163,63 +162,23 @@ InferenceResult Session::infer(ModelId model,
 Session::BatchInference Session::infer_batch(
     ModelId model, std::span<const std::vector<float>> embeddings,
     ThreadPool* pool) {
-  BFP_REQUIRE(!embeddings.empty(), "Session::infer_batch: empty batch");
   Deployed& dep = checked(model);
-  const VitConfig& cfg = dep.model.config();
-  const std::size_t expect =
-      static_cast<std::size_t>(cfg.tokens()) *
-      static_cast<std::size_t>(cfg.embed_dim);
-  for (const auto& img : embeddings) {
-    BFP_REQUIRE(img.size() == expect,
-                "Session::infer_batch: embeddings must be tokens x embed_dim");
-  }
+  BatchExecution exec =
+      execute_transformer_batch(dep.model, system_, embeddings, pool);
 
-  // Parallel phase: the functional forwards. Image i owns slot i of each
-  // vector; every work item builds its own AcceleratorSystem (one
-  // simulated PU per work item) from the session config, so items share
-  // only the read-only deployed model and produce the same bits as the
-  // serial loop under any worker interleaving.
-  const std::size_t n = embeddings.size();
-  std::vector<std::vector<float>> features(n);
-  std::vector<std::vector<float>> logits(n);
-  std::vector<ForwardStats> stats(n);
-  auto run_image = [&](std::size_t i) {
-    const AcceleratorSystem local(cfg_);
-    std::vector<float> x = embeddings[i];
-    features[i] = dep.model.forward_mixed(std::move(x), local, &stats[i]);
-    logits[i] = dep.model.classify(features[i]);
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(n, run_image);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) run_image(i);
-  }
-
-  // Serial phase, fixed image order: DMA modelling, command log, schedule.
+  // Serial phase, fixed image order: classifier head, DMA modelling and
+  // the command log.
   BatchInference out;
-  out.results.reserve(n);
-  std::vector<WorkItem> items;
-  items.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.results.push_back(account_inference(embeddings[i],
-                                            std::move(features[i]),
-                                            std::move(logits[i]), stats[i]));
-    // infer()'s latency spreads one image across all units; in batch mode
-    // each image instead runs whole on a single unit (weights resident, no
-    // cross-unit traffic), so its schedulable cost is the all-units
-    // latency scaled back up by the unit count.
-    items.push_back(
-        {"img" + std::to_string(i),
-         out.results.back().total_cycles *
-             static_cast<std::uint64_t>(cfg_.num_units)});
+  out.results.reserve(embeddings.size());
+  for (std::size_t i = 0; i < embeddings.size(); ++i) {
+    std::vector<float> logits = dep.model.classify(exec.features[i]);
+    out.results.push_back(account_inference(
+        embeddings[i], std::move(exec.features[i]), std::move(logits),
+        exec.image_stats[i]));
   }
-  const ScheduleResult s = schedule_lpt(items, cfg_.num_units);
-  out.makespan_cycles = s.makespan;
-  out.utilization = s.utilization;
-  const double freq = cfg_.pu.freq_hz;
-  out.images_per_second =
-      static_cast<double>(embeddings.size()) /
-      (static_cast<double>(std::max<std::uint64_t>(1, s.makespan)) / freq);
+  out.makespan_cycles = exec.timing.makespan_cycles;
+  out.images_per_second = exec.timing.images_per_second;
+  out.utilization = exec.timing.utilization;
   return out;
 }
 

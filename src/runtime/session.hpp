@@ -75,16 +75,15 @@ class Session {
   /// Run one image (tokens x d embeddings) through a deployed model.
   InferenceResult infer(ModelId model, std::span<const float> embeddings);
 
-  /// Serve a batch of images: functional results for each, plus the
-  /// batch-level schedule (images placed whole-per-unit via the LPT
-  /// scheduler; see transformer/serving.hpp).
+  /// Serve a batch of images through execute_transformer_batch
+  /// (transformer/serving.hpp): each image runs whole on one unit, LPT-
+  /// placed, so the forwards, makespan, images/s and utilization are that
+  /// engine's. Per image the session adds the classifier head, the DMA
+  /// in/out and the command log, serially in image order.
   ///
   /// `pool` (optional) runs the per-image forwards on the parallel
-  /// execution engine — each image's compute is independent and lands in
-  /// its own result slot, while DMA modelling and the command log are
-  /// applied serially in image order afterwards, so results, cycle
-  /// counts, and the log are bit-identical to the serial path for any
-  /// worker count.
+  /// execution engine; results, cycle counts and the log are
+  /// bit-identical to the serial path for any worker count.
   struct BatchInference {
     std::vector<InferenceResult> results;
     std::uint64_t makespan_cycles = 0;

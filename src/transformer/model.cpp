@@ -40,7 +40,27 @@ std::vector<float> transpose(const std::vector<float>& a, int rows,
   return t;
 }
 
+/// Write the row-major (rows x width) `block` into columns
+/// [col0, col0 + width) of the row-major (rows x cols) matrix `a`.
+void put_cols(std::vector<float>& a, int cols, int col0,
+              const std::vector<float>& block, int width) {
+  for (std::size_t r = 0; r * width < block.size(); ++r) {
+    std::copy_n(block.begin() + static_cast<std::ptrdiff_t>(r * width), width,
+                a.begin() + static_cast<std::ptrdiff_t>(r * cols) + col0);
+  }
+}
+
 }  // namespace
+
+std::vector<float> slice_cols(const std::vector<float>& a, int rows,
+                              int cols, int col0, int width) {
+  std::vector<float> out(static_cast<std::size_t>(rows) * width);
+  for (int r = 0; r < rows; ++r) {
+    std::copy_n(a.begin() + static_cast<std::ptrdiff_t>(r) * cols + col0,
+                width, out.begin() + static_cast<std::ptrdiff_t>(r) * width);
+  }
+  return out;
+}
 
 std::vector<float> init_weight_matrix(Rng& rng, int rows, int cols,
                                       float std_dev) {
@@ -160,30 +180,14 @@ std::vector<float> VitModel::forward_reference(std::vector<float> x) const {
     }
     std::vector<float> attn_out(static_cast<std::size_t>(t) * d);
     for (int head = 0; head < h; ++head) {
-      std::vector<float> q(static_cast<std::size_t>(t) * hd);
-      std::vector<float> kk(static_cast<std::size_t>(t) * hd);
-      std::vector<float> v(static_cast<std::size_t>(t) * hd);
-      for (int r = 0; r < t; ++r) {
-        for (int c = 0; c < hd; ++c) {
-          const std::size_t base = static_cast<std::size_t>(r) * 3 * d;
-          q[static_cast<std::size_t>(r) * hd + c] =
-              qkv[base + static_cast<std::size_t>(head * hd + c)];
-          kk[static_cast<std::size_t>(r) * hd + c] =
-              qkv[base + static_cast<std::size_t>(d + head * hd + c)];
-          v[static_cast<std::size_t>(r) * hd + c] =
-              qkv[base + static_cast<std::size_t>(2 * d + head * hd + c)];
-        }
-      }
+      const auto q = slice_cols(qkv, t, 3 * d, head * hd, hd);
+      const auto kk = slice_cols(qkv, t, 3 * d, d + head * hd, hd);
+      const auto v = slice_cols(qkv, t, 3 * d, 2 * d + head * hd, hd);
       auto scores = matmul_ref(q, t, hd, transpose(kk, t, hd), t);
       for (auto& s : scores) s *= scale;
       const auto probs = softmax_reference(scores, t, t);
       const auto ctx = matmul_ref(probs, t, t, v, hd);
-      for (int r = 0; r < t; ++r) {
-        for (int c = 0; c < hd; ++c) {
-          attn_out[static_cast<std::size_t>(r) * d + head * hd + c] =
-              ctx[static_cast<std::size_t>(r) * hd + c];
-        }
-      }
+      put_cols(attn_out, d, head * hd, ctx, hd);
     }
     auto proj = matmul_ref(attn_out, t, d, b.proj_w, d);
     for (int r = 0; r < t; ++r) {
@@ -213,158 +217,167 @@ std::vector<float> VitModel::forward_reference(std::vector<float> x) const {
   return x;
 }
 
-namespace {
-
-/// Mixed-mode elementwise helpers: bias and residual adds go through the
-/// fp32 aligned-add datapath and are charged to the vector mode.
-void add_bias_mixed(std::vector<float>& x, int rows, int cols,
-                    const std::vector<float>& bias, ForwardStats* stats,
-                    const AcceleratorSystem& sys) {
-  for (int r = 0; r < rows; ++r) {
-    for (int c = 0; c < cols; ++c) {
-      auto& v = x[static_cast<std::size_t>(r) * cols + c];
-      v = fp32_add_aligned(v, bias[static_cast<std::size_t>(c)]);
+std::vector<float> forward_sharded(
+    std::vector<float> x, const VitConfig& cfg,
+    std::span<const std::span<const TensorBlockShard>> shards,
+    const AcceleratorSystem& system, const PrecisionPolicy& policy,
+    std::span<ForwardStats> card_stats,
+    std::vector<std::uint64_t>* gather_bytes) {
+  const int t = cfg.tokens();
+  const int d = cfg.embed_dim;
+  const int hd = cfg.head_dim();
+  const int m = cfg.mlp_hidden();
+  const int cards = static_cast<int>(shards.size());
+  BFP_REQUIRE(x.size() == static_cast<std::size_t>(t) * d,
+              "forward_sharded: input must be tokens x embed_dim");
+  BFP_REQUIRE(cards >= 1 && card_stats.size() == shards.size() &&
+                  cfg.num_heads % cards == 0,
+              "forward_sharded: need one stats slot per shard and whole "
+              "heads per card");
+  for (const auto& shard : shards) {
+    BFP_REQUIRE(shard.size() == static_cast<std::size_t>(cfg.depth),
+                "forward_sharded: every shard needs one slice per block");
+  }
+  const int dc = d / cards;
+  const int mc = m / cards;
+  const int local_heads = cfg.num_heads / cards;
+  const float scale = 1.0F / std::sqrt(static_cast<float>(hd));
+  auto stats_of = [&](int c) -> ForwardStats& {
+    return card_stats[static_cast<std::size_t>(c)];
+  };
+  // Vector-mode work is charged at the op mix's modelled latency.
+  auto charge_ops = [&](int c, const OpCounter& ops) {
+    stats_of(c).nonlinear_ops += ops;
+    stats_of(c).vector_cycles +=
+        system.vector_latency(ops.fp_mul, ops.fp_add).cycles;
+  };
+  auto gemm_on = [&](int c, const std::vector<float>& a, int rows, int k,
+                     const std::vector<float>& b, int n, bool bfp8) {
+    if (!bfp8) {
+      // Policy keeps this layer group in fp32: exact matmul, no bfp stats.
+      return matmul_ref(a, rows, k, b, n);
     }
-  }
-  if (stats != nullptr) {
-    const auto n = static_cast<std::uint64_t>(rows) * cols;
-    stats->nonlinear_ops.fp_add += n;
-    stats->vector_cycles += sys.vector_latency(0, n).cycles;
-  }
-}
-
-void add_residual_mixed(std::vector<float>& x, const std::vector<float>& y,
-                        ForwardStats* stats, const AcceleratorSystem& sys) {
-  BFP_ASSERT(x.size() == y.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = fp32_add_aligned(x[i], y[i]);
-  }
-  if (stats != nullptr) {
-    stats->nonlinear_ops.fp_add += x.size();
-    stats->vector_cycles += sys.vector_latency(0, x.size()).cycles;
-  }
-}
-
-std::vector<float> gemm_mixed(const AcceleratorSystem& sys,
-                              const std::vector<float>& a, int m, int k,
-                              const std::vector<float>& b, int n,
-                              ForwardStats* stats, bool bfp8) {
-  if (!bfp8) {
-    // Policy keeps this layer group in fp32: exact matmul, no bfp stats.
-    std::vector<float> c(static_cast<std::size_t>(m) *
-                         static_cast<std::size_t>(n));
-    for (int i = 0; i < m; ++i) {
-      for (int j = 0; j < n; ++j) {
-        double acc = 0.0;
-        for (int x = 0; x < k; ++x) {
-          acc += static_cast<double>(a[static_cast<std::size_t>(i) * k + x]) *
-                 b[static_cast<std::size_t>(x) * n + j];
-        }
-        c[static_cast<std::size_t>(i) * n + j] = static_cast<float>(acc);
+    GemmRun run = system.gemm(a, rows, k, b, n);
+    stats_of(c).bfp_macs += run.macs;
+    stats_of(c).linear_cycles += run.compute_cycles;
+    return std::move(run.c);
+  };
+  // Bias and residual adds go through the fp32 aligned-add datapath.
+  auto add_bias = [&](int c, std::vector<float>& v,
+                      const std::vector<float>& bias) {
+    for (std::size_t r = 0; r < v.size(); r += bias.size()) {
+      for (std::size_t cc = 0; cc < bias.size(); ++cc) {
+        v[r + cc] = fp32_add_aligned(v[r + cc], bias[cc]);
       }
     }
-    return c;
-  }
-  GemmRun run = sys.gemm(a, m, k, b, n);
-  if (stats != nullptr) {
-    stats->bfp_macs += run.macs;
-    stats->linear_cycles += run.compute_cycles;
-  }
-  return std::move(run.c);
-}
+    charge_ops(c, OpCounter{.fp_add = v.size()});
+  };
+  auto add_residual = [&](const std::vector<float>& y) {
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x[i] = fp32_add_aligned(x[i], y[i]);
+    }
+    for (int c = 0; c < cards; ++c) {
+      charge_ops(c, OpCounter{.fp_add = x.size()});
+    }
+  };
+  // LayerNorm runs replicated: every card normalizes its own copy of x.
+  auto layernorm = [&](const std::vector<float>& gamma,
+                       const std::vector<float>& beta) {
+    OpCounter ops;
+    auto y = approx_layernorm(x, t, d, gamma, beta, &ops);
+    for (int c = 0; c < cards; ++c) charge_ops(c, ops);
+    return y;
+  };
+  // All-gather card-order column shards (rows x width each) into one
+  // row-major rows x (width * cards) matrix.
+  auto gather = [&](std::vector<std::vector<float>>& parts, int width) {
+    if (gather_bytes != nullptr) {
+      gather_bytes->push_back(static_cast<std::uint64_t>(t) * width *
+                              static_cast<std::uint64_t>(cards) *
+                              sizeof(float));
+    }
+    if (cards == 1) return std::move(parts.front());
+    std::vector<float> out(static_cast<std::size_t>(t) * width * cards);
+    for (int c = 0; c < cards; ++c) {
+      put_cols(out, width * cards, c * width,
+               parts[static_cast<std::size_t>(c)], width);
+    }
+    return out;
+  };
+  std::vector<std::vector<float>> parts(static_cast<std::size_t>(cards));
+  auto slice = [&](int c, std::size_t blk) -> const TensorBlockShard& {
+    return shards[static_cast<std::size_t>(c)][blk];
+  };
 
-}  // namespace
+  for (std::size_t blk = 0; blk < static_cast<std::size_t>(cfg.depth);
+       ++blk) {
+    // ---- attention (LN -> QKV -> per-head SDPA -> proj -> residual) ----
+    const auto ln1 = layernorm(slice(0, blk).ln1_gamma,
+                               slice(0, blk).ln1_beta);
+    for (int c = 0; c < cards; ++c) {
+      const TensorBlockShard& s = slice(c, blk);
+      auto qkv = gemm_on(c, ln1, t, d, s.qkv_w, 3 * dc, policy.qkv);
+      add_bias(c, qkv, s.qkv_b);
+      // Per-head attention stays card-local: the card owns every Q/K/V
+      // column its heads need.
+      auto& attn = parts[static_cast<std::size_t>(c)];
+      attn.assign(static_cast<std::size_t>(t) * dc, 0.0F);
+      for (int head = 0; head < local_heads; ++head) {
+        const auto q = slice_cols(qkv, t, 3 * dc, head * hd, hd);
+        const auto kk = slice_cols(qkv, t, 3 * dc, dc + head * hd, hd);
+        const auto v = slice_cols(qkv, t, 3 * dc, 2 * dc + head * hd, hd);
+        auto scores = gemm_on(c, q, t, hd, transpose(kk, t, hd), t,
+                              policy.attention);
+        // 1/sqrt(head_dim) scaling on the fp32 multiply path.
+        for (auto& sc : scores) sc = fp32_mul_sliced(sc, scale);
+        charge_ops(c, OpCounter{.fp_mul = scores.size()});
+        OpCounter sm_ops;
+        const auto probs = approx_softmax(scores, t, t, &sm_ops);
+        charge_ops(c, sm_ops);
+        const auto ctx = gemm_on(c, probs, t, t, v, hd, policy.attention);
+        put_cols(attn, dc, head * hd, ctx, hd);
+      }
+    }
+    const auto attn_out = gather(parts, dc);
+    for (int c = 0; c < cards; ++c) {
+      const TensorBlockShard& s = slice(c, blk);
+      auto& proj = parts[static_cast<std::size_t>(c)];
+      proj = gemm_on(c, attn_out, t, d, s.proj_w, dc, policy.proj);
+      add_bias(c, proj, s.proj_b);
+    }
+    add_residual(gather(parts, dc));
+
+    // ---- MLP (LN -> fc1 -> GELU -> fc2 -> residual) ----
+    const auto ln2 = layernorm(slice(0, blk).ln2_gamma,
+                               slice(0, blk).ln2_beta);
+    for (int c = 0; c < cards; ++c) {
+      const TensorBlockShard& s = slice(c, blk);
+      auto hdn = gemm_on(c, ln2, t, d, s.fc1_w, mc, policy.mlp);
+      add_bias(c, hdn, s.fc1_b);
+      OpCounter gelu_ops;
+      parts[static_cast<std::size_t>(c)] =
+          approx_gelu(std::span<const float>(hdn), &gelu_ops);
+      charge_ops(c, gelu_ops);
+    }
+    const auto act = gather(parts, mc);
+    for (int c = 0; c < cards; ++c) {
+      const TensorBlockShard& s = slice(c, blk);
+      auto& out = parts[static_cast<std::size_t>(c)];
+      out = gemm_on(c, act, t, m, s.fc2_w, dc, policy.mlp);
+      add_bias(c, out, s.fc2_b);
+    }
+    add_residual(gather(parts, dc));
+  }
+  return x;
+}
 
 std::vector<float> VitModel::forward_mixed(
     std::vector<float> x, const AcceleratorSystem& system,
     ForwardStats* stats, const PrecisionPolicy& policy) const {
-  const int t = w_.cfg.tokens();
-  const int d = w_.cfg.embed_dim;
-  const int h = w_.cfg.num_heads;
-  const int hd = w_.cfg.head_dim();
-  const int m = w_.cfg.mlp_hidden();
-  BFP_REQUIRE(x.size() == static_cast<std::size_t>(t) * d,
-              "forward_mixed: input must be tokens x embed_dim");
-  const float scale = 1.0F / std::sqrt(static_cast<float>(hd));
-
-  auto charge_vec = [&](const OpCounter& before, const OpCounter& after) {
-    if (stats == nullptr) return;
-    stats->vector_cycles +=
-        system
-            .vector_latency(after.fp_mul - before.fp_mul,
-                            after.fp_add - before.fp_add)
-            .cycles;
-  };
-  OpCounter* ops = stats != nullptr ? &stats->nonlinear_ops : nullptr;
-
-  for (const BlockWeights& b : w_.blocks) {
-    // ---- attention (LN -> QKV -> per-head SDPA -> proj -> residual) ----
-    OpCounter snap = ops != nullptr ? *ops : OpCounter{};
-    const auto ln1 =
-        approx_layernorm(x, t, d, b.ln1_gamma, b.ln1_beta, ops);
-    if (ops != nullptr) charge_vec(snap, *ops);
-
-    auto qkv = gemm_mixed(system, ln1, t, d, b.qkv_w, 3 * d, stats,
-                          policy.qkv);
-    add_bias_mixed(qkv, t, 3 * d, b.qkv_b, stats, system);
-
-    std::vector<float> attn_out(static_cast<std::size_t>(t) * d);
-    for (int head = 0; head < h; ++head) {
-      std::vector<float> q(static_cast<std::size_t>(t) * hd);
-      std::vector<float> kk(static_cast<std::size_t>(t) * hd);
-      std::vector<float> v(static_cast<std::size_t>(t) * hd);
-      for (int r = 0; r < t; ++r) {
-        for (int c = 0; c < hd; ++c) {
-          const std::size_t base = static_cast<std::size_t>(r) * 3 * d;
-          q[static_cast<std::size_t>(r) * hd + c] =
-              qkv[base + static_cast<std::size_t>(head * hd + c)];
-          kk[static_cast<std::size_t>(r) * hd + c] =
-              qkv[base + static_cast<std::size_t>(d + head * hd + c)];
-          v[static_cast<std::size_t>(r) * hd + c] =
-              qkv[base + static_cast<std::size_t>(2 * d + head * hd + c)];
-        }
-      }
-      auto scores = gemm_mixed(system, q, t, hd, transpose(kk, t, hd), t,
-                               stats, policy.attention);
-      // 1/sqrt(head_dim) scaling on the fp32 multiply path.
-      for (auto& s : scores) s = fp32_mul_sliced(s, scale);
-      if (stats != nullptr) {
-        stats->nonlinear_ops.fp_mul += scores.size();
-        stats->vector_cycles +=
-            system.vector_latency(scores.size(), 0).cycles;
-      }
-      snap = ops != nullptr ? *ops : OpCounter{};
-      const auto probs = approx_softmax(scores, t, t, ops);
-      if (ops != nullptr) charge_vec(snap, *ops);
-      const auto ctx =
-          gemm_mixed(system, probs, t, t, v, hd, stats, policy.attention);
-      for (int r = 0; r < t; ++r) {
-        for (int c = 0; c < hd; ++c) {
-          attn_out[static_cast<std::size_t>(r) * d + head * hd + c] =
-              ctx[static_cast<std::size_t>(r) * hd + c];
-        }
-      }
-    }
-    auto proj = gemm_mixed(system, attn_out, t, d, b.proj_w, d, stats,
-                           policy.proj);
-    add_bias_mixed(proj, t, d, b.proj_b, stats, system);
-    add_residual_mixed(x, proj, stats, system);
-
-    // ---- MLP (LN -> fc1 -> GELU -> fc2 -> residual) ----
-    snap = ops != nullptr ? *ops : OpCounter{};
-    const auto ln2 =
-        approx_layernorm(x, t, d, b.ln2_gamma, b.ln2_beta, ops);
-    if (ops != nullptr) charge_vec(snap, *ops);
-    auto hdn = gemm_mixed(system, ln2, t, d, b.fc1_w, m, stats, policy.mlp);
-    add_bias_mixed(hdn, t, m, b.fc1_b, stats, system);
-    snap = ops != nullptr ? *ops : OpCounter{};
-    const auto act = approx_gelu(std::span<const float>(hdn), ops);
-    if (ops != nullptr) charge_vec(snap, *ops);
-    auto out = gemm_mixed(system, act, t, m, b.fc2_w, d, stats, policy.mlp);
-    add_bias_mixed(out, t, d, b.fc2_b, stats, system);
-    add_residual_mixed(x, out, stats, system);
-  }
-  return x;
+  ForwardStats local;
+  const std::span<const TensorBlockShard> shard(w_.blocks);
+  return forward_sharded(std::move(x), w_.cfg, std::span(&shard, 1), system,
+                         policy, std::span(stats != nullptr ? stats : &local, 1));
 }
 
 std::vector<float> VitModel::forward_int8(std::vector<float> x) const {
@@ -402,30 +415,14 @@ std::vector<float> VitModel::forward_int8(std::vector<float> x) const {
     }
     std::vector<float> attn_out(static_cast<std::size_t>(t) * d);
     for (int head = 0; head < h; ++head) {
-      std::vector<float> q(static_cast<std::size_t>(t) * hd);
-      std::vector<float> kk(static_cast<std::size_t>(t) * hd);
-      std::vector<float> v(static_cast<std::size_t>(t) * hd);
-      for (int r = 0; r < t; ++r) {
-        for (int c = 0; c < hd; ++c) {
-          const std::size_t base = static_cast<std::size_t>(r) * 3 * d;
-          q[static_cast<std::size_t>(r) * hd + c] =
-              qkv[base + static_cast<std::size_t>(head * hd + c)];
-          kk[static_cast<std::size_t>(r) * hd + c] =
-              qkv[base + static_cast<std::size_t>(d + head * hd + c)];
-          v[static_cast<std::size_t>(r) * hd + c] =
-              qkv[base + static_cast<std::size_t>(2 * d + head * hd + c)];
-        }
-      }
+      const auto q = slice_cols(qkv, t, 3 * d, head * hd, hd);
+      const auto kk = slice_cols(qkv, t, 3 * d, d + head * hd, hd);
+      const auto v = slice_cols(qkv, t, 3 * d, 2 * d + head * hd, hd);
       auto scores = mm_int8(q, t, hd, transpose(kk, t, hd), t);
       for (auto& s : scores) s *= scale;
       const auto probs = softmax_reference(scores, t, t);
       const auto ctx = mm_int8(probs, t, t, v, hd);
-      for (int r = 0; r < t; ++r) {
-        for (int c = 0; c < hd; ++c) {
-          attn_out[static_cast<std::size_t>(r) * d + head * hd + c] =
-              ctx[static_cast<std::size_t>(r) * hd + c];
-        }
-      }
+      put_cols(attn_out, d, head * hd, ctx, hd);
     }
     auto proj = mm_int8(attn_out, t, d, b.proj_w, d);
     for (int r = 0; r < t; ++r) {

@@ -8,6 +8,12 @@
 //                SoftMax, GELU) plus residual/bias adds on the fp32 vector
 //                path, divisions on the host (Section III-D).
 //
+// The mixed-precision encoder block is written once, in forward_sharded:
+// a walk over a column-sharded model that VitModel::forward_mixed runs
+// with one shard (the model's own blocks) and the tensor-parallel cluster
+// executor runs with one shard per card. Same walk, same bits, same
+// cycles.
+//
 // No pretrained checkpoints are involved (see DESIGN.md substitutions):
 // Table IV is an op-count/latency analysis and the accuracy experiments
 // compare the two modes of the *same* synthetic network, which is exactly
@@ -15,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -78,6 +85,11 @@ VitWeights random_weights(const VitConfig& cfg, std::uint64_t seed);
 std::vector<float> init_weight_matrix(Rng& rng, int rows, int cols,
                                       float std_dev);
 
+/// Columns [col0, col0 + width) of a row-major rows x cols matrix: the
+/// per-head Q/K/V split and the tensor-parallel weight slices.
+std::vector<float> slice_cols(const std::vector<float>& a, int rows,
+                              int cols, int col0, int width);
+
 /// Synthetic input embeddings (tokens x d) with a fixed seed; a fraction of
 /// channels carries transformer-like outliers to make the quantization
 /// comparison realistic.
@@ -107,7 +119,38 @@ struct ForwardStats {
   OpCounter nonlinear_ops;
 
   std::uint64_t total_cycles() const { return linear_cycles + vector_cycles; }
+  bool operator==(const ForwardStats&) const = default;
 };
+
+/// One card's column slice of one encoder block under tensor parallelism
+/// (cluster/partitioner.hpp): the BlockWeights layout cut to the card's
+/// output columns — qkv as [Q_c | K_c | V_c] (3·d/C), proj and fc2 d/C,
+/// fc1 m/C, each with its bias slice — and the LayerNorm parameters
+/// replicated. A model's own blocks are its one-card shard.
+using TensorBlockShard = BlockWeights;
+
+/// The mixed-precision encoder walk over a column-sharded model: `shards`
+/// holds each card's slice of every block, in card order, and card c owns
+/// heads [c·H/C, (c+1)·H/C). Per block:
+///   LayerNorm (replicated) -> QKV columns + bias (per card) -> per-head
+///   attention (per card) -> all-gather attn_out -> proj columns + bias
+///   -> all-gather -> residual (replicated) -> LayerNorm -> fc1 columns +
+///   bias + GELU -> all-gather -> fc2 columns + bias -> all-gather ->
+///   residual.
+/// Column splits on bfp-block boundaries leave every quantization block
+/// and k-reduction as the un-split GEMM had them, so the result is the
+/// same bits for any card count.
+///
+/// `card_stats[c]` accumulates card c's work (replicated ops are charged
+/// to every card); `gather_bytes`, when non-null, receives the size of
+/// each all-gather in order. A one-shard gather moves the tensor. `policy`
+/// keeps linear-layer groups in fp32 as in VitModel::forward_mixed.
+std::vector<float> forward_sharded(
+    std::vector<float> x, const VitConfig& cfg,
+    std::span<const std::span<const TensorBlockShard>> shards,
+    const AcceleratorSystem& system, const PrecisionPolicy& policy,
+    std::span<ForwardStats> card_stats,
+    std::vector<std::uint64_t>* gather_bytes = nullptr);
 
 class VitModel {
  public:
@@ -123,9 +166,10 @@ class VitModel {
   /// the final block output (tokens x d).
   std::vector<float> forward_reference(std::vector<float> x) const;
 
-  /// Mixed-precision forward on the accelerator system; optionally
-  /// accumulates statistics. `policy` selects which linear-layer groups
-  /// quantize to bfp8 (default: all, the paper's deployment).
+  /// Mixed-precision forward on the accelerator system: forward_sharded
+  /// with the model's blocks as the one shard. Optionally accumulates
+  /// statistics. `policy` selects which linear-layer groups quantize to
+  /// bfp8 (default: all, the paper's deployment).
   std::vector<float> forward_mixed(
       std::vector<float> x, const AcceleratorSystem& system,
       ForwardStats* stats = nullptr,

@@ -51,8 +51,7 @@ BatchExecution execute_transformer_batch(
   BatchExecution out;
   const std::size_t n = images.size();
   out.features.resize(n);
-  out.image_cycles.resize(n);
-  std::vector<ForwardStats> stats(n);
+  out.image_stats.resize(n);
 
   // Each image runs whole on one unit, so its functional forward sees a
   // single-unit system (weights resident, no cross-unit traffic).
@@ -60,15 +59,15 @@ BatchExecution execute_transformer_batch(
   one.num_units = 1;
 
   // ---- parallel phase: one simulated PU per work item ----
-  // Work item i owns slot i of features/image_cycles/stats and constructs
+  // Work item i owns slot i of features/image_stats and constructs
   // its own AcceleratorSystem (hence its own ProcessingUnit): no shared
   // mutable state between items, so any worker interleaving produces the
   // same bits as the serial loop. The model is shared read-only.
   auto run_image = [&](std::size_t i) {
     const AcceleratorSystem unit(one);
     std::vector<float> x = images[i];
-    out.features[i] = model.forward_mixed(std::move(x), unit, &stats[i]);
-    out.image_cycles[i] = stats[i].total_cycles();
+    out.features[i] =
+        model.forward_mixed(std::move(x), unit, &out.image_stats[i]);
   };
   if (pool != nullptr) {
     pool->parallel_for(n, run_image);
@@ -80,16 +79,17 @@ BatchExecution execute_transformer_batch(
   std::vector<WorkItem> items;
   items.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    items.push_back({"img" + std::to_string(i), out.image_cycles[i]});
+    items.push_back(
+        {"img" + std::to_string(i), out.image_stats[i].total_cycles()});
   }
   out.schedule = schedule_lpt(items, sys.config().num_units);
 
   const double freq = sys.config().pu.freq_hz;
   out.timing.batch = static_cast<int>(n);
-  out.timing.per_image_cycles = out.image_cycles.front();
+  out.timing.per_image_cycles = out.image_stats.front().total_cycles();
   out.timing.makespan_cycles = out.schedule.makespan;
   out.timing.latency_ms_per_image =
-      static_cast<double>(out.image_cycles.front()) / freq * 1e3;
+      static_cast<double>(out.timing.per_image_cycles) / freq * 1e3;
   out.timing.images_per_second =
       out.schedule.makespan == 0
           ? 0.0
@@ -112,7 +112,7 @@ BatchExecution execute_transformer_batch(
     for (const std::size_t img : ua.items) {
       PassSpec p;
       p.load_cycles = transfer_cycles(hbm, in_bytes, hbm.bfp_burst_bytes);
-      p.compute_cycles = out.image_cycles[img];
+      p.compute_cycles = out.image_stats[img].total_cycles();
       p.store_cycles = transfer_cycles(
           hbm, out.features[img].size() * sizeof(float), hbm.bfp_burst_bytes);
       passes.push_back(p);
@@ -131,12 +131,12 @@ BatchExecution execute_transformer_batch(
   }
 
   // ---- deterministic counter aggregation (image-index order) ----
-  for (std::size_t i = 0; i < n; ++i) {
+  for (const ForwardStats& s : out.image_stats) {
     out.counters.add("serving.images");
-    out.counters.add("serving.bfp_macs", stats[i].bfp_macs);
-    out.counters.add("serving.linear_cycles", stats[i].linear_cycles);
-    out.counters.add("serving.vector_cycles", stats[i].vector_cycles);
-    out.counters.add("serving.host_divs", stats[i].nonlinear_ops.host_div);
+    out.counters.add("serving.bfp_macs", s.bfp_macs);
+    out.counters.add("serving.linear_cycles", s.linear_cycles);
+    out.counters.add("serving.vector_cycles", s.vector_cycles);
+    out.counters.add("serving.host_divs", s.nonlinear_ops.host_div);
   }
   out.counters.add("serving.makespan_cycles", out.schedule.makespan);
   out.counters.add("serving.io_makespan_cycles", out.io_makespan_cycles);

@@ -51,7 +51,7 @@ struct BatchExecution {
   BatchResult timing;
   ScheduleResult schedule;                   ///< image -> unit placement
   std::vector<std::vector<float>> features;  ///< per-image block outputs
-  std::vector<std::uint64_t> image_cycles;   ///< modelled compute per image
+  std::vector<ForwardStats> image_stats;     ///< per-image forward stats
   /// Event-driven per-unit load/compute/store timelines (double-buffered
   /// ping-pong over the unit's AXI channel pair; fabric/pipeline.hpp),
   /// one per unit in unit order.

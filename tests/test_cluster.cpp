@@ -354,6 +354,28 @@ TEST(ClusterExecutor, SingleRequestStreamMatchesRequestLatency) {
   EXPECT_EQ(t.request_cycles, stats.total_cycles());
 }
 
+TEST(ClusterExecutor, StreamThroughputRunsAtTheCardClock) {
+  // requests/s converts the makespan at the card's own fabric clock: a
+  // 150 MHz card models the same cycles as a 300 MHz one at half the rate.
+  const VitConfig cfg = tp2_config();
+  const VitWeights w = random_weights(cfg, 23);
+  SystemConfig slow_card;
+  slow_card.pu.freq_hz = 150e6;
+  const ClusterExecutor slow(
+      w, ClusterTopology::ring(2, LinkConfig{}, slow_card),
+      PartitionStrategy::kPipeline);
+  const ClusterExecutor fast(w, ClusterTopology::ring(2),
+                             PartitionStrategy::kPipeline);
+  ClusterStats stats;
+  (void)slow.forward(random_embeddings(cfg, 1), &stats);
+  const StreamTiming t = slow.project_stream(stats, 8);
+  const StreamTiming t_fast = fast.project_stream(stats, 8);
+  EXPECT_EQ(t.makespan_cycles, t_fast.makespan_cycles);
+  EXPECT_DOUBLE_EQ(t.requests_per_second,
+                   8.0 * 150e6 / static_cast<double>(t.makespan_cycles));
+  EXPECT_DOUBLE_EQ(t.requests_per_second, t_fast.requests_per_second / 2);
+}
+
 TEST(ClusterExecutor, TwoCardPipelinePrefillSpeedupAtLeast1p6x) {
   // Acceptance pin: a compute-bound shape must scale >= 1.6x from one to
   // two cards on a 16-request prefill stream (ideal 2R/(R+1) = 1.88x).

@@ -129,7 +129,7 @@ TEST(ParallelDeterminism, BatchExecutionInvariantUnderThreadCount) {
     }
 
     // Modelled time: exact cycle counts.
-    EXPECT_EQ(got.image_cycles, want.image_cycles) << "threads=" << threads;
+    EXPECT_EQ(got.image_stats, want.image_stats) << "threads=" << threads;
     EXPECT_EQ(got.timing.makespan_cycles, want.timing.makespan_cycles);
     EXPECT_EQ(got.timing.per_image_cycles, want.timing.per_image_cycles);
     EXPECT_DOUBLE_EQ(got.timing.images_per_second,

@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "transformer/serving.hpp"
 
 namespace bfpsim {
 namespace {
@@ -149,8 +150,12 @@ TEST(Session, BatchInferenceSchedulesAcrossUnits) {
   }
   const Session::BatchInference b = session.infer_batch(id, batch);
   ASSERT_EQ(b.results.size(), 4u);
-  // 4 images on 15 units: one round; makespan = one single-unit image.
-  EXPECT_EQ(b.makespan_cycles, b.results[0].total_cycles * 15);
+  // 4 images on 15 units: one round; the makespan is the batch engine's
+  // (one single-unit image).
+  const BatchExecution exec = execute_transformer_batch(
+      VitModel(random_weights(cfg, 50)), AcceleratorSystem{}, batch);
+  EXPECT_EQ(b.makespan_cycles, exec.timing.makespan_cycles);
+  EXPECT_EQ(b.makespan_cycles, exec.image_stats[0].total_cycles());
   EXPECT_NEAR(b.utilization, 4.0 / 15.0, 1e-9);
   EXPECT_GT(b.images_per_second, 0.0);
   // Each image's functional result matches a solo inference.
