@@ -1,33 +1,20 @@
 #include "runtime/decode_serve.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <sstream>
 
 #include "common/error.hpp"
-#include "fabric/memory_interface.hpp"
 
 namespace bfpsim {
 
 namespace {
 
-/// bfp8 storage cost per element (65 bytes per 64-element block).
-constexpr double kBfpBytesPerElem =
-    static_cast<double>(kBfpBlockBytes) / 64.0;
-
-/// Decoder-stack parameters of a spec (QKV with grouped K/V, projection,
-/// MLP — embeddings excluded, matching DecoderConfig::params_per_layer
-/// for the degenerate case).
-std::int64_t spec_params(const ModelSpec& spec) {
-  const auto d = static_cast<std::int64_t>(spec.d_model);
-  const auto kv = static_cast<std::int64_t>(spec.kv_dim());
-  const auto f = static_cast<std::int64_t>(spec.mlp_hidden);
-  const std::int64_t attn = d * (d + 2 * kv) + d * d;
-  const std::int64_t mlp = spec.activation == SpecActivation::kSwiGlu
-                               ? 3 * d * f
-                               : 2 * d * f;
-  return (attn + mlp) * spec.depth;
+/// The decoder stack a spec streams per token (embeddings excluded,
+/// matching DecoderConfig::params_per_layer for the degenerate case).
+DecodeShape decode_shape_of(const ModelSpec& spec) {
+  return {spec.d_model, spec.depth, spec.heads, spec.kv_dim(),
+          spec.mlp_hidden, spec.activation == SpecActivation::kSwiGlu};
 }
 
 }  // namespace
@@ -39,50 +26,7 @@ SpecDecodeCosts spec_decode_costs(const ModelSpec& spec,
     throw ConfigError("spec_decode_costs: '" + spec.name +
                       "' is not a decoder spec");
   }
-  BFP_REQUIRE(len >= 1 && batch >= 1,
-              "spec_decode_costs: len and batch must be positive");
-
-  SpecDecodeCosts c;
-  c.params = spec_params(spec);
-  c.weight_bytes_bfp8 = static_cast<double>(c.params) * kBfpBytesPerElem;
-
-  const auto d = static_cast<std::int64_t>(spec.d_model);
-  const auto kv = static_cast<std::int64_t>(spec.kv_dim());
-  const auto f = static_cast<std::int64_t>(spec.mlp_hidden);
-  const int hd = spec.head_dim();
-  const auto layers = static_cast<std::int64_t>(spec.depth);
-  // Grouped K/V stream: kv_heads * head_dim channels per position.
-  c.kv_bytes = static_cast<double>(layers) * 2.0 *
-               static_cast<double>(len) * static_cast<double>(kv) *
-               kBfpBytesPerElem;
-
-  std::uint64_t cycles = 0;
-  auto add = [&](std::int64_t m, std::int64_t k, std::int64_t n,
-                 std::int64_t times) {
-    cycles += sys.gemm_latency(m, k, n).cycles *
-              static_cast<std::uint64_t>(times);
-  };
-  add(batch, d, d + 2 * kv, layers);                      // fused QKV
-  add(1, hd, len, layers * spec.heads * batch);           // q K^T
-  add(1, len, hd, layers * spec.heads * batch);           // p V
-  add(batch, d, d, layers);                               // proj
-  if (spec.activation == SpecActivation::kSwiGlu) {
-    add(batch, d, f, 2 * layers);                         // gate + up
-    add(batch, f, d, layers);                             // down
-  } else {
-    add(batch, d, f, layers);                             // FFN up
-    add(batch, f, d, layers);                             // FFN down
-  }
-  c.compute_cycles = cycles;
-
-  const double agg_bytes_per_cycle =
-      static_cast<double>(sys.memory().hbm().bytes_per_cycle_total()) *
-      sys.config().num_units;
-  c.bandwidth_cycles = static_cast<std::uint64_t>(
-      (c.weight_bytes_bfp8 + c.kv_bytes * batch) / agg_bytes_per_cycle);
-  c.cycles_per_token = std::max(c.compute_cycles, c.bandwidth_cycles);
-  c.bandwidth_bound = c.bandwidth_cycles > c.compute_cycles;
-  return c;
+  return decode_step_costs(decode_shape_of(spec), sys, len, batch);
 }
 
 DecodeServeReport serve_decode(const ModelSpec& spec,
@@ -93,9 +37,9 @@ DecodeServeReport serve_decode(const ModelSpec& spec,
     throw ConfigError("serve_decode: '" + spec.name +
                       "' is not a decoder spec");
   }
-  const auto kv_bytes_per_token = static_cast<std::uint64_t>(
-      static_cast<double>(spec.depth) * 2.0 *
-      static_cast<double>(spec.kv_dim()) * kBfpBytesPerElem);
+  const DecodeShape shape = decode_shape_of(spec);
+  const auto kv_bytes_per_token =
+      static_cast<std::uint64_t>(shape.kv_bytes(1));
 
   PagedKvConfig kv_cfg;
   kv_cfg.page_tokens = cfg.page_tokens;
@@ -145,8 +89,8 @@ DecodeServeReport serve_decode(const ModelSpec& spec,
     // length, plus that token's page residency.
     for (int g = 0; g < turn.gen_tokens; ++g) {
       ++len;
-      const SpecDecodeCosts step =
-          spec_decode_costs(spec, sys, len, cfg.batch);
+      const DecodeStepCosts step =
+          decode_step_costs(shape, sys, len, cfg.batch);
       tr.decode_cycles += step.cycles_per_token;
       KvTouch t = cache.ensure(turn.seq, len);
       tr.kv_transfer_cycles += t.transfer_cycles;

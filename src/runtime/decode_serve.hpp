@@ -1,12 +1,12 @@
 // Multi-turn decode serving from a declarative spec: the runtime loop
 // behind `bfpsim serve --model <spec>`.
 //
-// Per-token costs are analytic (the same gemm_latency / HBM-stream model
-// as analyze_decode in transformer/decoder.*), but GQA- and SwiGLU-aware:
-// the K/V projections shrink to kv_heads * head_dim columns, attention
-// reads only the grouped KV stream, and a SwiGLU MLP streams three FFN
-// matrices instead of two. On a degenerate spec (kv_heads == heads, GELU,
-// context-length KV) the per-token cycles reduce to exactly
+// Per-token costs are analytic: the spec's decode shape priced by
+// decode_step_costs (transformer/decoder.*), the model analyze_decode also
+// runs. It is GQA- and SwiGLU-aware: the K/V projections shrink to kv_heads * head_dim columns,
+// attention reads only the grouped KV stream, and a SwiGLU MLP streams
+// three FFN matrices instead of two. On a degenerate spec (kv_heads ==
+// heads, GELU, context-length KV) the per-token cycles equal
 // analyze_decode's — the parity the self-check test pins.
 //
 // On top of the per-token model sits the paged KV-cache residency loop:
@@ -23,21 +23,14 @@
 #include "compiler/spec.hpp"
 #include "fabric/system.hpp"
 #include "runtime/paged_kv.hpp"
+#include "transformer/decoder.hpp"
 
 namespace bfpsim {
 
-/// Spec-aware per-token decode cost at KV length `len` (GQA/SwiGLU-aware
-/// generalization of analyze_decode; identical numbers for degenerate
-/// specs at len == spec.context).
-struct SpecDecodeCosts {
-  std::int64_t params = 0;          ///< weight parameters (decoder stack)
-  double weight_bytes_bfp8 = 0.0;   ///< streamed per token
-  double kv_bytes = 0.0;            ///< grouped K/V read per token
-  std::uint64_t compute_cycles = 0;
-  std::uint64_t bandwidth_cycles = 0;
-  std::uint64_t cycles_per_token = 0;
-  bool bandwidth_bound = false;
-};
+/// Spec-aware per-token decode cost at KV length `len`: decode_step_costs
+/// (transformer/decoder.hpp) on the spec's GQA/SwiGLU shape; identical to
+/// analyze_decode for degenerate specs at len == spec.context.
+using SpecDecodeCosts = DecodeStepCosts;
 
 SpecDecodeCosts spec_decode_costs(const ModelSpec& spec,
                                   const AcceleratorSystem& sys, int len,

@@ -42,58 +42,72 @@ DecoderConfig opt_13b() {
   return {"opt-13b", 5120, 40, 40, 4, 1024};
 }
 
+namespace {
+
+/// bfp8 storage cost per element (65 bytes per 64-element block).
+constexpr double kBfpBytesPerElem =
+    static_cast<double>(kBfpBlockBytes) / 64.0;
+
+}  // namespace
+
+double DecodeShape::kv_bytes(int len) const {
+  return static_cast<double>(layers) * 2.0 * static_cast<double>(len) *
+         static_cast<double>(kv_dim) * kBfpBytesPerElem;
+}
+
+DecodeStepCosts decode_step_costs(const DecodeShape& shape,
+                                  const AcceleratorSystem& sys, int len,
+                                  int batch) {
+  BFP_REQUIRE(len >= 1 && batch >= 1,
+              "decode_step_costs: len and batch must be positive");
+  const auto d = static_cast<std::int64_t>(shape.d_model);
+  const auto kv = static_cast<std::int64_t>(shape.kv_dim);
+  const std::int64_t f = shape.ffn_hidden;
+  const std::int64_t up_matrices = shape.swiglu ? 2 : 1;  // SwiGLU: gate, up
+  const auto layers = static_cast<std::int64_t>(shape.layers);
+  const int hd = shape.d_model / shape.heads;
+
+  DecodeStepCosts c;
+  c.params = (d * (d + 2 * kv) + d * d + (up_matrices + 1) * d * f) * layers;
+  c.weight_bytes_bfp8 = static_cast<double>(c.params) * kBfpBytesPerElem;
+  c.kv_bytes = shape.kv_bytes(len);
+
+  auto add = [&](std::int64_t m, std::int64_t k, std::int64_t n,
+                 std::int64_t times) {
+    c.compute_cycles += sys.gemm_latency(m, k, n).cycles *
+                        static_cast<std::uint64_t>(times);
+  };
+  add(batch, d, d + 2 * kv, layers);                      // fused QKV
+  add(1, hd, len, layers * shape.heads * batch);          // q K^T
+  add(1, len, hd, layers * shape.heads * batch);          // p V
+  add(batch, d, d, layers);                               // proj
+  add(batch, d, f, up_matrices * layers);                 // FFN up
+  add(batch, f, d, layers);                               // FFN down
+
+  const double agg_bytes_per_cycle =
+      static_cast<double>(sys.memory().hbm().bytes_per_cycle_total()) *
+      sys.config().num_units;
+  c.bandwidth_cycles = static_cast<std::uint64_t>(
+      (c.weight_bytes_bfp8 + c.kv_bytes * batch) / agg_bytes_per_cycle);
+  c.cycles_per_token = std::max(c.compute_cycles, c.bandwidth_cycles);
+  c.bandwidth_bound = c.bandwidth_cycles > c.compute_cycles;
+  return c;
+}
+
 DecodeAnalysis analyze_decode(const DecoderConfig& cfg,
                               const AcceleratorSystem& sys,
                               double hbm_gib, int batch) {
   cfg.validate();
-  BFP_REQUIRE(batch >= 1, "analyze_decode: batch must be positive");
   DecodeAnalysis a;
-  a.params = cfg.total_params();
-
-  const double bfp_bytes_per_weight =
-      static_cast<double>(kBfpBlockBytes) / 64.0;  // 65 B per 64 elements
-  a.weight_bytes_bfp8 = static_cast<double>(a.params) * bfp_bytes_per_weight;
-
-  const auto d = static_cast<std::int64_t>(cfg.d_model);
-  const auto len = static_cast<std::int64_t>(cfg.context_len);
-  const double kv_elems =
-      static_cast<double>(cfg.num_layers) * 2.0 *
-      static_cast<double>(len) * static_cast<double>(d);
-  a.kv_bytes = kv_elems * bfp_bytes_per_weight;
+  static_cast<DecodeStepCosts&>(a) = decode_step_costs(
+      {cfg.d_model, cfg.num_layers, cfg.num_heads, cfg.d_model,
+       cfg.ffn_hidden(), false},
+      sys, cfg.context_len, batch);
 
   a.macs_per_token = (static_cast<double>(a.params) +
-                      2.0 * static_cast<double>(len) *
-                          static_cast<double>(d) * cfg.num_layers) *
+                      2.0 * static_cast<double>(cfg.context_len) *
+                          static_cast<double>(cfg.d_model) * cfg.num_layers) *
                      batch;
-
-  // Scheduled latency: batched-decode GEMMs through the tiled execution
-  // model (activation rows padded up to the 8-row block; per-pass weight
-  // streaming at achievable burst sizes). KV attention is per stream.
-  const int hd = cfg.d_model / cfg.num_heads;
-  WorkloadResult compute;
-  auto add = [&](std::int64_t m, std::int64_t k, std::int64_t n,
-                 std::int64_t times) {
-    compute.cycles += sys.gemm_latency(m, k, n).cycles *
-                      static_cast<std::uint64_t>(times);
-  };
-  add(batch, d, 3 * d, cfg.num_layers);                    // QKV
-  add(1, hd, len, cfg.num_layers * cfg.num_heads * batch); // q K^T
-  add(1, len, hd, cfg.num_layers * cfg.num_heads * batch); // p V
-  add(batch, d, d, cfg.num_layers);                        // proj
-  add(batch, d, cfg.ffn_hidden(), cfg.num_layers);         // FFN up
-  add(batch, cfg.ffn_hidden(), d, cfg.num_layers);         // FFN down
-  a.compute_cycles = compute.cycles;
-
-  // Ideal stream lower bound: weights once per step + KV per stream, over
-  // the aggregate HBM interface of all units.
-  const double agg_bytes_per_cycle =
-      static_cast<double>(sys.memory().hbm().bytes_per_cycle_total()) *
-      sys.config().num_units;
-  a.bandwidth_cycles = static_cast<std::uint64_t>(
-      (a.weight_bytes_bfp8 + a.kv_bytes * batch) / agg_bytes_per_cycle);
-
-  a.cycles_per_token = std::max(a.compute_cycles, a.bandwidth_cycles);
-  a.bandwidth_bound = a.bandwidth_cycles > a.compute_cycles;
   const double freq = sys.config().pu.freq_hz;
   a.tokens_per_second =
       batch * freq /

@@ -46,19 +46,50 @@ DecoderConfig opt_1_3b();
 DecoderConfig opt_6_7b();
 DecoderConfig opt_13b();
 
-/// Per-token decode analysis on a given system.
-struct DecodeAnalysis {
-  std::int64_t params = 0;
-  double weight_bytes_bfp8 = 0.0;     ///< streamed per token
-  double kv_bytes = 0.0;              ///< KV cache read per token (bfp8)
-  double macs_per_token = 0.0;
+/// What one decode step streams, GQA- and SwiGLU-aware: the K/V
+/// projections and the KV cache are kv_dim = kv_heads * head_dim channels
+/// wide, and a SwiGLU MLP streams three FFN matrices instead of two. A
+/// DecoderConfig is the plain-MHA (kv_dim = d_model), two-matrix case.
+struct DecodeShape {
+  int d_model = 0;
+  int layers = 0;
+  int heads = 0;
+  int kv_dim = 0;
+  std::int64_t ffn_hidden = 0;
+  bool swiglu = false;
 
+  /// bfp8 bytes of the K/V cache over all layers for `len` tokens.
+  double kv_bytes(int len) const;
+};
+
+/// Per-token cost of one decode step.
+struct DecodeStepCosts {
+  std::int64_t params = 0;            ///< weight parameters (decoder stack)
+  double weight_bytes_bfp8 = 0.0;     ///< streamed per token
+  double kv_bytes = 0.0;              ///< K/V cache read per token (bfp8)
   std::uint64_t compute_cycles = 0;   ///< tiled-GEMM latency model (padded)
   std::uint64_t bandwidth_cycles = 0; ///< weights+KV over aggregate HBM
   std::uint64_t cycles_per_token = 0; ///< max of the two
+  bool bandwidth_bound = false;
+};
+
+/// The one per-token decode cost model, behind analyze_decode and the
+/// spec-driven decode server: the step's GEMMs at KV length `len` for
+/// `batch` concurrent streams through the tiled latency model (activation
+/// rows padded up to the 8-row block, per-pass weight streaming at
+/// achievable burst sizes, KV attention per stream), against the ideal
+/// stream of the weights once per step plus each stream's KV over the
+/// aggregate HBM interface of all units.
+DecodeStepCosts decode_step_costs(const DecodeShape& shape,
+                                  const AcceleratorSystem& sys, int len,
+                                  int batch);
+
+/// Per-token decode analysis on a given system: the step costs at the
+/// full context plus throughput and capacity.
+struct DecodeAnalysis : DecodeStepCosts {
+  double macs_per_token = 0.0;
   double tokens_per_second = 0.0;
   double compute_utilization = 0.0;   ///< useful MACs / peak during decode
-  bool bandwidth_bound = false;
 
   /// Capacity check: does the bfp8 model image fit the device HBM?
   double model_gib_bfp8 = 0.0;
