@@ -18,6 +18,7 @@
 #include "cluster/cluster_executor.hpp"
 #include "reliability/degradation.hpp"
 #include "serving/event_loop.hpp"
+#include "sim/counters.hpp"
 
 namespace bfpsim {
 
@@ -29,6 +30,29 @@ struct ClusterServeResult {
   std::vector<std::vector<float>> features;
   std::vector<ClusterStats> request_stats;  ///< per request id
 };
+
+/// The functional phase of a cluster serve (serve_cluster, and class 0 of
+/// Session::serve_fleet): request i's embeddings are seeded from
+/// trace.seed + i and its sharded forward runs into index-owned slots,
+/// bit-identical for any worker count of `pool` (null = serial). Its
+/// service pass loads the activations over the card's HBM, runs the
+/// forward's critical path (compute + collectives) and stores the
+/// features back.
+struct ClusterRequests {
+  std::vector<std::vector<float>> features;  ///< per request id
+  std::vector<ClusterStats> stats;           ///< per request id
+  std::uint64_t io_cycles = 0;  ///< one activation load (= one store)
+
+  /// Each request's {load, forward, store} service pass, by request id.
+  std::vector<PassSpec> passes() const;
+  /// Add the requests' serve.bfp_macs, cluster.collective_cycles and
+  /// cluster.collective_bytes to `counters`.
+  void add_counters(Counters& counters) const;
+};
+
+ClusterRequests run_cluster_requests(const ClusterExecutor& exec,
+                                     const ArrivalTrace& trace,
+                                     ThreadPool* pool);
 
 /// Serve `trace` against `replicas` copies of the sharded cluster `exec`.
 /// `pool` parallelizes the functional forwards only; `event_trace`

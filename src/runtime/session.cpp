@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "fabric/hbm.hpp"
 #include "transformer/checkpoint.hpp"
 #include "transformer/serving.hpp"
 
@@ -244,35 +243,12 @@ Session::FleetServeResult Session::serve_fleet(ModelId model,
                : ClusterTopology::fully_connected(cards, spec.link, cfg_);
   };
 
-  // Activations in/out over HBM, same for every class (same card config).
-  const VitConfig& mcfg = dep.model.config();
-  const std::uint64_t io_bytes =
-      static_cast<std::uint64_t>(mcfg.tokens()) *
-      static_cast<std::uint64_t>(mcfg.embed_dim) * sizeof(float);
-  const std::uint64_t load_cycles =
-      transfer_cycles(cfg_.hbm, io_bytes, cfg_.hbm.bfp_burst_bytes);
-  const std::uint64_t store_cycles = load_cycles;
-
-  FleetServeResult out;
-  out.features.resize(un);
-  out.request_stats.resize(un);
-
-  // ---- phase 1: class-0 per-request forwards (parallel, index-owned
-  // slots), exactly the serve_cluster construction ----
+  // ---- phase 1: class-0 per-request forwards, serve_cluster's
+  // functional phase ----
   const ClusterTopology topo0 = make_topology(spec.classes[0].cards);
   const ClusterExecutor exec0(dep.model.weights(), topo0,
                               spec.classes[0].strategy);
-  auto run_request = [&](std::size_t i) {
-    std::vector<float> x = random_embeddings(
-        mcfg, trace.seed + static_cast<std::uint64_t>(i));
-    out.features[i] =
-        exec0.forward(std::move(x), &out.request_stats[i], nullptr);
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(un, run_request);
-  } else {
-    for (std::size_t i = 0; i < un; ++i) run_request(i);
-  }
+  ClusterRequests reqs = run_cluster_requests(exec0, trace, pool);
 
   // ---- assemble the fleet spec: class 0 costed per request, further
   // classes probed once (their cost model is content-independent) ----
@@ -288,36 +264,27 @@ Session::FleetServeResult Session::serve_fleet(ModelId model,
     cls.strategy = to_string(fc.strategy);
     cls.initial_replicas = fc.initial_replicas;
     cls.max_replicas = fc.max_replicas;
-    cls.passes.reserve(un);
     if (c == 0) {
-      for (std::size_t i = 0; i < un; ++i) {
-        cls.passes.push_back({load_cycles,
-                              out.request_stats[i].total_cycles(),
-                              store_cycles});
-      }
+      cls.passes = reqs.passes();
     } else {
       const ClusterTopology topo = make_topology(fc.cards);
       const ClusterExecutor exec(dep.model.weights(), topo, fc.strategy);
       ClusterStats probe;
-      std::vector<float> x = random_embeddings(mcfg, trace.seed);
+      std::vector<float> x =
+          random_embeddings(dep.model.config(), trace.seed);
       exec.forward(std::move(x), &probe, nullptr);
-      const PassSpec pass{load_cycles, probe.total_cycles(), store_cycles};
+      // Activations in/out over HBM: the same card config for every class.
+      const PassSpec pass{reqs.io_cycles, probe.total_cycles(),
+                          reqs.io_cycles};
       cls.passes.assign(un, pass);
     }
     fleet.classes.push_back(std::move(cls));
   }
 
   // ---- phase 2: the serial fleet event loop ----
+  FleetServeResult out;
   out.report = bfpsim::serve_fleet(fleet, trace, policy, event_trace);
-
-  for (std::size_t i = 0; i < un; ++i) {
-    out.report.serve.counters.add("serve.bfp_macs",
-                                  out.request_stats[i].bfp_macs);
-    out.report.serve.counters.add("cluster.collective_cycles",
-                                  out.request_stats[i].collective_cycles);
-    out.report.serve.counters.add("cluster.collective_bytes",
-                                  out.request_stats[i].collective_bytes);
-  }
+  reqs.add_counters(out.report.serve.counters);
   if (spec.classes.size() == 1 && !spec.autoscaler.enabled) {
     // A single fixed-shape fleet IS a cluster serve; report the same
     // cluster identity counters so the degenerate report stays
@@ -338,6 +305,8 @@ Session::FleetServeResult Session::serve_fleet(ModelId model,
            std::to_string(out.report.serve.rejected_ids.size()) +
            " rejected",
        0, out.report.serve.makespan_cycles});
+  out.features = std::move(reqs.features);
+  out.request_stats = std::move(reqs.stats);
   return out;
 }
 
