@@ -13,10 +13,11 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "core/accelerator.hpp"
+#include "fabric/system.hpp"
 #include "numerics/format/registry.hpp"
 #include "numerics/quantizer.hpp"
 #include "pu/baseline_arrays.hpp"
+#include "transformer/model.hpp"
 
 namespace {
 
@@ -107,7 +108,7 @@ int main() {
   {
     const VitConfig cfg = vit_test_tiny();
     const VitModel model(random_weights(cfg, 42));
-    const Accelerator acc;
+    const AcceleratorSystem sys;
     std::vector<std::vector<float>> ref_logits;
     std::vector<std::vector<float>> mixed_logits;
     double snr_sum = 0.0;
@@ -116,7 +117,7 @@ int main() {
     for (int i = 0; i < batch; ++i) {
       const auto x = random_embeddings(cfg, 1000 + static_cast<std::uint64_t>(i));
       const auto ref = model.forward_reference(x);
-      const auto mix = acc.run_transformer(model, x);
+      const auto mix = model.forward_mixed(x, sys);
       snr_sum += compute_error_stats(mix, ref).snr_db;
       cos_sum += cosine_similarity(mix, ref);
       ref_logits.push_back(model.classify(ref));

@@ -14,8 +14,11 @@
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "core/accelerator.hpp"
+#include "fabric/system.hpp"
+#include "isa/executor.hpp"
+#include "isa/kernels.hpp"
 #include "numerics/nonlinear.hpp"
+#include "pu/processing_unit.hpp"
 
 namespace {
 
@@ -51,7 +54,7 @@ std::vector<float> matmul_ref(const std::vector<float>& a, int m, int k,
 
 int main() {
   using namespace bfpsim;
-  Accelerator acc;
+  const AcceleratorSystem sys;
   Rng rng(11);
 
   const int tokens = 64;
@@ -71,30 +74,32 @@ int main() {
   std::uint64_t vec_cycles = 0;
 
   // Projections (bfp8 MatMul mode).
-  const GemmRun q = acc.matmul(x, tokens, d, wq, d);
-  const GemmRun k = acc.matmul(x, tokens, d, wk, d);
-  const GemmRun v = acc.matmul(x, tokens, d, wv, d);
+  const GemmRun q = sys.gemm(x, tokens, d, wq, d);
+  const GemmRun k = sys.gemm(x, tokens, d, wk, d);
+  const GemmRun v = sys.gemm(x, tokens, d, wv, d);
   bfp_cycles += q.compute_cycles + k.compute_cycles + v.compute_cycles;
 
   // Attention scores (bfp8 MatMul mode) + 1/sqrt(d) (fp32 mul mode).
   const auto kt = transpose(k.c, tokens, d);
-  GemmRun scores = acc.matmul(q.c, tokens, d, kt, tokens);
+  GemmRun scores = sys.gemm(q.c, tokens, d, kt, tokens);
   bfp_cycles += scores.compute_cycles;
   {
-    Accelerator& mut = acc;  // vector streams mutate the stream unit
+    ProcessingUnit pu(sys.config().pu);  // one unit streams the vector op
     std::vector<float> scales(scores.c.size(), scale);
-    const VecRun scaled = mut.multiply(scores.c, scales);
+    const VecRun scaled = pu.fp32_mul_stream(scores.c, scales);
     scores.c = scaled.out;
     vec_cycles += scaled.compute_cycles;
   }
 
   // Softmax (fp32 vector program; one host division per row).
-  ExecutionStats sm_stats;
-  const auto probs = acc.softmax(scores.c, tokens, tokens, &sm_stats);
+  Executor ex(sys);
+  ex.set_tensor(kernels::kIn, tokens, tokens, scores.c);
+  const ExecutionStats sm_stats = ex.run(kernels::softmax(tokens, tokens));
+  const auto& probs = ex.tensor(kernels::kOut).data;
   vec_cycles += sm_stats.device_cycles;
 
   // Context (bfp8 MatMul mode).
-  const GemmRun ctx = acc.matmul(probs, tokens, tokens, v.c, d);
+  const GemmRun ctx = sys.gemm(probs, tokens, tokens, v.c, d);
   bfp_cycles += ctx.compute_cycles;
 
   // fp32 reference for the whole layer.

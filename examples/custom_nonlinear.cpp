@@ -17,7 +17,8 @@
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "core/accelerator.hpp"
+#include "fabric/system.hpp"
+#include "isa/executor.hpp"
 #include "isa/kernels.hpp"
 
 namespace {
@@ -54,7 +55,7 @@ bfpsim::Program squared_relu() {
 
 int main() {
   using namespace bfpsim;
-  Accelerator acc;
+  const AcceleratorSystem sys;
   Rng rng(3);
   const int rows = 16;
   const int cols = 64;
@@ -65,7 +66,10 @@ int main() {
 
   // 1. Shipped SiLU kernel.
   {
-    const auto out = acc.silu(x, rows, cols);
+    Executor ex(sys);
+    ex.set_tensor(kernels::kIn, rows, cols, x);
+    ex.run(kernels::silu());
+    const auto& out = ex.tensor(kernels::kOut).data;
     double max_err = 0.0;
     for (std::size_t i = 0; i < x.size(); ++i) {
       const double ref = static_cast<double>(x[i]) /
@@ -78,7 +82,7 @@ int main() {
   // 2. A new activation, compiled on the spot.
   {
     const Program prog = swish_beta(1.5F);
-    Executor ex = acc.make_executor();
+    Executor ex(sys);
     ex.set_tensor(kernels::kIn, rows, cols, x);
     const ExecutionStats stats = ex.run(prog);
     const auto out = ex.tensor(kernels::kOut).data;
@@ -106,7 +110,7 @@ int main() {
     std::printf("%s\n", prog.disassemble().c_str());
 
     const Program reloaded = Program::deserialize(image);
-    Executor ex = acc.make_executor();
+    Executor ex(sys);
     ex.set_tensor(kernels::kIn, rows, cols, x);
     ex.run(reloaded);
     const auto out = ex.tensor(kernels::kOut).data;

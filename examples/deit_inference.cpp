@@ -15,7 +15,9 @@
 #include "common/stats.hpp"
 #include "compiler/blocks.hpp"
 #include "compiler/compile.hpp"
-#include "core/accelerator.hpp"
+#include "fabric/system.hpp"
+#include "transformer/latency.hpp"
+#include "transformer/model.hpp"
 
 int main(int argc, char** argv) {
   using namespace bfpsim;
@@ -34,7 +36,7 @@ int main(int argc, char** argv) {
   std::printf("tokens=%d embed=%d heads=%d blocks=%d\n\n", cfg.tokens(),
               cfg.embed_dim, cfg.num_heads, cfg.depth);
 
-  const Accelerator acc;
+  const AcceleratorSystem sys;
   const VitModel model(random_weights(cfg, 2024));
   const auto x = random_embeddings(cfg, 7);
 
@@ -43,7 +45,7 @@ int main(int argc, char** argv) {
 
   std::printf("running mixed bfp8+fp32 forward on the accelerator model...\n");
   ForwardStats stats;
-  const auto mixed = acc.run_transformer(model, x, &stats);
+  const auto mixed = model.forward_mixed(x, sys, &stats);
 
   const ErrorStats err = compute_error_stats(mixed, ref);
   std::printf("\naccuracy (no retraining, pre-'trained' weights):\n");
@@ -80,7 +82,7 @@ int main(int argc, char** argv) {
               100.0 * fp32_share);
 
   std::printf("\nTable IV-style analysis for %s:\n", cfg.name.c_str());
-  const WorkloadBreakdown b = acc.analyze_transformer(cfg);
+  const WorkloadBreakdown b = analyze_workload(cfg, sys);
   for (const auto& r : b.rows) {
     std::printf("  %-16s %10.1f MOPs (%6.3f%%)  %8.3f ms (%6.3f%%)\n",
                 r.partition.c_str(), r.mega_ops, 100.0 * r.ops_proportion,
@@ -92,7 +94,7 @@ int main(int argc, char** argv) {
     // compiler — weights to a single device instruction stream.
     const VitWeights w2 = random_weights(cfg, 2024);
     const Graph g = build_vit_encoder(w2);
-    const CompiledModel compiled = compile(g, acc.system());
+    const CompiledModel compiled = compile(g, sys);
     const std::vector<std::vector<float>> inputs = {x};
     const RunResult r = compiled.run(inputs);
     std::printf("\ncompiled-encoder path: %zu graph nodes -> %zu "

@@ -1,6 +1,6 @@
 // Quickstart: the accelerator in five minutes.
 //
-//   1. create an Accelerator (the 15-unit Alveo U280 system model),
+//   1. create the AcceleratorSystem (the 15-unit Alveo U280 system model),
 //   2. run a bfp8 matrix multiply and inspect accuracy + modelled latency,
 //   3. run the fp32 vector modes,
 //   4. run a non-linear kernel (softmax) on the vector-unit ISA,
@@ -12,8 +12,11 @@
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "core/accelerator.hpp"
+#include "fabric/system.hpp"
+#include "isa/executor.hpp"
+#include "isa/kernels.hpp"
 #include "numerics/nonlinear.hpp"
+#include "pu/processing_unit.hpp"
 
 int main() {
   using namespace bfpsim;
@@ -21,7 +24,7 @@ int main() {
   // 1. The deployed system: 15 processing units x two 8x8 multi-mode
   //    arrays at 300 MHz, fed from HBM. Everything is configurable through
   //    SystemConfig; the default matches the paper's Alveo U280 build.
-  Accelerator acc;
+  const AcceleratorSystem sys;
 
   // 2. A bfp8 GEMM: inputs are ordinary fp32 tensors; the hardware
   //    quantizer converts them to 8x8 blocks with a shared 8-bit exponent.
@@ -31,7 +34,7 @@ int main() {
   const int n = 384;
   const auto a = rng.normal_vec(static_cast<std::size_t>(m) * k, 0.0F, 1.0F);
   const auto b = rng.normal_vec(static_cast<std::size_t>(k) * n, 0.0F, 0.05F);
-  const GemmRun gemm = acc.matmul(a, m, k, b, n);
+  const GemmRun gemm = sys.gemm(a, m, k, b, n);
 
   std::vector<float> ref(static_cast<std::size_t>(m) * n);
   for (int i = 0; i < m; ++i) {
@@ -53,15 +56,17 @@ int main() {
   std::printf("  MACs               : %llu\n\n",
               static_cast<unsigned long long>(gemm.macs));
 
-  // 3. The same PE array, reconfigured at run time into fp32 vector mode.
+  // 3. The same PE array, reconfigured at run time into fp32 vector mode
+  //    (one cycle-accurate unit streams the vectors).
+  ProcessingUnit pu(sys.config().pu);
   std::vector<float> x(256);
   std::vector<float> y(256);
   for (std::size_t i = 0; i < x.size(); ++i) {
     x[i] = rng.uniform(0.5F, 2.0F);
     y[i] = rng.uniform(0.5F, 2.0F);
   }
-  const VecRun mul = acc.multiply(x, y);
-  const VecRun add = acc.add(x, y);
+  const VecRun mul = pu.fp32_mul_stream(x, y);
+  const VecRun add = pu.fp32_add_stream(x, y);
   std::printf("fp32 vector modes (256 elements, 4 lanes):\n");
   std::printf("  multiply           : %llu cycles, out[0] = %g (ref %g)\n",
               static_cast<unsigned long long>(mul.compute_cycles),
@@ -76,8 +81,10 @@ int main() {
   const int cols = 197;
   const auto scores =
       rng.normal_vec(static_cast<std::size_t>(rows) * cols, 0.0F, 2.0F);
-  ExecutionStats stats;
-  const auto probs = acc.softmax(scores, rows, cols, &stats);
+  Executor ex(sys);
+  ex.set_tensor(kernels::kIn, rows, cols, scores);
+  const ExecutionStats stats = ex.run(kernels::softmax(rows, cols));
+  const auto& probs = ex.tensor(kernels::kOut).data;
   const auto probs_ref = softmax_reference(scores, rows, cols);
   std::printf("softmax on the vector unit (%dx%d):\n", rows, cols);
   std::printf("  max abs error      : %.2e\n",
@@ -91,12 +98,13 @@ int main() {
   // 5. Platform queries (the paper's headline numbers).
   std::printf("platform:\n");
   std::printf("  bfp8 peak          : %.1f GOPS\n",
-              acc.peak_bfp_ops() / 1e9);
+              sys.peak_bfp_system() / 1e9);
   std::printf("  bfp8 sustained     : %.1f GOPS (paper: 2052.06)\n",
-              acc.sustained_bfp_ops() / 1e9);
+              sys.sustained_bfp_system() / 1e9);
+  const double peak_fp32 = sys.peak_fp32_unit() * sys.config().num_units;
   std::printf("  fp32 theoretical   : %.2f GFLOPS (paper: 33.88)\n",
-              acc.peak_fp32_flops() / 1e9 * 128.0 / 136.0);
+              peak_fp32 / 1e9 * 128.0 / 136.0);
   std::printf("  fp32 sustained     : %.2f GFLOPS\n",
-              acc.sustained_fp32_flops() / 1e9);
+              sys.sustained_fp32_system() / 1e9);
   return 0;
 }

@@ -65,6 +65,8 @@ TEST(System, PeakNumbersMatchPaper) {
   EXPECT_DOUBLE_EQ(sys.peak_bfp_unit(), 153.6e9);
   // System peak: 15 x 153.6 = 2304 GOPS.
   EXPECT_DOUBLE_EQ(sys.peak_bfp_system(), 2304.0e9);
+  // fp32 peak: 15 units x 2.4 GFLOPS (Eqn 8) = 36 GFLOPS.
+  EXPECT_DOUBLE_EQ(sys.peak_fp32_unit() * sys.config().num_units, 36.0e9);
   // Theoretical fp32 system at L=128: 36 GFLOPS * 128/136 = 33.88 GFLOPS.
   EXPECT_NEAR(sys.theoretical_fp32_system(128) / 1e9, 33.88, 0.01);
 }
@@ -154,6 +156,32 @@ TEST(System, FunctionalGemmMatchesPu) {
   // System latency includes I/O: more cycles per unit of work than the
   // bare compute model when work is small, but distributed across units.
   EXPECT_GT(sys_run.compute_cycles, 0u);
+}
+
+TEST(System, GemmAccuracyAndMacs) {
+  Rng rng(91);
+  const AcceleratorSystem sys;
+  const int m = 64;
+  const int k = 96;
+  const int n = 48;
+  const auto a = rng.normal_vec(static_cast<std::size_t>(m) * k, 0.0F, 1.0F);
+  const auto b = rng.normal_vec(static_cast<std::size_t>(k) * n, 0.0F, 1.0F);
+  const GemmRun run = sys.gemm(a, m, k, b, n);
+  ASSERT_EQ(run.c.size(), static_cast<std::size_t>(m) * n);
+  EXPECT_GT(run.compute_cycles, 0u);
+  EXPECT_EQ(run.macs, static_cast<std::uint64_t>(m) * k * n);
+  std::vector<float> ref(static_cast<std::size_t>(m) * n);
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      double accum = 0.0;
+      for (int x = 0; x < k; ++x) {
+        accum += static_cast<double>(a[static_cast<std::size_t>(i) * k + x]) *
+                 b[static_cast<std::size_t>(x) * n + j];
+      }
+      ref[static_cast<std::size_t>(i) * n + j] = static_cast<float>(accum);
+    }
+  }
+  EXPECT_GT(compute_error_stats(run.c, ref).snr_db, 25.0);
 }
 
 TEST(Scheduler, ZeroOrNegativeUnitsReturnsEmptySchedule) {

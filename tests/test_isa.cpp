@@ -235,7 +235,8 @@ TEST_F(ExecutorTest, LayerNormKernelMatchesReference) {
     gamma[static_cast<std::size_t>(c)] = 0.5F + 0.01F * static_cast<float>(c);
     beta[static_cast<std::size_t>(c)] = -0.2F + 0.02F * static_cast<float>(c);
   }
-  // Tile gamma/beta to the input shape, as the Accelerator facade does.
+  // Tile gamma/beta to the input shape (the layout converter's broadcast
+  // duplication in hardware).
   std::vector<float> g(x.size());
   std::vector<float> bt(x.size());
   for (int r = 0; r < rows; ++r) {

@@ -40,7 +40,9 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
-#include "core/accelerator.hpp"
+#include "fabric/system.hpp"
+#include "isa/executor.hpp"
+#include "isa/kernels.hpp"
 #include "numerics/format/registry.hpp"
 #include "numerics/nonlinear.hpp"
 #include "pu/processing_unit.hpp"
@@ -180,22 +182,22 @@ VitConfig pick_config(const std::string& which) {
 }
 
 int cmd_info() {
-  const Accelerator acc;
-  const auto& cfg = acc.system().config();
+  const AcceleratorSystem sys;
+  const auto& cfg = sys.config();
   std::printf("bfpsim — bfp8/fp32 multi-mode transformer accelerator model\n");
   std::printf("platform: %d units x %d arrays (8x8 PEs) @ %.0f MHz, "
               "2x256-bit AXI/unit\n",
               cfg.num_units, cfg.arrays_per_unit, cfg.pu.freq_hz / 1e6);
   std::printf("  bfp8 peak        : %8.1f GOPS   (Eqn 7)\n",
-              acc.peak_bfp_ops() / 1e9);
+              sys.peak_bfp_system() / 1e9);
   std::printf("  bfp8 sustained   : %8.1f GOPS   (memory model; paper "
               "2052.06)\n",
-              acc.sustained_bfp_ops() / 1e9);
+              sys.sustained_bfp_system() / 1e9);
   std::printf("  fp32 theoretical : %8.2f GFLOPS (Eqn 8/10 @L=128; paper "
               "33.88)\n",
-              acc.system().theoretical_fp32_system(128) / 1e9);
+              sys.theoretical_fp32_system(128) / 1e9);
   std::printf("  fp32 sustained   : %8.2f GFLOPS (memory model)\n",
-              acc.sustained_fp32_flops() / 1e9);
+              sys.sustained_fp32_system() / 1e9);
   std::printf("numeric modes (--mode on serve/cluster/fleet):\n");
   for (const NumericMode& m : numeric_modes()) {
     std::printf("  %-12s %s — %s\n", m.name.c_str(),
@@ -210,13 +212,13 @@ int cmd_info() {
 }
 
 int cmd_gemm(int m, int k, int n) {
-  const Accelerator acc;
+  const AcceleratorSystem sys;
   Rng rng(1);
   const auto a = rng.normal_vec(
       static_cast<std::size_t>(m) * static_cast<std::size_t>(k), 0.0F, 1.0F);
   const auto b = rng.normal_vec(
       static_cast<std::size_t>(k) * static_cast<std::size_t>(n), 0.0F, 1.0F);
-  const GemmRun run = acc.matmul(a, m, k, b, n);
+  const GemmRun run = sys.gemm(a, m, k, b, n);
 
   std::vector<float> ref(static_cast<std::size_t>(m) *
                          static_cast<std::size_t>(n));
@@ -230,7 +232,7 @@ int cmd_gemm(int m, int k, int n) {
       ref[static_cast<std::size_t>(i) * n + j] = static_cast<float>(s);
     }
   }
-  const double freq = acc.system().config().pu.freq_hz;
+  const double freq = sys.config().pu.freq_hz;
   std::printf("bfp8 GEMM %dx%dx%d:\n", m, k, n);
   std::printf("  SNR vs fp32 : %.1f dB\n",
               compute_error_stats(run.c, ref).snr_db);
@@ -244,18 +246,18 @@ int cmd_gemm(int m, int k, int n) {
 }
 
 int cmd_softmax(int rows, int cols, bool softermax) {
-  const Accelerator acc;
+  const AcceleratorSystem sys;
   Rng rng(2);
   const auto x = rng.normal_vec(
       static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols), 0.0F,
       2.0F);
-  Executor ex = acc.make_executor();
+  Executor ex(sys);
   ex.set_tensor(kernels::kIn, rows, cols, x);
   const ExecutionStats stats =
       ex.run(kernels::softmax(rows, cols, softermax));
   const auto got = ex.tensor(kernels::kOut).data;
   const auto ref = softmax_reference(x, rows, cols);
-  const double freq = acc.system().config().pu.freq_hz;
+  const double freq = sys.config().pu.freq_hz;
   std::printf("softmax %dx%d (%s exp):\n", rows, cols,
               softermax ? "softermax split" : "plain Chebyshev");
   std::printf("  max abs err : %.2e\n",

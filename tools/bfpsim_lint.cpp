@@ -43,7 +43,7 @@
 //                        adding one is a -Wswitch compile error, not a
 //                        runtime fallthrough.
 //   layering             #include edges must point down the module ladder
-//                        (common < numerics < numerics.format < ... < core),
+//                        (common < numerics < numerics.format < ... < runtime),
 //                        mirroring src/CMakeLists.txt link order. The
 //                        format layer (src/numerics/format/) ranks above
 //                        the golden numerics it wraps.
@@ -296,7 +296,6 @@ const std::vector<std::string>& module_ladder() {
       "dsp",     "bram",
       "pu",      "fabric",   "isa", "resource",
       "transformer", "serving", "cluster", "fleet", "compiler", "runtime",
-      "core",
   };
   return kLadder;
 }

@@ -19,7 +19,9 @@
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "core/accelerator.hpp"
+#include "fabric/system.hpp"
+#include "isa/executor.hpp"
+#include "isa/kernels.hpp"
 #include "numerics/bf16.hpp"
 #include "numerics/nonlinear.hpp"
 #include "numerics/slices.hpp"
@@ -136,14 +138,17 @@ void fuzz_bf16(Rng& rng, ProcessingUnit& pu, std::uint64_t seed,
   ++st.bf16_cases;
 }
 
-void fuzz_kernel(Rng& rng, const Accelerator& acc, std::uint64_t seed,
+void fuzz_kernel(Rng& rng, const AcceleratorSystem& sys, std::uint64_t seed,
                  std::uint64_t iter, FuzzStats& st) {
   const int rows = static_cast<int>(rng.uniform_int(1, 12));
   const int cols = static_cast<int>(rng.uniform_int(2, 128));
   const auto x = rng.normal_vec(
       static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols), 0.0F,
       3.0F);
-  const auto got = acc.softmax(x, rows, cols);
+  Executor ex(sys);
+  ex.set_tensor(kernels::kIn, rows, cols, x);
+  ex.run(kernels::softmax(rows, cols));
+  const auto& got = ex.tensor(kernels::kOut).data;
   const auto ref = softmax_reference(x, rows, cols);
   if (compute_error_stats(got, ref).max_abs > 1e-4) {
     fail("softmax kernel error above 1e-4 (" + std::to_string(rows) + "x" +
@@ -167,7 +172,7 @@ int main(int argc, char** argv) {
   }
 
   ProcessingUnit pu;
-  const Accelerator acc;
+  const AcceleratorSystem sys;
   FuzzStats st;
   for (std::uint64_t iter = 0; iter < iters; ++iter) {
     Rng rng(seed + iter * 0x9E3779B97F4A7C15ull);
@@ -175,7 +180,7 @@ int main(int argc, char** argv) {
     fuzz_sliced_mul(rng, seed, iter, st);
     fuzz_streams(rng, pu, seed, iter, st);
     fuzz_bf16(rng, pu, seed, iter, st);
-    fuzz_kernel(rng, acc, seed, iter, st);
+    fuzz_kernel(rng, sys, seed, iter, st);
     if ((iter + 1) % 10 == 0) {
       std::printf("iter %llu/%llu ok\n",
                   static_cast<unsigned long long>(iter + 1),
