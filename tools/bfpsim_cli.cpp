@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -501,8 +502,12 @@ int cmd_serve_model(int argc, char** argv) {
       cfg.page_tokens =
           parse_int(next("--page-tokens"), "--page-tokens", 1, 1 << 16);
     } else if (a == "--arena-mb") {
-      cfg.arena_bytes = parse_u64(next("--arena-mb"), "--arena-mb") *
-                        (1ULL << 20);
+      const std::uint64_t mb = parse_u64(next("--arena-mb"), "--arena-mb");
+      if (mb > std::numeric_limits<std::uint64_t>::max() >> 20) {
+        throw Error("--arena-mb: " + std::to_string(mb) +
+                    " MiB overflows a 64-bit byte count");
+      }
+      cfg.arena_bytes = mb << 20;
     } else if (a == "--batch") {
       cfg.batch = parse_int(next("--batch"), "--batch", 1, 1 << 16);
     } else if (a == "--json") {
