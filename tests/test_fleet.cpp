@@ -794,6 +794,27 @@ TEST(ServeBytePins, ClusterTensorSplitWithCardFailure) {
                0x3840772f17005282ULL});
 }
 
+TEST(ServeBytePins, TwoByTwoTensorCluster) {
+  // 2 cards x 2 tensor replicas, on the DegenerateFleetMatchesServeCluster
+  // inputs.
+  Session session;
+  const ModelId id =
+      session.deploy(random_weights(fleet_test_config(), 43), "tiny");
+  const ArrivalTrace trace = poisson_trace(8, 8000.0, 9);
+  Session::ClusterSpec cspec;
+  cspec.cards = 2;
+  cspec.replicas = 2;
+  cspec.strategy = PartitionStrategy::kTensor;
+  Trace events;
+  events.enable(true);
+  const ClusterServeResult r = session.serve_cluster(
+      id, cspec, trace, ServePolicy{}, nullptr, &events);
+  EXPECT_EQ(r.report.counters.get("cluster.replicas"), 2u);
+  expect_pins(r.report.to_json(), events,
+              {0x0107c503d120300fULL, 0xa5c8e79e14a3ef48ULL,
+               0x697e7629b4a20cedULL});
+}
+
 TEST(ServeBytePins, DegenerateFleet) {
   const ArrivalTrace trace = poisson_trace(24, 1.5e6, 17);
   ServePolicy policy;
