@@ -1,6 +1,7 @@
 #include "cluster/cluster_executor.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "common/error.hpp"
 
@@ -90,96 +91,58 @@ std::vector<float> ClusterExecutor::forward_tensor(std::vector<float> x,
   return x;
 }
 
-ClusterExecutor::StreamResult ClusterExecutor::forward_stream(
-    std::span<const std::vector<float>> inputs, ThreadPool* pool) const {
-  StreamResult result;
-  result.features.resize(inputs.size());
-  result.per_request.resize(inputs.size());
-  auto run_one = [&](std::size_t i) {
-    result.features[i] =
-        forward(inputs[i], &result.per_request[i], nullptr);
-  };
-  if (pool != nullptr && pool->size() > 1 && inputs.size() > 1) {
-    pool->parallel_for(inputs.size(), run_one);
-  } else {
-    // Single request (or no pool): let the GEMM tiles use the workers.
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      result.features[i] = forward(inputs[i], &result.per_request[i], pool);
-    }
-  }
-  result.timing = assemble_timing(result.per_request);
-  return result;
-}
-
 StreamTiming ClusterExecutor::project_stream(const ClusterStats& per_request,
                                              int requests) const {
   BFP_REQUIRE(requests >= 1, "project_stream: need at least one request");
-  std::vector<ClusterStats> stream(static_cast<std::size_t>(requests),
-                                   per_request);
-  return assemble_timing(stream);
-}
-
-StreamTiming ClusterExecutor::assemble_timing(
-    std::span<const ClusterStats> per_request) const {
   // Tandem-queue recurrence over an alternating chain of resources:
   //   pipeline — card 0, link 0->1, card 1, ..., card C-1;
   //   tensor   — the card group, then the interconnect (request i's
   //              gathers overlap request i+1's compute).
-  // finish[r][i] = max(finish[r][i-1], finish[r-1][i]) + time[r][i].
-  StreamTiming timing;
-  timing.requests = static_cast<int>(per_request.size());
-  if (per_request.empty()) return timing;
-
+  // finish[r][i] = max(finish[r][i-1], finish[r-1][i]) + time[r].
   const int cards = topo_.num_cards();
   const bool pipelined = plan_.strategy == PartitionStrategy::kPipeline;
   const std::size_t resources =
       pipelined ? static_cast<std::size_t>(2 * cards - 1) : 2;
-  auto resource_time = [&](const ClusterStats& s, std::size_t r) {
+  auto resource_time = [&](std::size_t r) {
+    const ClusterStats& s = per_request;
     if (!pipelined) return r == 0 ? s.compute_cycles : s.collective_cycles;
     return r % 2 == 0 ? s.card_compute_cycles[r / 2]
                       : s.stage_send_cycles[r / 2];
   };
-
   std::vector<std::uint64_t> finish(resources, 0);
-  std::vector<std::uint64_t> card_busy(static_cast<std::size_t>(cards), 0);
-  std::uint64_t compute_total = 0;
-  std::uint64_t collective_total = 0;
-  for (const ClusterStats& s : per_request) {
+  for (int i = 0; i < requests; ++i) {
     std::uint64_t upstream = 0;
     for (std::size_t r = 0; r < resources; ++r) {
-      finish[r] = std::max(finish[r], upstream) + resource_time(s, r);
+      finish[r] = std::max(finish[r], upstream) + resource_time(r);
       upstream = finish[r];
     }
-    for (int c = 0; c < cards; ++c) {
-      card_busy[static_cast<std::size_t>(c)] +=
-          s.card_compute_cycles[static_cast<std::size_t>(c)];
-    }
-    compute_total += s.compute_cycles;
-    collective_total += s.collective_cycles;
-    timing.collective_bytes += s.collective_bytes;
   }
 
-  timing.request_cycles = per_request[0].total_cycles();
+  const auto n = static_cast<std::uint64_t>(requests);
+  StreamTiming timing;
+  timing.requests = requests;
+  timing.request_cycles = per_request.total_cycles();
   timing.makespan_cycles = finish.back();
+  timing.collective_bytes = n * per_request.collective_bytes;
+  const double makespan = static_cast<double>(timing.makespan_cycles);
   timing.requests_per_second =
-      timing.makespan_cycles == 0
-          ? 0.0
-          : static_cast<double>(per_request.size()) *
-                topo_.card_config().pu.freq_hz /
-                static_cast<double>(timing.makespan_cycles);
+      timing.makespan_cycles == 0 ? 0.0
+                                  : static_cast<double>(requests) *
+                                        topo_.card_config().pu.freq_hz /
+                                        makespan;
   timing.card_utilization.resize(static_cast<std::size_t>(cards), 0.0);
-  for (int c = 0; c < cards; ++c) {
-    timing.card_utilization[static_cast<std::size_t>(c)] =
+  for (std::size_t c = 0; c < timing.card_utilization.size(); ++c) {
+    timing.card_utilization[c] =
         timing.makespan_cycles == 0
             ? 0.0
-            : static_cast<double>(card_busy[static_cast<std::size_t>(c)]) /
-                  static_cast<double>(timing.makespan_cycles);
+            : static_cast<double>(n * per_request.card_compute_cycles[c]) /
+                  makespan;
   }
-  const std::uint64_t work = compute_total + collective_total;
+  const std::uint64_t collective = n * per_request.collective_cycles;
+  const std::uint64_t work = n * per_request.compute_cycles + collective;
   timing.collective_share =
       work == 0 ? 0.0
-                : static_cast<double>(collective_total) /
-                      static_cast<double>(work);
+                : static_cast<double>(collective) / static_cast<double>(work);
   return timing;
 }
 

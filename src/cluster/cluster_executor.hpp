@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "cluster/partitioner.hpp"
@@ -96,17 +95,6 @@ class ClusterExecutor {
                              ClusterStats* stats = nullptr,
                              ThreadPool* pool = nullptr) const;
 
-  /// Push a request stream through the cluster. Functional forwards run in
-  /// index-owned slots (`pool` parallelizes across requests); the timing
-  /// recurrence is serial and analytic.
-  struct StreamResult {
-    std::vector<std::vector<float>> features;
-    std::vector<ClusterStats> per_request;
-    StreamTiming timing;
-  };
-  StreamResult forward_stream(std::span<const std::vector<float>> inputs,
-                              ThreadPool* pool = nullptr) const;
-
   /// Timing of an `requests`-long stream where every request costs
   /// `per_request` (the analytic projection benches use after one
   /// functional probe — per-request cycles are shape-driven).
@@ -120,9 +108,6 @@ class ClusterExecutor {
   std::vector<float> forward_tensor(std::vector<float> x,
                                     ClusterStats* stats,
                                     ThreadPool* pool) const;
-
-  StreamTiming assemble_timing(
-      std::span<const ClusterStats> per_request) const;
 
   ClusterTopology topo_;
   PartitionPlan plan_;

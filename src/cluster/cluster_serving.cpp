@@ -1,6 +1,5 @@
 #include "cluster/cluster_serving.hpp"
 
-#include "common/error.hpp"
 #include "fabric/hbm.hpp"
 
 namespace bfpsim {
@@ -47,42 +46,6 @@ void ClusterRequests::add_counters(Counters& counters) const {
     counters.add("cluster.collective_cycles", st.collective_cycles);
     counters.add("cluster.collective_bytes", st.collective_bytes);
   }
-}
-
-ClusterServeResult serve_cluster(const ClusterExecutor& exec, int replicas,
-                                 const ArrivalTrace& trace,
-                                 const ServePolicy& policy,
-                                 ThreadPool* pool, Trace* event_trace,
-                                 const std::vector<CardFailure>& card_failures) {
-  trace.validate();
-  policy.validate();
-  BFP_REQUIRE(replicas >= 1, "serve_cluster: need at least one replica");
-
-  // ---- phase 1: sharded functional forwards, index-owned slots ----
-  ClusterRequests reqs = run_cluster_requests(exec, trace, pool);
-
-  // ---- phase 2: the shared serial event loop over the replicas ----
-  BackendSpec backend;
-  backend.executors = replicas;
-  backend.freq_hz = exec.topology().card_config().pu.freq_hz;
-  backend.executor_prefix = "replica";
-  backend.failures =
-      replica_failures(card_failures, exec.num_cards(), replicas);
-  backend.passes = reqs.passes();
-
-  ClusterServeResult out;
-  out.report = serve_events(backend, trace, policy, event_trace);
-  reqs.add_counters(out.report.counters);
-  out.report.counters.add("cluster.cards",
-                          static_cast<std::uint64_t>(exec.num_cards()));
-  out.report.counters.add("cluster.replicas",
-                          static_cast<std::uint64_t>(replicas));
-  if (!card_failures.empty()) {
-    out.report.counters.add("cluster.card_failures", card_failures.size());
-  }
-  out.features = std::move(reqs.features);
-  out.request_stats = std::move(reqs.stats);
-  return out;
 }
 
 }  // namespace bfpsim

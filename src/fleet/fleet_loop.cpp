@@ -26,6 +26,10 @@ void FleetSpec::validate(int total_requests) const {
     initial += c.initial_replicas;
   }
   BFP_REQUIRE(initial >= 1, "FleetSpec: fleet starts with zero replicas");
+  for (const ExecutorFailure& f : failures) {
+    BFP_REQUIRE(f.executor >= 0 && f.executor < initial,
+                "FleetSpec: failure targets a non-initial replica");
+  }
   tenants.validate();
   autoscaler.validate();
 }
@@ -89,6 +93,7 @@ FleetReport serve_fleet(const FleetSpec& spec, const ArrivalTrace& trace,
   ServeLoopSpec loop;
   loop.freq_hz = spec.freq_hz;
   loop.replica_prefix = spec.replica_prefix;
+  loop.failures = spec.failures;
   for (const ReplicaClassSpec& c : spec.classes) {
     loop.classes.push_back({c.name, c.passes, c.initial_replicas});
   }

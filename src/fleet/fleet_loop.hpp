@@ -17,10 +17,11 @@
 //    and which idle replica to retire.
 //
 // With the autoscaler off, one tenant, one replica class and a fixed
-// replica count, the configuration is the one serve_events/serve_cluster
-// use, so the report matches theirs record for record. And like every loop
-// in this repo, the virtual-time phase is serial: thread count only
-// touches the functional forwards.
+// replica count, the configuration is the one serve_events uses, so the
+// report matches its uniform executor pool record for record. Replicated
+// sharded clusters are served this way (Session::serve_fleet with one
+// class). And like every loop in this repo, the virtual-time phase is
+// serial: thread count only touches the functional forwards.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +53,9 @@ struct FleetSpec {
   TenantSet tenants;          ///< empty = one anonymous tenant
   AutoscalerPolicy autoscaler;
   std::string replica_prefix = "replica";
+  /// Hard replica failures in virtual time, by instance id of an initial
+  /// replica (numbered in class order). Empty = none.
+  std::vector<ExecutorFailure> failures;
 
   void validate(int total_requests) const;
 };

@@ -197,34 +197,6 @@ OnlineServeResult Session::serve(ModelId model, const ArrivalTrace& trace,
   return r;
 }
 
-ClusterServeResult Session::serve_cluster(ModelId model,
-                                          const ClusterSpec& spec,
-                                          const ArrivalTrace& trace,
-                                          const ServePolicy& policy,
-                                          ThreadPool* pool,
-                                          Trace* event_trace) {
-  Deployed& dep = checked(model);
-  const ClusterTopology topo =
-      spec.topology == TopologyKind::kRing
-          ? ClusterTopology::ring(spec.cards, spec.link, cfg_)
-          : ClusterTopology::fully_connected(spec.cards, spec.link, cfg_);
-  const ClusterExecutor exec(dep.model.weights(), topo, spec.strategy);
-  ClusterServeResult r =
-      bfpsim::serve_cluster(exec, spec.replicas, trace, policy, pool,
-                            event_trace, spec.card_failures);
-  log_.push_back(
-      {CommandRecord::Kind::kCompute,
-       "serve_cluster " + dep.info.name + " (" +
-           std::to_string(spec.cards) + " cards x " +
-           std::to_string(spec.replicas) + " replicas, " +
-           to_string(spec.strategy) + "): " +
-           std::to_string(r.report.records.size()) + "/" +
-           std::to_string(trace.total_requests) + " completed, " +
-           std::to_string(r.report.rejected_ids.size()) + " rejected",
-       0, r.report.makespan_cycles});
-  return r;
-}
-
 Session::FleetServeResult Session::serve_fleet(ModelId model,
                                                const FleetConfig& spec,
                                                const ArrivalTrace& trace,
@@ -234,6 +206,8 @@ Session::FleetServeResult Session::serve_fleet(ModelId model,
   Deployed& dep = checked(model);
   BFP_REQUIRE(!spec.classes.empty(),
               "Session::serve_fleet: need at least one replica class");
+  BFP_REQUIRE(spec.card_failures.empty() || spec.classes.size() == 1,
+              "Session::serve_fleet: card failures need a one-class fleet");
   trace.validate();
   const auto un = static_cast<std::size_t>(trace.total_requests);
 
@@ -243,8 +217,7 @@ Session::FleetServeResult Session::serve_fleet(ModelId model,
                : ClusterTopology::fully_connected(cards, spec.link, cfg_);
   };
 
-  // ---- phase 1: class-0 per-request forwards, serve_cluster's
-  // functional phase ----
+  // ---- phase 1: class-0 per-request forwards ----
   const ClusterTopology topo0 = make_topology(spec.classes[0].cards);
   const ClusterExecutor exec0(dep.model.weights(), topo0,
                               spec.classes[0].strategy);
@@ -256,6 +229,11 @@ Session::FleetServeResult Session::serve_fleet(ModelId model,
   fleet.freq_hz = cfg_.pu.freq_hz;
   fleet.tenants = spec.tenants;
   fleet.autoscaler = spec.autoscaler;
+  if (!spec.card_failures.empty()) {
+    fleet.failures =
+        replica_failures(spec.card_failures, spec.classes[0].cards,
+                         spec.classes[0].initial_replicas);
+  }
   for (std::size_t c = 0; c < spec.classes.size(); ++c) {
     const FleetClassConfig& fc = spec.classes[c];
     ReplicaClassSpec cls;
@@ -286,14 +264,17 @@ Session::FleetServeResult Session::serve_fleet(ModelId model,
   out.report = bfpsim::serve_fleet(fleet, trace, policy, event_trace);
   reqs.add_counters(out.report.serve.counters);
   if (spec.classes.size() == 1 && !spec.autoscaler.enabled) {
-    // A single fixed-shape fleet IS a cluster serve; report the same
-    // cluster identity counters so the degenerate report stays
-    // byte-identical to Session::serve_cluster's.
+    // A single fixed-shape fleet is a replicated sharded cluster: report
+    // its shape.
     out.report.serve.counters.add(
         "cluster.cards", static_cast<std::uint64_t>(spec.classes[0].cards));
     out.report.serve.counters.add(
         "cluster.replicas",
         static_cast<std::uint64_t>(spec.classes[0].initial_replicas));
+  }
+  if (!spec.card_failures.empty()) {
+    out.report.serve.counters.add("cluster.card_failures",
+                                  spec.card_failures.size());
   }
   log_.push_back(
       {CommandRecord::Kind::kCompute,

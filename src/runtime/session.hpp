@@ -25,6 +25,7 @@
 #include "cluster/cluster_serving.hpp"
 #include "fabric/system.hpp"
 #include "fleet/fleet_loop.hpp"
+#include "reliability/degradation.hpp"
 #include "runtime/device_memory.hpp"
 #include "serving/event_loop.hpp"
 #include "transformer/model.hpp"
@@ -106,32 +107,6 @@ class Session {
                           ThreadPool* pool = nullptr,
                           Trace* event_trace = nullptr);
 
-  /// How to scale a deployed model past one card.
-  struct ClusterSpec {
-    int cards = 2;     ///< cards per sharded replica
-    int replicas = 1;  ///< data-parallel replicas (cards * replicas total)
-    PartitionStrategy strategy = PartitionStrategy::kPipeline;
-    TopologyKind topology = TopologyKind::kRing;
-    LinkConfig link;   ///< inter-card link (within each replica)
-    /// Hard card failures to inject in virtual time (cards numbered
-    /// globally, replica r owning [r*cards, (r+1)*cards)). A dead card
-    /// kills its replica; in-flight requests fail over to the survivors.
-    std::vector<CardFailure> card_failures;
-  };
-
-  /// Online serving against a multi-card cluster: the deployed model is
-  /// re-partitioned across `spec.cards` copies of this session's card
-  /// configuration, `spec.replicas` such clusters serve the trace behind
-  /// one admission queue. Functional results stay bit-identical to the
-  /// single-card `serve` forwards (the partitioner's all-gather
-  /// discipline); only the timing model changes. Appends one summary
-  /// record to the command log.
-  ClusterServeResult serve_cluster(ModelId model, const ClusterSpec& spec,
-                                   const ArrivalTrace& trace,
-                                   const ServePolicy& policy,
-                                   ThreadPool* pool = nullptr,
-                                   Trace* event_trace = nullptr);
-
   /// One replica shape a fleet may provision (cards of this session's
   /// card configuration, sharded by `strategy`).
   struct FleetClassConfig {
@@ -148,6 +123,11 @@ class Session {
     LinkConfig link;            ///< inter-card link within each replica
     TenantSet tenants;          ///< empty = one anonymous tenant
     AutoscalerPolicy autoscaler;
+    /// Hard card failures in virtual time, single-class fleets only.
+    /// Cards are numbered globally: initial replica r owns cards
+    /// [r*cards, (r+1)*cards). A dead card kills its replica; in-flight
+    /// requests fail over to the survivors.
+    std::vector<CardFailure> card_failures;
   };
 
   struct FleetServeResult {
@@ -166,7 +146,12 @@ class Session {
   /// costed per request (parallel functional forwards, index-owned
   /// slots); other classes are probed once and their per-request pass
   /// replicated — their cost model does not depend on request content.
-  /// Appends one summary record to the command log.
+  /// The deployed model is re-partitioned across each class's cards;
+  /// features stay bit-identical to the single-card `serve` forwards (the
+  /// partitioner's all-gather discipline). One class with a fixed replica
+  /// count is a replicated sharded cluster, and its report also carries
+  /// the cluster.cards and cluster.replicas counters. Appends one summary
+  /// record to the command log.
   FleetServeResult serve_fleet(ModelId model, const FleetConfig& spec,
                                const ArrivalTrace& trace,
                                const ServePolicy& policy,

@@ -70,7 +70,8 @@ struct ServePolicy {
 
   /// Re-dispatch attempts an admitted request gets after its executor
   /// dies mid-batch, before it is abandoned (counted serve.failed). Only
-  /// consulted when BackendSpec::failures is non-empty.
+  /// consulted when the run has failures (BackendSpec::failures, or
+  /// FleetSpec::failures from Session::FleetConfig::card_failures).
   int max_retries = 3;
 
   void validate() const;
@@ -79,8 +80,8 @@ struct ServePolicy {
 /// What stands behind the admission queue: a uniform pool of batch
 /// executors. The event loop does not care what one executor *is* — a
 /// single PU-unit of one card (serve_online) or an entire sharded
-/// multi-card replica (cluster serving) — only what each request's pass
-/// costs on it.
+/// multi-card replica (a one-class fleet, fleet/fleet_loop.hpp) — only
+/// what each request's pass costs on it.
 struct BackendSpec {
   int executors = 1;         ///< identical executors behind the queue
   double freq_hz = 300.0e6;  ///< fabric frequency, for SLO conversion

@@ -7,6 +7,21 @@
 
 namespace bfpsim {
 
+namespace {
+
+/// `t_seconds` of virtual time in fabric cycles. A time at or past 2^64
+/// cycles (inf or NaN included, as a vanishing rate produces) does not
+/// fit the cycle counter: an Error, never a wrapped arrival.
+std::uint64_t arrival_cycle(double t_seconds, double freq_hz) {
+  const double cycles = t_seconds * freq_hz;
+  BFP_REQUIRE(cycles < 18446744073709551616.0,
+              "arrival trace: an arrival lies 2^64 or more cycles out "
+              "(rate too low)");
+  return static_cast<std::uint64_t>(cycles);
+}
+
+}  // namespace
+
 void ArrivalTrace::validate() const {
   BFP_REQUIRE(total_requests >= 1, "ArrivalTrace: needs >= 1 request");
   BFP_REQUIRE(freq_hz > 0.0, "ArrivalTrace: frequency must be positive");
@@ -53,10 +68,9 @@ ArrivalTrace poisson_trace(int num_requests, double rate_rps,
   for (int i = 0; i < num_requests; ++i) {
     const double u = rng.unit_double();
     t_seconds += -std::log1p(-u) / rate_rps;
-    auto cycle = static_cast<std::uint64_t>(t_seconds * freq_hz);
     // Keep (cycle, id) strictly sorted even if two arrivals quantize to
     // the same cycle — ids ascend, which validate() accepts.
-    t.arrivals.push_back({i, cycle});
+    t.arrivals.push_back({i, arrival_cycle(t_seconds, freq_hz)});
   }
   t.validate();
   return t;
@@ -96,8 +110,7 @@ ArrivalTrace diurnal_trace(int num_requests, double base_rps,
     const double u = rng.unit_double();
     t_seconds += -std::log1p(-u) / peak_rps;
     if (rng.unit_double() * peak_rps <= rate_at(t_seconds)) {
-      t.arrivals.push_back(
-          {id, static_cast<std::uint64_t>(t_seconds * freq_hz), 0});
+      t.arrivals.push_back({id, arrival_cycle(t_seconds, freq_hz), 0});
       ++id;
     }
   }
@@ -115,6 +128,10 @@ ArrivalTrace mmpp_trace(int num_requests, double low_rps, double high_rps,
   BFP_REQUIRE(dwell_low_s > 0.0 && dwell_high_s > 0.0,
               "mmpp_trace: dwell times must be positive");
   BFP_REQUIRE(freq_hz > 0.0, "mmpp_trace: frequency must be positive");
+  BFP_REQUIRE(low_rps * dwell_low_s + high_rps * dwell_high_s >=
+                  kMmppMinArrivalsPerCycle,
+              "mmpp_trace: too few expected arrivals per low+high dwell "
+              "cycle");
 
   ArrivalTrace t;
   t.total_requests = num_requests;
@@ -138,8 +155,7 @@ ArrivalTrace mmpp_trace(int num_requests, double low_rps, double high_rps,
     const double dt = exp_draw(1.0 / rate[state]);
     if (t_seconds + dt <= state_end) {
       t_seconds += dt;
-      t.arrivals.push_back(
-          {id, static_cast<std::uint64_t>(t_seconds * freq_hz), 0});
+      t.arrivals.push_back({id, arrival_cycle(t_seconds, freq_hz), 0});
       ++id;
     } else {
       // The draw crossed the dwell boundary: jump to the boundary, switch

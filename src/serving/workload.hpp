@@ -57,6 +57,9 @@ struct ArrivalTrace {
 /// per second of virtual time, seeded inter-arrival sampling (inversion of
 /// the exponential CDF on the raw engine bits — no std::distribution, so
 /// the trace is identical across standard libraries).
+///
+/// This and the other open-loop generators throw Error when an arrival
+/// falls at or past 2^64 cycles (a rate too low for the cycle counter).
 ArrivalTrace poisson_trace(int num_requests, double rate_rps,
                            std::uint64_t seed,
                            double freq_hz = kDefaultFreqHz);
@@ -87,6 +90,12 @@ ArrivalTrace diurnal_trace(int num_requests, double base_rps,
 /// discarded and resampled at the new rate from the boundary — exactly the
 /// textbook MMPP construction, fully determined by the seed. offered_rps
 /// reports the dwell-weighted average rate.
+///
+/// The generator walks about 1/E empty dwell cycles per arrival, where
+/// E = low_rps * dwell_low_s + high_rps * dwell_high_s is the expected
+/// arrivals per low+high dwell cycle; an E below kMmppMinArrivalsPerCycle
+/// is an Error, so a vanishing rate cannot spin without end.
+inline constexpr double kMmppMinArrivalsPerCycle = 1e-3;
 ArrivalTrace mmpp_trace(int num_requests, double low_rps, double high_rps,
                         double dwell_low_s, double dwell_high_s,
                         std::uint64_t seed,

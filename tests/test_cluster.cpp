@@ -11,7 +11,6 @@
 
 #include <cstring>
 
-#include "cluster/cluster_serving.hpp"
 #include "cluster/collectives.hpp"
 #include "cluster/partitioner.hpp"
 #include "cluster/topology.hpp"
@@ -404,28 +403,15 @@ TEST(ClusterExecutor, TwoCardPipelinePrefillSpeedupAtLeast1p6x) {
   }
 }
 
-TEST(ClusterExecutor, ForwardStreamMatchesPerRequestForward) {
-  const VitConfig cfg = tp2_config();
-  const VitWeights w = random_weights(cfg, 31);
-  const ClusterExecutor exec(w, ClusterTopology::ring(2),
-                             PartitionStrategy::kTensor);
-  std::vector<std::vector<float>> inputs;
-  for (int i = 0; i < 3; ++i) {
-    inputs.push_back(random_embeddings(cfg, 100 + i));
-  }
-  ThreadPool pool(4);
-  const auto stream = exec.forward_stream(inputs, &pool);
-  ASSERT_EQ(stream.features.size(), 3u);
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const std::vector<float> want = exec.forward(inputs[i]);
-    EXPECT_EQ(0, std::memcmp(stream.features[i].data(), want.data(),
-                             want.size() * sizeof(float)));
-  }
-  EXPECT_EQ(stream.timing.requests, 3);
-  EXPECT_GT(stream.timing.makespan_cycles, 0u);
-}
-
 // ---- cluster serving -------------------------------------------------------
+
+/// `replicas` fixed copies of a `cards`-card cluster: a one-class fleet.
+Session::FleetConfig cluster_fleet(int cards, int replicas,
+                                   PartitionStrategy strategy) {
+  Session::FleetConfig fleet;
+  fleet.classes = {{cards, strategy, replicas, replicas}};
+  return fleet;
+}
 
 TEST(ClusterServing, OneCardReplicaMatchesSingleUnitServeOnline) {
   // The degenerate case pinning the whole stack: one 1-card replica whose
@@ -441,15 +427,16 @@ TEST(ClusterServing, OneCardReplicaMatchesSingleUnitServeOnline) {
   const AcceleratorSystem sys(one);
   const OnlineServeResult want = serve_online(model, sys, trace, policy);
 
-  const ClusterExecutor exec(model.weights(),
-                             ClusterTopology::ring(1, {}, one),
-                             PartitionStrategy::kPipeline);
-  const ClusterServeResult got = serve_cluster(exec, 1, trace, policy);
+  Session session(one);
+  const ModelId id = session.deploy(model.weights());
+  const Session::FleetServeResult got = session.serve_fleet(
+      id, cluster_fleet(1, 1, PartitionStrategy::kPipeline), trace, policy);
+  const ServeReport& rep = got.report.serve;
 
-  ASSERT_EQ(got.report.records.size(), want.report.records.size());
+  ASSERT_EQ(rep.records.size(), want.report.records.size());
   for (std::size_t i = 0; i < want.report.records.size(); ++i) {
     const LatencyRecord& a = want.report.records[i];
-    const LatencyRecord& b = got.report.records[i];
+    const LatencyRecord& b = rep.records[i];
     EXPECT_EQ(a.id, b.id);
     EXPECT_EQ(a.arrival_cycle, b.arrival_cycle);
     EXPECT_EQ(a.dispatch_cycle, b.dispatch_cycle);
@@ -457,8 +444,8 @@ TEST(ClusterServing, OneCardReplicaMatchesSingleUnitServeOnline) {
     EXPECT_EQ(a.batch_size, b.batch_size);
     EXPECT_EQ(a.slo_met, b.slo_met);
   }
-  EXPECT_EQ(got.report.makespan_cycles, want.report.makespan_cycles);
-  EXPECT_EQ(got.report.latency.p99, want.report.latency.p99);
+  EXPECT_EQ(rep.makespan_cycles, want.report.makespan_cycles);
+  EXPECT_EQ(rep.latency.p99, want.report.latency.p99);
   // Functional features are the same forward — bit-identical.
   ASSERT_EQ(got.features.size(), want.features.size());
   for (std::size_t i = 0; i < want.features.size(); ++i) {
@@ -469,19 +456,33 @@ TEST(ClusterServing, OneCardReplicaMatchesSingleUnitServeOnline) {
 
 TEST(ClusterServing, ReportBitIdenticalAcrossThreadPoolSizes) {
   const VitConfig cfg = tp2_config();
-  const VitModel model(random_weights(cfg, 41));
-  const ClusterExecutor exec(model.weights(), ClusterTopology::ring(2),
-                             PartitionStrategy::kTensor);
+  const VitWeights weights = random_weights(cfg, 41);
+  Session session;
+  const ModelId id = session.deploy(weights);
+  const Session::FleetConfig fleet =
+      cluster_fleet(2, 2, PartitionStrategy::kTensor);
   const ArrivalTrace trace = poisson_trace(10, 8000.0, 7);
   const ServePolicy policy;
 
-  const ClusterServeResult serial = serve_cluster(exec, 2, trace, policy);
-  const std::string want_json = serial.report.to_json();
+  const Session::FleetServeResult serial =
+      session.serve_fleet(id, fleet, trace, policy);
+  const std::string want_json = serial.report.serve.to_json();
+  // Request i's features are the sharded forward of its seeded embeddings.
+  const ClusterExecutor exec(weights, ClusterTopology::ring(2),
+                             PartitionStrategy::kTensor);
+  ASSERT_EQ(serial.features.size(), 10u);
+  for (std::size_t i = 0; i < serial.features.size(); ++i) {
+    const std::vector<float> want =
+        exec.forward(random_embeddings(cfg, trace.seed + i));
+    ASSERT_EQ(serial.features[i].size(), want.size());
+    EXPECT_EQ(0, std::memcmp(serial.features[i].data(), want.data(),
+                             want.size() * sizeof(float)));
+  }
   for (const int threads : {1, 2, 8}) {
     ThreadPool pool(threads);
-    const ClusterServeResult got =
-        serve_cluster(exec, 2, trace, policy, &pool);
-    EXPECT_EQ(got.report.to_json(), want_json)
+    const Session::FleetServeResult got =
+        session.serve_fleet(id, fleet, trace, policy, &pool);
+    EXPECT_EQ(got.report.serve.to_json(), want_json)
         << threads << " workers must not change the serving report";
     ASSERT_EQ(got.features.size(), serial.features.size());
     for (std::size_t i = 0; i < serial.features.size(); ++i) {
@@ -492,24 +493,22 @@ TEST(ClusterServing, ReportBitIdenticalAcrossThreadPoolSizes) {
   }
 }
 
-TEST(ClusterServing, SessionServeClusterEndToEnd) {
+TEST(ClusterServing, SessionClusterFleetEndToEnd) {
   Session session;
   const VitConfig cfg = tp2_config();
   const ModelId id = session.deploy(random_weights(cfg, 43), "tiny");
-  Session::ClusterSpec spec;
-  spec.cards = 2;
-  spec.replicas = 2;
-  spec.strategy = PartitionStrategy::kTensor;
   const ArrivalTrace trace = poisson_trace(8, 8000.0, 9);
-  const ClusterServeResult r =
-      session.serve_cluster(id, spec, trace, ServePolicy{});
-  EXPECT_EQ(r.report.records.size() + r.report.rejected_ids.size(), 8u);
-  EXPECT_EQ(r.report.counters.get("cluster.cards"), 2u);
-  EXPECT_EQ(r.report.counters.get("cluster.replicas"), 2u);
-  EXPECT_GT(r.report.counters.get("cluster.collective_cycles"), 0u);
+  const Session::FleetServeResult r = session.serve_fleet(
+      id, cluster_fleet(2, 2, PartitionStrategy::kTensor), trace,
+      ServePolicy{});
+  const ServeReport& rep = r.report.serve;
+  EXPECT_EQ(rep.records.size() + rep.rejected_ids.size(), 8u);
+  EXPECT_EQ(rep.counters.get("cluster.cards"), 2u);
+  EXPECT_EQ(rep.counters.get("cluster.replicas"), 2u);
+  EXPECT_GT(rep.counters.get("cluster.collective_cycles"), 0u);
   // The serve landed in the command log.
   ASSERT_FALSE(session.log().empty());
-  EXPECT_NE(session.log().back().detail.find("serve_cluster"),
+  EXPECT_NE(session.log().back().detail.find("serve_fleet"),
             std::string::npos);
 }
 

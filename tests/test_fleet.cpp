@@ -4,8 +4,8 @@
 // loop itself — including its two headline contracts:
 //
 //  * degenerate equivalence: autoscaler off + one tenant + one class +
-//    fixed replicas reproduces the serve_cluster report record for record
-//    (and byte for byte as JSON), and
+//    fixed replicas reproduces serve_events over a uniform pool of the
+//    same replicas record for record and event for event, and
 //  * determinism: fleet reports, scale decisions, tenant breakdowns, and
 //    Chrome traces are bit-identical for any ThreadPool size and across
 //    repeated fixed-seed runs.
@@ -203,6 +203,28 @@ TEST(FleetWorkload, MmppTraceIsSeededSortedAndDense) {
   EXPECT_LT(a.offered_rps, 6000.0);
 }
 
+TEST(FleetWorkload, ArrivalsPastTheCycleCounterThrow) {
+  // A vanishing rate puts arrivals at or past 2^64 cycles (or at inf): an
+  // Error, not a wrapped or saturated cycle.
+  for (const double rate : {1e-300, 1e-11}) {
+    EXPECT_THROW(poisson_trace(4, rate, 1), Error) << rate;
+    EXPECT_THROW(diurnal_trace(4, 0.0, rate, 1.0, 1), Error) << rate;
+  }
+  EXPECT_THROW(mmpp_trace(4, 1e-11, 1e-11, 1e9, 1e9, 1), Error);
+  // A low rate whose arrivals fit still works.
+  EXPECT_EQ(poisson_trace(4, 1e-3, 1).arrivals.size(), 4u);
+}
+
+TEST(FleetWorkload, MmppRejectsTooFewArrivalsPerDwellCycle) {
+  // Expected arrivals per low+high dwell cycle: 2e-6 * 5e-3 + 8e-6 * 5e-3
+  // = 5e-8, far below the floor; the generator would walk ~2e7 empty
+  // dwell cycles per arrival.
+  EXPECT_THROW(mmpp_trace(4, 2e-6, 8e-6, 5e-3, 5e-3, 1), Error);
+  // At the floor it is accepted.
+  const double rate = kMmppMinArrivalsPerCycle / 2e-3;  // 1e-3 s dwells
+  EXPECT_EQ(mmpp_trace(4, rate, rate, 1e-3, 1e-3, 1).arrivals.size(), 4u);
+}
+
 // ---- autoscaler state machine ----------------------------------------------
 
 TEST(FleetAutoscaler, ScalesUpOnQueueDepthAndP95Pressure) {
@@ -358,6 +380,14 @@ TEST(FleetLoop, ValidateRejectsBrokenSpecs) {
   FleetSpec zero_fleet = tiny_fleet_spec(4, 1);
   zero_fleet.classes[0].initial_replicas = 0;
   EXPECT_THROW(serve_fleet(zero_fleet, trace, ServePolicy{}), Error);
+  // Failures may only name initial replicas (instances 0 and 1 here).
+  FleetSpec failing = tiny_fleet_spec(4, 2);
+  failing.failures = {{1, 100}};
+  EXPECT_NO_THROW(serve_fleet(failing, trace, ServePolicy{}));
+  for (const int instance : {2, -1}) {
+    failing.failures = {{instance, 100}};
+    EXPECT_THROW(serve_fleet(failing, trace, ServePolicy{}), Error);
+  }
 }
 
 TEST(FleetLoop, SingleTenantReportHasNoTenantSection) {
@@ -521,30 +551,39 @@ TEST(FleetLoop, ReplicaTracePidsAreStableAcrossChurn) {
 
 VitConfig fleet_test_config() { return vit_test_tiny(); }
 
-TEST(FleetSession, DegenerateFleetMatchesServeClusterRecordForRecord) {
+TEST(FleetSession, DegenerateFleetMatchesServeEventsRecordForRecord) {
   // Autoscaler off, one tenant, one class, fixed replicas: serve_fleet is
-  // serve_cluster, record for record and byte for byte.
+  // serve_events over a uniform pool of the sharded replicas, record for
+  // record and event for event.
+  const VitWeights weights = random_weights(fleet_test_config(), 43);
   Session session;
-  const ModelId id =
-      session.deploy(random_weights(fleet_test_config(), 43), "tiny");
+  const ModelId id = session.deploy(weights, "tiny");
   const ArrivalTrace trace = poisson_trace(8, 8000.0, 9);
   const ServePolicy policy;
 
-  Session::ClusterSpec cspec;
-  cspec.cards = 2;
-  cspec.replicas = 2;
-  cspec.strategy = PartitionStrategy::kTensor;
-  const ClusterServeResult want =
-      session.serve_cluster(id, cspec, trace, policy);
+  const ClusterExecutor exec(weights, ClusterTopology::ring(2),
+                             PartitionStrategy::kTensor);
+  const ClusterRequests reqs = run_cluster_requests(exec, trace, nullptr);
+  BackendSpec backend;
+  backend.executors = 2;
+  backend.freq_hz = exec.topology().card_config().pu.freq_hz;
+  backend.executor_prefix = "replica";
+  backend.passes = reqs.passes();
+  Trace want_events;
+  want_events.enable(true);
+  const ServeReport want =
+      serve_events(backend, trace, policy, &want_events);
 
   Session::FleetConfig fspec;
   fspec.classes = {{2, PartitionStrategy::kTensor, 2, 2}};
+  Trace got_events;
+  got_events.enable(true);
   const Session::FleetServeResult got =
-      session.serve_fleet(id, fspec, trace, policy);
+      session.serve_fleet(id, fspec, trace, policy, nullptr, &got_events);
 
-  ASSERT_EQ(got.report.serve.records.size(), want.report.records.size());
-  for (std::size_t i = 0; i < want.report.records.size(); ++i) {
-    const LatencyRecord& a = want.report.records[i];
+  ASSERT_EQ(got.report.serve.records.size(), want.records.size());
+  for (std::size_t i = 0; i < want.records.size(); ++i) {
+    const LatencyRecord& a = want.records[i];
     const LatencyRecord& b = got.report.serve.records[i];
     EXPECT_EQ(a.id, b.id);
     EXPECT_EQ(a.arrival_cycle, b.arrival_cycle);
@@ -554,21 +593,35 @@ TEST(FleetSession, DegenerateFleetMatchesServeClusterRecordForRecord) {
     EXPECT_EQ(a.unit, b.unit);
     EXPECT_EQ(a.slo_met, b.slo_met);
   }
-  EXPECT_EQ(got.report.serve.to_json(), want.report.to_json());
+  EXPECT_EQ(got.report.serve.rejected_ids, want.rejected_ids);
+  EXPECT_EQ(got_events.to_chrome_json(), want_events.to_chrome_json());
   // The fleet ledger reduces to "R replicas for the whole makespan".
   EXPECT_EQ(got.report.replica_cycles,
             2u * got.report.serve.makespan_cycles);
   EXPECT_TRUE(got.report.scale_events.empty());
   // Functional outputs are the same forwards, bit for bit.
-  ASSERT_EQ(got.features.size(), want.features.size());
-  for (std::size_t i = 0; i < want.features.size(); ++i) {
-    EXPECT_EQ(0, std::memcmp(got.features[i].data(), want.features[i].data(),
-                             want.features[i].size() * sizeof(float)));
+  ASSERT_EQ(got.features.size(), reqs.features.size());
+  for (std::size_t i = 0; i < reqs.features.size(); ++i) {
+    EXPECT_EQ(0, std::memcmp(got.features[i].data(), reqs.features[i].data(),
+                             reqs.features[i].size() * sizeof(float)));
   }
   // The serve landed in the command log.
   ASSERT_FALSE(session.log().empty());
   EXPECT_NE(session.log().back().detail.find("serve_fleet"),
             std::string::npos);
+}
+
+TEST(FleetSession, CardFailuresNeedAOneClassFleet) {
+  Session session;
+  const ModelId id =
+      session.deploy(random_weights(fleet_test_config(), 41), "tiny");
+  Session::FleetConfig fspec;
+  fspec.classes = {{1, PartitionStrategy::kPipeline, 1, 1},
+                   {2, PartitionStrategy::kTensor, 1, 1}};
+  fspec.card_failures = {{0, 1000}};
+  EXPECT_THROW(session.serve_fleet(id, fspec, poisson_trace(4, 1000.0, 1),
+                                   ServePolicy{}),
+               Error);
 }
 
 TEST(FleetSession, ReportBitIdenticalAcrossThreadPoolSizesAndReruns) {
@@ -775,42 +828,41 @@ TEST(ServeBytePins, ServeFailoverAllExecutorsDie) {
 }
 
 TEST(ServeBytePins, ClusterTensorSplitWithCardFailure) {
-  const VitModel model(random_weights(vit_test_tiny(), 41));
-  const ClusterExecutor exec(model.weights(), ClusterTopology::ring(2),
-                             PartitionStrategy::kTensor);
+  Session session;
+  const ModelId id = session.deploy(random_weights(vit_test_tiny(), 41));
   const ArrivalTrace trace = poisson_trace(10, 6000.0, 7);
   ServePolicy policy;
   policy.queue_capacity = 32;
-  const ClusterServeResult healthy = serve_cluster(exec, 2, trace, policy);
-  const std::vector<CardFailure> failures = {
-      {1, healthy.report.makespan_cycles / 4}};
+  Session::FleetConfig fspec;
+  fspec.classes = {{2, PartitionStrategy::kTensor, 2, 2}};
+  const Session::FleetServeResult healthy =
+      session.serve_fleet(id, fspec, trace, policy);
+  fspec.card_failures = {{1, healthy.report.serve.makespan_cycles / 4}};
   Trace events;
   events.enable(true);
-  const ClusterServeResult r =
-      serve_cluster(exec, 2, trace, policy, nullptr, &events, failures);
-  EXPECT_EQ(r.report.counters.get("serve.executor_failures"), 1u);
-  expect_pins(r.report.to_json(), events, 
+  const Session::FleetServeResult r =
+      session.serve_fleet(id, fspec, trace, policy, nullptr, &events);
+  EXPECT_EQ(r.report.serve.counters.get("serve.executor_failures"), 1u);
+  expect_pins(r.report.serve.to_json(), events, 
               {0x7c914c0593a319e4ULL, 0x63da65b03fe0ece0ULL,
                0x3840772f17005282ULL});
 }
 
 TEST(ServeBytePins, TwoByTwoTensorCluster) {
-  // 2 cards x 2 tensor replicas, on the DegenerateFleetMatchesServeCluster
-  // inputs.
+  // 2 cards x 2 tensor replicas, on the
+  // DegenerateFleetMatchesServeEventsRecordForRecord inputs.
   Session session;
   const ModelId id =
       session.deploy(random_weights(fleet_test_config(), 43), "tiny");
   const ArrivalTrace trace = poisson_trace(8, 8000.0, 9);
-  Session::ClusterSpec cspec;
-  cspec.cards = 2;
-  cspec.replicas = 2;
-  cspec.strategy = PartitionStrategy::kTensor;
+  Session::FleetConfig fspec;
+  fspec.classes = {{2, PartitionStrategy::kTensor, 2, 2}};
   Trace events;
   events.enable(true);
-  const ClusterServeResult r = session.serve_cluster(
-      id, cspec, trace, ServePolicy{}, nullptr, &events);
-  EXPECT_EQ(r.report.counters.get("cluster.replicas"), 2u);
-  expect_pins(r.report.to_json(), events,
+  const Session::FleetServeResult r = session.serve_fleet(
+      id, fspec, trace, ServePolicy{}, nullptr, &events);
+  EXPECT_EQ(r.report.serve.counters.get("cluster.replicas"), 2u);
+  expect_pins(r.report.serve.to_json(), events,
               {0x0107c503d120300fULL, 0xa5c8e79e14a3ef48ULL,
                0x697e7629b4a20cedULL});
 }

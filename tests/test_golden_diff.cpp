@@ -129,7 +129,15 @@ GoldenQuant golden_quantize(const std::vector<float>& data, int rows,
         EXPECT_LE(e, kExpMax) << "value exceeds bfp8 exponent range";
         bool fits = true;
         for (double v : tile) {
-          const std::int64_t m = golden_round(std::ldexp(v, -e), mode);
+          // Past +-128 every rounding mode lands outside [-127, 127], so the
+          // range check comes first: low exponents scale values far beyond
+          // int64, where golden_round's cast would overflow.
+          const double scaled = std::ldexp(v, -e);
+          if (std::fabs(scaled) > 128.0) {
+            fits = false;
+            break;
+          }
+          const std::int64_t m = golden_round(scaled, mode);
           if (m < -kManMax || m > kManMax) {
             fits = false;
             break;

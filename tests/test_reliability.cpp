@@ -19,8 +19,6 @@
 #include <string>
 
 #include "bram/bram18.hpp"
-#include "cluster/cluster_executor.hpp"
-#include "cluster/cluster_serving.hpp"
 #include "common/bitops.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -35,6 +33,7 @@
 #include "pu/psu_buffer.hpp"
 #include "reliability/abft.hpp"
 #include "reliability/degradation.hpp"
+#include "runtime/session.hpp"
 #include "serving/event_loop.hpp"
 #include "transformer/config.hpp"
 #include "transformer/model.hpp"
@@ -671,26 +670,26 @@ TEST(ServeFailover, AllExecutorsDeadStrandsQueuedRequests) {
 
 TEST(ClusterFailover, DeadCardFailsOverToSurvivingReplica) {
   const VitConfig cfg = vit_test_tiny();
-  const VitModel model(random_weights(cfg, 41));
-  const ClusterExecutor exec(model.weights(), ClusterTopology::ring(2),
-                             PartitionStrategy::kTensor);
+  Session session;
+  const ModelId id = session.deploy(random_weights(cfg, 41));
+  Session::FleetConfig fleet;
+  fleet.classes = {{2, PartitionStrategy::kTensor, 2, 2}};
   const ArrivalTrace trace = poisson_trace(10, 6000.0, 7);
   ServePolicy policy;
   policy.queue_capacity = 32;
   ThreadPool pool(4);
 
-  const ClusterServeResult healthy =
-      serve_cluster(exec, 2, trace, policy, &pool);
-  ASSERT_EQ(healthy.report.records.size(), 10u);
+  const Session::FleetServeResult healthy =
+      session.serve_fleet(id, fleet, trace, policy, &pool);
+  ASSERT_EQ(healthy.report.serve.records.size(), 10u);
 
   // Card 1 belongs to replica 0 (cards 0-1); kill it mid-run. The replica
   // dies with it and all ten requests still complete on replica 1.
-  const std::vector<CardFailure> failures = {
-      {1, healthy.report.makespan_cycles / 4}};
-  const ClusterServeResult rep =
-      serve_cluster(exec, 2, trace, policy, &pool, nullptr, failures);
-  EXPECT_EQ(rep.report.records.size(), 10u);
-  const auto counters = rep.report.counters.snapshot();
+  fleet.card_failures = {{1, healthy.report.serve.makespan_cycles / 4}};
+  const Session::FleetServeResult rep =
+      session.serve_fleet(id, fleet, trace, policy, &pool);
+  EXPECT_EQ(rep.report.serve.records.size(), 10u);
+  const auto counters = rep.report.serve.counters.snapshot();
   EXPECT_EQ(counters.at("cluster.card_failures"), 1u);
   EXPECT_EQ(counters.at("serve.executor_failures"), 1u);
 
@@ -705,9 +704,9 @@ TEST(ClusterFailover, DeadCardFailsOverToSurvivingReplica) {
   // Deterministic replay, any pool size.
   for (const int threads : {1, 8}) {
     ThreadPool p2(threads);
-    const ClusterServeResult again =
-        serve_cluster(exec, 2, trace, policy, &p2, nullptr, failures);
-    EXPECT_EQ(again.report.to_json(), rep.report.to_json());
+    const Session::FleetServeResult again =
+        session.serve_fleet(id, fleet, trace, policy, &p2);
+    EXPECT_EQ(again.report.serve.to_json(), rep.report.serve.to_json());
   }
 }
 

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "cluster/cluster_executor.hpp"
-#include "cluster/cluster_serving.hpp"
 #include "compiler/compile.hpp"
 #include "compiler/fuse.hpp"
 #include "compiler/schedule.hpp"
@@ -582,6 +581,54 @@ int cmd_serve_model(int argc, char** argv) {
   return 0;
 }
 
+/// Modelled requests/s of a fleet's initial replicas: one probed sharded
+/// forward per class that starts with any.
+double initial_fleet_rps(const Session::FleetConfig& fleet,
+                         const VitWeights& weights, const SystemConfig& card,
+                         std::uint64_t seed, ThreadPool& pool) {
+  double capacity_rps = 0.0;
+  for (const Session::FleetClassConfig& c : fleet.classes) {
+    if (c.initial_replicas == 0) continue;
+    const ClusterTopology topo =
+        ClusterTopology::ring(c.cards, LinkConfig{}, card);
+    const ClusterExecutor exec(weights, topo, c.strategy);
+    ClusterStats stats;
+    (void)exec.forward(random_embeddings(weights.cfg, seed), &stats, &pool);
+    capacity_rps += static_cast<double>(c.initial_replicas) *
+                    card.pu.freq_hz /
+                    static_cast<double>(stats.total_cycles());
+  }
+  return capacity_rps;
+}
+
+/// --chrome-trace FILE: an event trace that records only when a path is
+/// given, written there as Chrome JSON.
+class ChromeTraceFile {
+ public:
+  explicit ChromeTraceFile(std::string path) : path_(std::move(path)) {
+    if (!path_.empty()) {
+      events_.enable(true);
+      events_.set_capacity(1 << 20);
+    }
+  }
+
+  Trace* sink() { return path_.empty() ? nullptr : &events_; }
+
+  void write() const {
+    if (path_.empty()) return;
+    std::ofstream os(path_);
+    if (!os) throw Error("cannot write '" + path_ + "'");
+    os << events_.to_chrome_json();
+    std::fprintf(stderr, "chrome trace: %s (%zu events, %llu dropped)\n",
+                 path_.c_str(), events_.events().size(),
+                 static_cast<unsigned long long>(events_.dropped()));
+  }
+
+ private:
+  std::string path_;
+  Trace events_;
+};
+
 int cmd_serve(int argc, char** argv) {
   // argv[0] is the model name; flags follow.
   const std::string which = argv[0];
@@ -662,21 +709,9 @@ int cmd_serve(int argc, char** argv) {
   const AcceleratorSystem sys(system_config_for_mode(mode_name));
   const VitModel model{random_weights(cfg, 42)};
   const double freq = sys.config().pu.freq_hz;
-
-  // One sharded replica, reused for probing and (phase 1) serving.
-  const ClusterExecutor* exec = nullptr;
-  ClusterExecutor exec_storage = [&] {
-    if (!clustered) {
-      // Placeholder 1-card pipeline (valid for any depth); unused when
-      // serving single-card.
-      return ClusterExecutor(model.weights(), ClusterTopology::ring(1),
-                             PartitionStrategy::kPipeline);
-    }
-    const ClusterTopology topo =
-        ClusterTopology::ring(cards, LinkConfig{}, sys.config());
-    return ClusterExecutor(model.weights(), topo, strategy);
-  }();
-  if (clustered) exec = &exec_storage;
+  // A replicated sharded cluster is a one-class fleet.
+  Session::FleetConfig fleet;
+  fleet.classes = {{cards, strategy, replicas, replicas}};
 
   if (threads <= 0) threads = ThreadPool::hardware_threads();
   ThreadPool pool(threads);
@@ -691,10 +726,8 @@ int cmd_serve(int argc, char** argv) {
       // or the replica pool).
       double capacity_rps = 0.0;
       if (clustered) {
-        ClusterStats stats;
-        (void)exec->forward(random_embeddings(cfg, seed), &stats, &pool);
-        capacity_rps = static_cast<double>(replicas) * freq /
-                       static_cast<double>(stats.total_cycles());
+        capacity_rps = initial_fleet_rps(fleet, model.weights(),
+                                         sys.config(), seed, pool);
       } else {
         ForwardStats stats;
         SystemConfig one = sys.config();
@@ -714,22 +747,16 @@ int cmd_serve(int argc, char** argv) {
         static_cast<std::uint64_t>(max_wait_us * 1e-6 * freq);
   }
 
-  Trace event_trace;
-  if (!chrome_path.empty()) {
-    event_trace.enable(true);
-    event_trace.set_capacity(1 << 20);
-  }
+  ChromeTraceFile chrome(chrome_path);
   ServeReport rep;
   if (clustered) {
-    const ClusterServeResult r = serve_cluster(
-        *exec, replicas, trace, policy, &pool,
-        chrome_path.empty() ? nullptr : &event_trace);
-    rep = r.report;
+    Session session(sys.config());
+    const ModelId id = session.deploy(model.weights(), cfg.name);
+    rep = session.serve_fleet(id, fleet, trace, policy, &pool, chrome.sink())
+              .report.serve;
   } else {
-    const OnlineServeResult r = serve_online(
-        model, sys, trace, policy, &pool,
-        chrome_path.empty() ? nullptr : &event_trace);
-    rep = r.report;
+    rep = serve_online(model, sys, trace, policy, &pool, chrome.sink())
+              .report;
   }
 
   if (json) {
@@ -767,14 +794,7 @@ int cmd_serve(int argc, char** argv) {
                 rep.max_queue_depth, policy.queue_capacity);
     std::printf("  unit utilization : %.1f%%\n", 100.0 * rep.utilization);
   }
-  if (!chrome_path.empty()) {
-    std::ofstream os(chrome_path);
-    if (!os) throw Error("cannot write '" + chrome_path + "'");
-    os << event_trace.to_chrome_json();
-    std::fprintf(stderr, "chrome trace: %s (%zu events, %llu dropped)\n",
-                 chrome_path.c_str(), event_trace.events().size(),
-                 static_cast<unsigned long long>(event_trace.dropped()));
-  }
+  chrome.write();
   return 0;
 }
 
@@ -1092,7 +1112,8 @@ int cmd_fleet(int argc, char** argv) {
   const VitConfig cfg = which == "test" ? vit_test_tiny() : pick_config(which);
   Session session(system_config_for_mode(mode_name));
   const double freq = session.system().config().pu.freq_hz;
-  const ModelId model = session.deploy(random_weights(cfg, 42), cfg.name);
+  const VitWeights weights = random_weights(cfg, 42);
+  const ModelId model = session.deploy(weights, cfg.name);
 
   fleet_cfg.autoscaler.enabled = autoscale;
   fleet_cfg.autoscaler.min_replicas = min_replicas;
@@ -1108,17 +1129,8 @@ int cmd_fleet(int argc, char** argv) {
   if (rate <= 0.0) {
     // Auto rate: probe one sharded forward per class and offer 70% of the
     // initial fleet's aggregate capacity.
-    double capacity_rps = 0.0;
-    for (const auto& c : fleet_cfg.classes) {
-      if (c.initial_replicas == 0) continue;
-      const ClusterTopology topo = ClusterTopology::ring(
-          c.cards, LinkConfig{}, session.system().config());
-      const ClusterExecutor exec(random_weights(cfg, 42), topo, c.strategy);
-      ClusterStats stats;
-      (void)exec.forward(random_embeddings(cfg, seed), &stats, &pool);
-      capacity_rps += static_cast<double>(c.initial_replicas) * freq /
-                      static_cast<double>(stats.total_cycles());
-    }
+    const double capacity_rps = initial_fleet_rps(
+        fleet_cfg, weights, session.system().config(), seed, pool);
     if (capacity_rps <= 0.0) throw Error("--rate required (no probe basis)");
     rate = 0.7 * capacity_rps;
   }
@@ -1142,14 +1154,9 @@ int cmd_fleet(int argc, char** argv) {
         static_cast<std::uint64_t>(max_wait_us * 1e-6 * freq);
   }
 
-  Trace event_trace;
-  if (!chrome_path.empty()) {
-    event_trace.enable(true);
-    event_trace.set_capacity(1 << 20);
-  }
+  ChromeTraceFile chrome(chrome_path);
   const Session::FleetServeResult r = session.serve_fleet(
-      model, fleet_cfg, arrival_trace, policy, &pool,
-      chrome_path.empty() ? nullptr : &event_trace);
+      model, fleet_cfg, arrival_trace, policy, &pool, chrome.sink());
   const ServeReport& rep = r.report.serve;
 
   if (json) {
@@ -1184,14 +1191,7 @@ int cmd_fleet(int argc, char** argv) {
                   t.slo_violations, rep.cycles_to_ms(t.latency.p95));
     }
   }
-  if (!chrome_path.empty()) {
-    std::ofstream os(chrome_path);
-    if (!os) throw Error("cannot write '" + chrome_path + "'");
-    os << event_trace.to_chrome_json();
-    std::fprintf(stderr, "chrome trace: %s (%zu events, %llu dropped)\n",
-                 chrome_path.c_str(), event_trace.events().size(),
-                 static_cast<unsigned long long>(event_trace.dropped()));
-  }
+  chrome.write();
   return 0;
 }
 
