@@ -180,10 +180,10 @@ std::vector<int> assign_registers(const Graph& graph) {
 
   // holder[r] = node currently occupying register r (-1 free).
   //
-  // Two phases: inputs and constants are set_tensor-bound BEFORE the
-  // program runs, so their registers are occupied from time 0 — a
-  // computed node emitted earlier in the instruction stream must never
-  // share one. Reserve them all first, then walk the computed nodes.
+  // Two phases: inputs and constants are bound BEFORE the program
+  // runs, so their registers are occupied from time 0 — a computed node
+  // emitted earlier in the instruction stream must never share one.
+  // Reserve them all first, then walk the computed nodes.
   std::vector<int> holder(kMaxGraphNodes, -1);
   auto take_free = [&]() {
     for (int r = 0; r < kMaxGraphNodes; ++r) {
@@ -234,6 +234,9 @@ CompiledModel compile(const Graph& graph, const AcceleratorSystem& system,
 
   CompiledModel m;
   m.system_ = &system;
+  m.resident_ = std::make_shared<CompiledModel::Resident>();
+  const bool bfp8_system = system.config().pu.mode == "bfp8";
+  std::vector<int> constant_index(graph.size(), -1);
   m.output_node_ = graph.output();
   m.output_shape_ = graph.node(m.output_node_).shape;
 
@@ -280,12 +283,21 @@ CompiledModel compile(const Graph& graph, const AcceleratorSystem& system,
         break;
       case GraphOp::kConstant:
         if (!dead) {
-          m.constants_.push_back(n);
+          constant_index[static_cast<std::size_t>(n.id)] =
+              static_cast<int>(m.constants_.size());
+          m.constants_.push_back(std::make_shared<const RegTensor>(
+              RegTensor{n.shape.rows, n.shape.cols, n.value}));
           m.constant_regs_.push_back(dst);
+          m.constant_is_bfp_b_.push_back(false);
         }
         break;
       case GraphOp::kMatMul: {
         const TensorShape& a = graph.node(n.inputs[0]).shape;
+        const int b_const =
+            constant_index[static_cast<std::size_t>(n.inputs[1])];
+        if (bfp8_system && b_const >= 0 && mode_index_of(n.mode) == 0) {
+          m.constant_is_bfp_b_[static_cast<std::size_t>(b_const)] = true;
+        }
         pb.bfp_matmul(dst, reg_of(n.inputs[0]), reg_of(n.inputs[1]),
                       a.rows, a.cols, n.shape.cols, mode_index_of(n.mode));
         break;
@@ -470,7 +482,8 @@ VerifyBindings CompiledModel::verify_bindings() const {
 
 RunResult CompiledModel::run(
     std::span<const std::vector<float>> inputs) const {
-  BFP_REQUIRE(system_ != nullptr, "CompiledModel: not compiled");
+  BFP_REQUIRE(system_ != nullptr && resident_ != nullptr,
+              "CompiledModel: not compiled");
   BFP_REQUIRE(inputs.size() == input_nodes_.size(),
               "CompiledModel::run: wrong number of inputs");
   Executor ex(*system_);
@@ -483,9 +496,18 @@ RunResult CompiledModel::run(
     ex.set_tensor(input_regs_[i], plan.shape.rows, plan.shape.cols,
                   inputs[i]);
   }
+  std::call_once(resident_->once, [this] {
+    const PuConfig& pu = system_->config().pu;
+    resident_->bfp_b.resize(constants_.size());
+    for (std::size_t i = 0; i < constants_.size(); ++i) {
+      if (!constant_is_bfp_b_[i]) continue;
+      const RegTensor& c = *constants_[i];
+      resident_->bfp_b[i] = std::make_shared<const BfpMatrix>(quantize_matrix(
+          c.data, c.rows, c.cols, pu.bfp_format(), pu.quant_round));
+    }
+  });
   for (std::size_t i = 0; i < constants_.size(); ++i) {
-    const GraphNode& c = constants_[i];
-    ex.set_tensor(constant_regs_[i], c.shape.rows, c.shape.cols, c.value);
+    ex.bind(constant_regs_[i], constants_[i], resident_->bfp_b[i]);
   }
   RunResult r;
   r.stats = ex.run(program_);

@@ -4,6 +4,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -47,7 +49,10 @@ struct RunResult {
 class CompiledModel {
  public:
   /// Execute with the given input tensors (one per kInput node, in graph
-  /// order). Constants were captured at compile time.
+  /// order). Constants were captured at compile time and are bound by
+  /// reference, not copied. On a bfp8 system, each constant read as B by
+  /// a mode-0 matmul is quantized once, by the first run(), and every run
+  /// binds that resident operand. Safe to call concurrently.
   RunResult run(std::span<const std::vector<float>> inputs) const;
 
   /// The emitted instruction stream.
@@ -71,13 +76,23 @@ class CompiledModel {
                                const AcceleratorSystem& system,
                                const CompileOptions& options);
 
+  /// Constants' operands quantized as bfp8 B (null for the others),
+  /// built once under `once`. Heap-held so the model stays movable.
+  struct Resident {
+    std::once_flag once;
+    std::vector<std::shared_ptr<const BfpMatrix>> bfp_b;
+  };
+
   const AcceleratorSystem* system_ = nullptr;
   Program program_;
   std::vector<NodePlan> plan_;
   std::vector<NodeId> input_nodes_;
   std::vector<int> input_regs_;      ///< register per input node
-  std::vector<GraphNode> constants_;
+  std::vector<std::shared_ptr<const RegTensor>> constants_;
   std::vector<int> constant_regs_;   ///< register per constant node
+  /// Per constant: read as B by a mode-0 kBfpMatmul on a bfp8 system.
+  std::vector<bool> constant_is_bfp_b_;
+  std::shared_ptr<Resident> resident_;
   NodeId output_node_ = -1;
   int output_reg_ = -1;
   TensorShape output_shape_;

@@ -91,7 +91,7 @@ struct VerifyValue {
   int def_inst = -1;       ///< first instruction of the producing range
   int last_use_inst = -1;  ///< last instruction reading it (-1: never read)
   TensorShape shape;
-  bool prebound = false;   ///< set_tensor-bound before execution
+  bool prebound = false;   ///< bound before execution
   /// Largest |value| this tensor can hold (constants: measured from the
   /// payload). < 0 means "use VerifyBindings::input_magnitude".
   double magnitude = -1.0;

@@ -201,6 +201,15 @@ GemmRun AcceleratorSystem::gemm(std::span<const float> a, int m, int k,
   return run;
 }
 
+GemmRun AcceleratorSystem::gemm(std::span<const float> a, int m, int k,
+                                const BfpMatrix& b, int n) const {
+  BFP_REQUIRE(cfg_.pu.mode == "bfp8",
+              "AcceleratorSystem::gemm: a pre-quantized B needs a bfp8 system");
+  GemmRun run = pu_.gemm_bfp8_fast(a, m, k, b, n, pool_);
+  run.compute_cycles = gemm_latency(m, k, n).cycles;
+  return run;
+}
+
 GemmRun AcceleratorSystem::gemm(const NumericMode& mode,
                                 std::span<const float> a, int m, int k,
                                 std::span<const float> b, int n) const {

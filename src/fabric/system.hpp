@@ -106,6 +106,12 @@ class AcceleratorSystem {
   GemmRun gemm(std::span<const float> a, int m, int k,
                std::span<const float> b, int n) const;
 
+  /// Same, with B already quantized as the PU's bfp8 operand (see
+  /// ProcessingUnit::gemm_bfp8_fast); byte-identical to the float overload
+  /// on the floats B was quantized from. Requires a bfp8-configured system.
+  GemmRun gemm(std::span<const float> a, int m, int k, const BfpMatrix& b,
+               int n) const;
+
   /// Same, under an explicit NumericMode (the graph compiler's per-layer
   /// format annotations land here). `bfp8` takes the fast PU path and is
   /// byte-identical to the default overload on a bfp8-configured system;

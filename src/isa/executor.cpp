@@ -31,27 +31,35 @@ void Executor::set_tensor(int r, RegTensor t) {
   store(r, std::move(t));
 }
 
-const RegTensor& Executor::tensor(int r) const {
+void Executor::bind(int r, std::shared_ptr<const RegTensor> t,
+                    std::shared_ptr<const BfpMatrix> bfp_b) {
   BFP_REQUIRE(r >= 0 && r < kNumTensorRegs, "Executor: register out of range");
-  const auto& slot = regs_[static_cast<std::size_t>(r)];
-  BFP_REQUIRE(slot.has_value(), "Executor: reading an unset register");
-  return *slot;
+  BFP_REQUIRE(t != nullptr && t->data.size() == t->size(),
+              "Executor: tensor shape mismatch");
+  store(r, std::move(t), std::move(bfp_b));
 }
 
-RegTensor& Executor::mut_tensor(int r) {
+const Executor::Reg& Executor::reg(int r) const {
   BFP_REQUIRE(r >= 0 && r < kNumTensorRegs, "Executor: register out of range");
-  auto& slot = regs_[static_cast<std::size_t>(r)];
-  BFP_REQUIRE(slot.has_value(), "Executor: reading an unset register");
-  return *slot;
+  const Reg& slot = regs_[static_cast<std::size_t>(r)];
+  BFP_REQUIRE(slot.t != nullptr, "Executor: reading an unset register");
+  return slot;
 }
+
+const RegTensor& Executor::tensor(int r) const { return *reg(r).t; }
 
 void Executor::store(int r, RegTensor t) {
-  auto& slot = regs_[static_cast<std::size_t>(r)];
-  if (slot.has_value()) {
-    resident_ -= static_cast<std::uint64_t>(slot->size()) * sizeof(float);
+  store(r, std::make_shared<const RegTensor>(std::move(t)), nullptr);
+}
+
+void Executor::store(int r, std::shared_ptr<const RegTensor> t,
+                     std::shared_ptr<const BfpMatrix> bfp_b) {
+  Reg& slot = regs_[static_cast<std::size_t>(r)];
+  if (slot.t != nullptr) {
+    resident_ -= static_cast<std::uint64_t>(slot.t->size()) * sizeof(float);
   }
-  resident_ += static_cast<std::uint64_t>(t.size()) * sizeof(float);
-  slot = std::move(t);
+  resident_ += static_cast<std::uint64_t>(t->size()) * sizeof(float);
+  slot = Reg{std::move(t), std::move(bfp_b)};
   BFP_REQUIRE(mem_limit_ == 0 || resident_ <= mem_limit_,
               "Executor: register file exceeds the device memory limit");
 }
@@ -67,7 +75,7 @@ ExecutionStats Executor::run(const Program& program) {
 }
 
 void Executor::reset() {
-  for (auto& r : regs_) r.reset();
+  for (Reg& r : regs_) r = Reg{};
   resident_ = 0;
 }
 
@@ -177,10 +185,15 @@ void Executor::exec_one(const Instruction& inst, ExecutionStats& stats) {
       // from the graph compiler (i+1 = numeric_modes()[i]); it overrides
       // the system's configured mode for this matmul only. Mode-annotated
       // matmuls bypass the ABFT path — like the system-wide mode switch,
-      // checksum protection is a bfp8-datapath feature.
+      // checksum protection is a bfp8-datapath feature. A B register bound
+      // with its pre-quantized operand (bind) skips B's quantization; the
+      // ABFT and mode-annotated paths read the floats.
+      const BfpMatrix* bfp_b = reg(inst.src_b).bfp_b.get();
       const GemmRun run =
           inst.mode_index() == 0
-              ? system_.gemm(a.data, a.rows, a.cols, b.data, b.cols)
+              ? (bfp_b != nullptr
+                     ? system_.gemm(a.data, a.rows, a.cols, *bfp_b, b.cols)
+                     : system_.gemm(a.data, a.rows, a.cols, b.data, b.cols))
               : [&] {
                   const auto& modes = numeric_modes();
                   const std::size_t idx = inst.mode_index() - 1U;

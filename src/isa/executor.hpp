@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -76,6 +77,16 @@ class Executor {
   void set_tensor(int r, int rows, int cols, std::span<const float> data);
   void set_tensor(int r, RegTensor t);
 
+  /// Bind a shared immutable tensor to register `r` without copying it;
+  /// it counts toward resident_bytes() exactly as a copy would. `bfp_b`,
+  /// when set, is `t` quantized as a GEMM B operand
+  /// (quantize_matrix(t->data, t->rows, t->cols, pu.bfp_format(),
+  /// pu.quant_round)): a mode-0 kBfpMatmul without reliability that reads
+  /// `r` as B uses it instead of quantizing the floats, which requires a
+  /// bfp8-configured system.
+  void bind(int r, std::shared_ptr<const RegTensor> t,
+            std::shared_ptr<const BfpMatrix> bfp_b = nullptr);
+
   /// Read a register (throws if unset).
   const RegTensor& tensor(int r) const;
 
@@ -106,17 +117,26 @@ class Executor {
   }
 
  private:
-  RegTensor& mut_tensor(int r);
+  /// A register: its tensor and, for a bound weight, that tensor
+  /// pre-quantized as a bfp8 GEMM B operand.
+  struct Reg {
+    std::shared_ptr<const RegTensor> t;
+    std::shared_ptr<const BfpMatrix> bfp_b;
+  };
+
+  const Reg& reg(int r) const;
   /// The single register-write path: updates the resident-byte count and
-  /// enforces the memory limit. All opcode handlers and set_tensor route
-  /// through here.
+  /// enforces the memory limit. All opcode handlers, set_tensor and bind
+  /// route through here.
   void store(int r, RegTensor t);
+  void store(int r, std::shared_ptr<const RegTensor> t,
+             std::shared_ptr<const BfpMatrix> bfp_b);
   void exec_one(const Instruction& inst, ExecutionStats& stats);
   void exec_matmul_reliable(const Instruction& inst, const RegTensor& a,
                             const RegTensor& b, ExecutionStats& stats);
 
   const AcceleratorSystem& system_;
-  std::vector<std::optional<RegTensor>> regs_;
+  std::vector<Reg> regs_;
   std::optional<ReliabilityConfig> rel_;
   std::optional<QuarantineState> quarantine_;
   std::uint64_t mem_limit_ = 0;

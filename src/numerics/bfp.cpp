@@ -1,6 +1,7 @@
 #include "numerics/bfp.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -52,71 +53,133 @@ std::int64_t round_shift(std::int64_t v, int shift, RoundMode round) {
   return 0;
 }
 
-BfpBlock quantize_block(std::span<const float> tile, const BfpFormat& fmt,
-                        RoundMode round) {
-  fmt.validate();
-  BFP_REQUIRE(tile.size() == static_cast<std::size_t>(fmt.elements()),
-              "quantize_block: tile size must equal rows*cols");
-  BfpBlock out(fmt);
+namespace {
 
-  float max_abs = 0.0F;
-  for (float v : tile) {
-    BFP_REQUIRE(std::isfinite(v), "quantize_block: NaN/Inf input");
-    max_abs = std::max(max_abs, std::fabs(v));
+// round(x) under kRound for |x| < 2^51, without libm. Adding and
+// subtracting 1.5 * 2^52 leaves x rounded to an integer in the current
+// (round-to-nearest-even) mode, exactly as nearbyint; floor is that minus
+// one where it rounded up. kHalfAway keeps the reference's floor(x + 0.5),
+// including the rounding of the double sum.
+template <RoundMode kRound>
+double round_scaled(double x) {
+  constexpr double kMagic = 0x1.8p52;
+  if constexpr (kRound == RoundMode::kHalfAway) x += 0.5;
+  const double r = (x + kMagic) - kMagic;
+  if constexpr (kRound == RoundMode::kNearestEven) {
+    return r;
+  } else {
+    return r > x ? r - 1.0 : r;
   }
+}
+
+// Quantize the fmt.rows x fmt.cols tile whose top-left `valid_rows` x
+// `valid_cols` elements start at `src` (row stride `ld`) into `out`, whose
+// mantissas start zeroed; elements outside the valid region are zero
+// padding and stay zero.
+//
+// Bit-identical to rounding every v * 2^-e with ldexp and nearbyint/floor:
+// - v * 2^-e is exact. e lies in [exp_min, exp_max] within [-512, 511], so
+//   2^-e is a normal double, and a finite float times it stays a normal
+//   double (magnitude between 2^-660 and 2^640): only the exponent moves.
+// - Rounding is monotone, so every mantissa of the tile fits the format
+//   at e exactly when the rounded largest and smallest elements do. Those
+//   two decide e; the rounded values are then in range by construction,
+//   and their magnitude is at most 2^15, inside round_scaled's exact range.
+template <RoundMode kRound>
+void quantize_tile(const float* src, std::size_t ld, int valid_rows,
+                   int valid_cols, const BfpFormat& fmt, BfpBlock& out) {
+  float lo = 0.0F;
+  float hi = 0.0F;
+  bool finite = true;
+  for (int r = 0; r < valid_rows; ++r) {
+    const float* row = src + static_cast<std::size_t>(r) * ld;
+    for (int c = 0; c < valid_cols; ++c) {
+      finite = finite && std::isfinite(row[c]);
+      lo = std::min(lo, row[c]);
+      hi = std::max(hi, row[c]);
+    }
+  }
+  BFP_REQUIRE(finite, "quantize_block: NaN/Inf input");
+  const float max_abs = std::max(-lo, hi);
   if (max_abs == 0.0F) {
     out.expb = static_cast<std::int32_t>(fmt.exp_min());
-    return out;
+    return;
   }
 
-  // Smallest expb with round(max_abs * 2^-expb) <= mant_max. Start from the
+  // Smallest expb with every round(v * 2^-expb) in range. Start from the
   // analytic estimate and nudge upward if rounding carries out of range.
   int e = std::max<int>(
       static_cast<int>(fmt.exp_min()),
       static_cast<int>(std::ceil(
           std::log2(static_cast<double>(max_abs) /
                     (static_cast<double>(fmt.mant_max()) + 0.5)))));
-  auto quantize_at = [&](int expb, bool& ok) {
-    std::vector<std::int16_t> man(tile.size());
-    ok = true;
-    for (std::size_t i = 0; i < tile.size(); ++i) {
-      const double scaled = std::ldexp(static_cast<double>(tile[i]), -expb);
-      double q;
-      switch (round) {
-        case RoundMode::kTruncate: q = std::floor(scaled); break;
-        case RoundMode::kNearestEven: q = std::nearbyint(scaled); break;
-        case RoundMode::kHalfAway: q = std::floor(scaled + 0.5); break;
-        default: q = 0; BFP_ASSERT(false);
-      }
-      if (q < static_cast<double>(fmt.mant_min()) ||
-          q > static_cast<double>(fmt.mant_max())) {
-        ok = false;
-        return man;
-      }
-      man[i] = static_cast<std::int16_t>(q);
-    }
-    return man;
-  };
-
+  const auto mant_min = static_cast<double>(fmt.mant_min());
+  const auto mant_max = static_cast<double>(fmt.mant_max());
+  // Every in-range mantissa has magnitude at most 2^15, so a scaled value at
+  // or beyond this guard cannot fit; the guard keeps round_scaled's input
+  // (after kHalfAway's + 0.5) below 2^51.
+  constexpr double kGuard = 0x1p50;
+  double scale = 0.0;
   for (;; ++e) {
     BFP_REQUIRE(e <= fmt.exp_max(),
                 "quantize_block: value too large for exponent range");
-    bool ok = false;
-    auto man = quantize_at(e, ok);
-    if (ok) {
-      out.expb = e;
-      out.man = std::move(man);
-#if BFPSIM_CONTRACTS
-      BFPSIM_ENSURE(out.expb >= fmt.exp_min() && out.expb <= fmt.exp_max(),
-                    "quantize_block: shared exponent outside format range");
-      for (const std::int16_t m : out.man) {
-        BFPSIM_ENSURE(m >= fmt.mant_min() && m <= fmt.mant_max(),
-                      "quantize_block: mantissa outside format range");
-      }
-#endif
-      return out;
+    // 2^-e, built from its exponent field.
+    scale = std::bit_cast<double>(static_cast<std::uint64_t>(1023 - e) << 52);
+    const double h = static_cast<double>(hi) * scale;
+    const double l = static_cast<double>(lo) * scale;
+    if (h < kGuard && l > -kGuard && round_scaled<kRound>(h) <= mant_max &&
+        round_scaled<kRound>(l) >= mant_min) {
+      break;
     }
   }
+  out.expb = e;
+  for (int r = 0; r < valid_rows; ++r) {
+    const float* row = src + static_cast<std::size_t>(r) * ld;
+    std::int16_t* man =
+        out.man.data() + static_cast<std::size_t>(r * fmt.cols);
+    for (int c = 0; c < valid_cols; ++c) {
+      man[c] = static_cast<std::int16_t>(
+          round_scaled<kRound>(static_cast<double>(row[c]) * scale));
+    }
+  }
+#if BFPSIM_CONTRACTS
+  BFPSIM_ENSURE(out.expb >= fmt.exp_min() && out.expb <= fmt.exp_max(),
+                "quantize_block: shared exponent outside format range");
+  for (const std::int16_t m : out.man) {
+    BFPSIM_ENSURE(m >= fmt.mant_min() && m <= fmt.mant_max(),
+                  "quantize_block: mantissa outside format range");
+  }
+#endif
+}
+
+void quantize_tile(const float* src, std::size_t ld, int valid_rows,
+                   int valid_cols, const BfpFormat& fmt, RoundMode round,
+                   BfpBlock& out) {
+  switch (round) {
+    case RoundMode::kTruncate:
+      return quantize_tile<RoundMode::kTruncate>(src, ld, valid_rows,
+                                                 valid_cols, fmt, out);
+    case RoundMode::kNearestEven:
+      return quantize_tile<RoundMode::kNearestEven>(src, ld, valid_rows,
+                                                    valid_cols, fmt, out);
+    case RoundMode::kHalfAway:
+      return quantize_tile<RoundMode::kHalfAway>(src, ld, valid_rows,
+                                                 valid_cols, fmt, out);
+  }
+  BFP_ASSERT(false);
+}
+
+}  // namespace
+
+BfpBlock quantize_block(std::span<const float> tile, const BfpFormat& fmt,
+                        RoundMode round) {
+  fmt.validate();
+  BFP_REQUIRE(tile.size() == static_cast<std::size_t>(fmt.elements()),
+              "quantize_block: tile size must equal rows*cols");
+  BfpBlock out(fmt);
+  quantize_tile(tile.data(), static_cast<std::size_t>(fmt.cols), fmt.rows,
+                fmt.cols, fmt, round, out);
+  return out;
 }
 
 std::vector<float> WideBlock::dequantize() const {
@@ -233,20 +296,15 @@ BfpMatrix quantize_matrix(std::span<const float> data, int rows, int cols,
   const int brs = m.rows / fmt.rows;
   const int bcs = m.cols / fmt.cols;
   m.blocks.reserve(static_cast<std::size_t>(brs) * bcs);
-  std::vector<float> tile(static_cast<std::size_t>(fmt.elements()));
   for (int br = 0; br < brs; ++br) {
+    const int r0 = br * fmt.rows;
     for (int bc = 0; bc < bcs; ++bc) {
-      for (int r = 0; r < fmt.rows; ++r) {
-        for (int c = 0; c < fmt.cols; ++c) {
-          const int gr = br * fmt.rows + r;
-          const int gc = bc * fmt.cols + c;
-          tile[static_cast<std::size_t>(r * fmt.cols + c)] =
-              (gr < rows && gc < cols)
-                  ? data[static_cast<std::size_t>(gr) * cols + gc]
-                  : 0.0F;
-        }
-      }
-      m.blocks.push_back(quantize_block(tile, fmt, round));
+      const int c0 = bc * fmt.cols;
+      quantize_tile(data.data() + static_cast<std::size_t>(r0) * cols + c0,
+                    static_cast<std::size_t>(cols),
+                    std::min(fmt.rows, rows - r0),
+                    std::min(fmt.cols, cols - c0), fmt, round,
+                    m.blocks.emplace_back(fmt));
     }
   }
   return m;

@@ -53,6 +53,7 @@ struct BfpFormat {
   int elements() const { return rows * cols; }
 
   void validate() const;
+  bool operator==(const BfpFormat&) const = default;
 };
 
 /// The paper's bfp8 with 8x8 blocks.

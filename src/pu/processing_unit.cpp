@@ -20,6 +20,17 @@ void PuConfig::validate() const {
   format.validate();
 }
 
+BfpFormat PuConfig::bfp_format() const {
+  BfpFormat fmt;
+  if (format.shared_exponent) {
+    fmt.mant_bits = format.wm;
+    fmt.exp_bits = format.we;
+  }
+  fmt.rows = array.rows;
+  fmt.cols = array.cols;
+  return fmt;
+}
+
 double GemmRun::sustained_ops_per_sec(double freq_hz) const {
   if (compute_cycles == 0) return 0.0;
   return static_cast<double>(2 * macs) * freq_hz /
@@ -37,15 +48,8 @@ ProcessingUnit::ProcessingUnit(const PuConfig& cfg)
 
 namespace {
 
-BfpFormat pu_format(const PuConfig& cfg) {
-  BfpFormat fmt;
-  if (cfg.format.shared_exponent) {
-    fmt.mant_bits = cfg.format.wm;
-    fmt.exp_bits = cfg.format.we;
-  }
-  fmt.rows = cfg.array.rows;
-  fmt.cols = cfg.array.cols;
-  return fmt;
+int round_up(int v, int multiple) {
+  return (v + multiple - 1) / multiple * multiple;
 }
 
 /// Round-trip a block through an operand buffer slot, exercising the
@@ -88,7 +92,7 @@ std::uint64_t ProcessingUnit::bfp_pass(const BfpBlock& y0, const BfpBlock* y1,
 GemmRun ProcessingUnit::gemm_bfp8(std::span<const float> a, int m, int k,
                                   std::span<const float> b, int n) {
   BFP_REQUIRE(m > 0 && k > 0 && n > 0, "gemm_bfp8: dims must be positive");
-  const BfpFormat fmt = pu_format(cfg_);
+  const BfpFormat fmt = cfg_.bfp_format();
   const BfpMatrix am = quantize_matrix(a, m, k, fmt, cfg_.quant_round);
   const BfpMatrix bm = quantize_matrix(b, k, n, fmt, cfg_.quant_round);
   const int mb = am.block_rows();
@@ -168,13 +172,23 @@ GemmRun ProcessingUnit::gemm_bfp8(std::span<const float> a, int m, int k,
 GemmRun ProcessingUnit::gemm_bfp8_fast(std::span<const float> a, int m, int k,
                                        std::span<const float> b, int n,
                                        ThreadPool* pool) const {
+  return gemm_bfp8_fast(
+      a, m, k,
+      quantize_matrix(b, k, n, cfg_.bfp_format(), cfg_.quant_round), n, pool);
+}
+
+GemmRun ProcessingUnit::gemm_bfp8_fast(std::span<const float> a, int m, int k,
+                                       const BfpMatrix& b, int n,
+                                       ThreadPool* pool) const {
   BFP_REQUIRE(m > 0 && k > 0 && n > 0,
               "gemm_bfp8_fast: dims must be positive");
-  const BfpFormat fmt = pu_format(cfg_);
+  const BfpFormat fmt = cfg_.bfp_format();
+  BFP_REQUIRE(b.fmt == fmt && b.rows == round_up(k, fmt.rows) &&
+                  b.cols == round_up(n, fmt.cols),
+              "gemm_bfp8_fast: B is not a k x n operand in the PU format");
   const BfpMatrix am = quantize_matrix(a, m, k, fmt, cfg_.quant_round);
-  const BfpMatrix bm = quantize_matrix(b, k, n, fmt, cfg_.quant_round);
   GemmRun out;
-  out.c = bfp_gemm_dispatch(am, bm, m, n, cfg_.psu_bits, active_kernel_tier(),
+  out.c = bfp_gemm_dispatch(am, b, m, n, cfg_.psu_bits, active_kernel_tier(),
                             pool);
   out.macs = static_cast<std::uint64_t>(m) * k * n;
   out.compute_cycles = gemm_cycles(cfg_, m, k, n);

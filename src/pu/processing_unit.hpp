@@ -46,6 +46,9 @@ struct PuConfig {
   FormatSpec format = FormatSpec::bfp8();
 
   void validate() const;
+  /// The bfp block format the bfp8 MatMul mode quantizes operands to
+  /// (under `quant_round`): `format`'s widths over the PE array's block.
+  BfpFormat bfp_format() const;
 };
 
 /// Outcome of a GEMM executed on the PU.
@@ -90,6 +93,13 @@ class ProcessingUnit {
   GemmRun gemm_bfp8_fast(std::span<const float> a, int m, int k,
                          std::span<const float> b, int n,
                          ThreadPool* pool = nullptr) const;
+
+  /// Same, with B (k x n) already quantized: quantize_matrix(b, k, n,
+  /// config().bfp_format(), config().quant_round), e.g. a weight
+  /// quantized once and kept resident. The float overload is exactly that
+  /// quantization followed by this call. `pool` may be null.
+  GemmRun gemm_bfp8_fast(std::span<const float> a, int m, int k,
+                         const BfpMatrix& b, int n, ThreadPool* pool) const;
 
   /// ---- fp32 vector modes ----
 
