@@ -178,13 +178,12 @@ TEST_P(ResidentConstants, ConcurrentRunsMatchASerialRun) {
   }
 }
 
-/// Where a run under memory limit `limit` faults: -(1 + tensors bound)
-/// for a fault while binding, the instruction index for a fault while
-/// executing, or the program size when it never faults. Also reports the
-/// peak resident bytes seen.
+/// Where a run under memory limit `limit` faults: -1 while binding, the
+/// instruction index while executing, or the program size when it never
+/// faults. `resident` is the resident bytes at the fault, or the peak.
 struct FaultPoint {
   long at = 0;
-  std::uint64_t peak = 0;
+  std::uint64_t resident = 0;
   bool operator==(const FaultPoint&) const = default;
 };
 
@@ -194,22 +193,12 @@ FaultPoint fault_point(const Graph& g, const CompiledModel& cm,
                        Binding how, std::uint64_t limit) {
   Executor ex(sys);
   ex.set_memory_limit(limit);
-  FaultPoint fp;
   try {
     bind_like_run(ex, g, cm, in, how);
   } catch (const Error&) {
-    std::size_t bound = 0;
-    for (int r = 0; r < kNumTensorRegs; ++r) {
-      try {
-        ex.tensor(r);
-        ++bound;
-      } catch (const Error&) {
-      }
-    }
-    fp.at = -1 - static_cast<long>(bound);
-    return fp;
+    return {-1, ex.resident_bytes()};
   }
-  fp.peak = ex.resident_bytes();
+  std::uint64_t peak = ex.resident_bytes();
   const std::vector<Instruction>& insts = cm.program().instructions();
   for (std::size_t i = 0; i < insts.size(); ++i) {
     Program step;
@@ -217,13 +206,11 @@ FaultPoint fault_point(const Graph& g, const CompiledModel& cm,
     try {
       ex.run(step);
     } catch (const Error&) {
-      fp.at = static_cast<long>(i);
-      return fp;
+      return {static_cast<long>(i), ex.resident_bytes()};
     }
-    fp.peak = std::max(fp.peak, ex.resident_bytes());
+    peak = std::max(peak, ex.resident_bytes());
   }
-  fp.at = static_cast<long>(insts.size());
-  return fp;
+  return {static_cast<long>(insts.size()), peak};
 }
 
 TEST_P(ResidentConstants, SharedConstantsKeepResidentBytesAndFaultPoint) {
@@ -246,11 +233,11 @@ TEST_P(ResidentConstants, SharedConstantsKeepResidentBytesAndFaultPoint) {
   ASSERT_EQ(free_run.at, static_cast<long>(cm.program().size()));
   EXPECT_EQ(free_run, fault_point(g, cm, sys, in, Binding::kShared, 0));
   // The verifier's arena accounting mirrors the executor's byte for byte.
-  EXPECT_EQ(free_run.peak,
+  EXPECT_EQ(free_run.resident,
             verify_program(cm.program(), cm.verify_bindings(), sys)
                 .peak_resident_bytes);
 
-  const std::uint64_t peak = free_run.peak;
+  const std::uint64_t peak = free_run.resident;
   for (const std::uint64_t limit :
        {peak, peak - 1, (peak + bound_bytes[0]) / 2, bound_bytes[0] - 1,
         bound_bytes[0] / 2}) {
