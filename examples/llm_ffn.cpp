@@ -89,9 +89,9 @@ int main() {
   const ErrorStats s = compute_error_stats(r.output, ref);
   std::printf("accuracy vs fp32 reference: SNR %.1f dB, cosine %.6f\n",
               s.snr_db, cosine_similarity(r.output, ref));
-  std::printf("device cycles: %llu (est. %llu), host ops: %llu\n",
+  std::printf("device cycles: %llu (priced %llu), host ops: %llu\n",
               static_cast<unsigned long long>(r.stats.device_cycles),
-              static_cast<unsigned long long>(model.total_est_cycles()),
+              static_cast<unsigned long long>(model.price().device_cycles),
               static_cast<unsigned long long>(r.stats.host_ops));
   std::printf("\nSwiGLU did not exist when systolic int8 accelerators were "
               "taped out; here it is\nrunning on one, because the "

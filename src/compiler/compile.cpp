@@ -6,7 +6,6 @@
 
 #include "isa/kernels.hpp"
 #include "numerics/format/registry.hpp"
-#include "transformer/config.hpp"
 
 namespace bfpsim {
 
@@ -39,12 +38,6 @@ void inline_kernel(ProgramBuilder& out, const Program& kernel, int in_reg,
   }
 }
 
-/// Static per-element device-op costs for the vector kernels, measured
-/// from the micro-programs once per compile.
-struct VectorCosts {
-  NonlinearCostModel nl;
-};
-
 /// 1-based index into numeric_modes() for an annotated matmul (0 = the
 /// system default path). Throws on an unregistered name.
 int mode_index_of(const std::string& mode) {
@@ -55,76 +48,6 @@ int mode_index_of(const std::string& mode) {
   }
   throw ConfigError("compile: unknown numeric mode '" + mode +
                     "' annotated on a matmul");
-}
-
-std::uint64_t estimate_cycles(const GraphNode& n, const Graph& g,
-                              const AcceleratorSystem& sys,
-                              const VectorCosts& costs) {
-  const auto elems = static_cast<std::uint64_t>(n.shape.elements());
-  switch (n.op) {
-    case GraphOp::kInput:
-    case GraphOp::kConstant:
-      return 0;
-    case GraphOp::kMatMul: {
-      const TensorShape& a = g.node(n.inputs[0]).shape;
-      const std::uint64_t base =
-          sys.gemm_latency(a.rows, a.cols, n.shape.cols).cycles;
-      if (n.mode.empty()) return base;
-      const double scale = numeric_mode(n.mode).cycle_scale;
-      return static_cast<std::uint64_t>(static_cast<double>(base) * scale);
-    }
-    case GraphOp::kAdd:
-    case GraphOp::kBiasAdd:
-      return sys.vector_latency(0, elems).cycles;
-    case GraphOp::kMul:
-    case GraphOp::kScale:
-      return sys.vector_latency(elems, 0).cycles;
-    case GraphOp::kTranspose:
-    case GraphOp::kSliceCols:
-    case GraphOp::kConcatCols:
-      return elems * 4 /
-             static_cast<std::uint64_t>(
-                 sys.memory().hbm().bytes_per_cycle_total());
-    case GraphOp::kLayerNorm:
-    case GraphOp::kRmsNorm:
-      return sys
-          .vector_latency(
-              static_cast<std::uint64_t>(
-                  static_cast<double>(elems) *
-                  costs.nl.layernorm_device_ops_per_elem),
-              0)
-          .cycles;
-    case GraphOp::kSoftmax:
-      return sys
-          .vector_latency(
-              static_cast<std::uint64_t>(
-                  static_cast<double>(elems) *
-                  costs.nl.softmax_device_ops_per_elem),
-              0)
-          .cycles;
-    case GraphOp::kGelu:
-    case GraphOp::kSilu:
-      return sys
-          .vector_latency(static_cast<std::uint64_t>(
-                              static_cast<double>(elems) *
-                              costs.nl.gelu_device_ops_per_elem),
-                          0)
-          .cycles;
-    case GraphOp::kRope:
-      return sys.vector_latency(2 * elems, elems).cycles;
-    case GraphOp::kFusedBiasGelu:
-    case GraphOp::kFusedBiasSilu:
-      return sys.vector_latency(0, elems).cycles +
-             sys.vector_latency(static_cast<std::uint64_t>(
-                                    static_cast<double>(elems) *
-                                    costs.nl.gelu_device_ops_per_elem),
-                                0)
-                 .cycles;
-    case GraphOp::kFusedBiasResidual:
-      return 2 * sys.vector_latency(0, elems).cycles;
-  }
-  BFP_ASSERT(false);
-  return 0;
 }
 
 const char* mode_name(const GraphNode& n) {
@@ -246,12 +169,6 @@ CompiledModel compile(const Graph& graph, const AcceleratorSystem& system,
     BFP_ASSERT(r >= 0);
     return r;
   };
-
-  VectorCosts costs;
-  // Probe rows: use the output shape's column count as a representative
-  // reduction width (good enough for a static estimate).
-  costs.nl = measure_nonlinear_costs(
-      std::max(2, m.output_shape_.cols), std::max(2, m.output_shape_.cols));
 
   ProgramBuilder pb;
   // Emit ranges per node, in instruction-index space — the verifier's
@@ -416,7 +333,6 @@ CompiledModel compile(const Graph& graph, const AcceleratorSystem& system,
     if (!n.mode.empty() && n.op == GraphOp::kMatMul) {
       plan.mode = n.mode + "-matmul";
     }
-    plan.est_cycles = estimate_cycles(n, graph, system, costs);
     m.plan_.push_back(std::move(plan));
   }
   pb.halt();
@@ -463,12 +379,19 @@ CompiledModel compile(const Graph& graph, const AcceleratorSystem& system,
 
   // Mandatory post-pass: refuse to hand out a program the verifier cannot
   // prove safe. The program bytes are already final — verification never
-  // mutates them, so legacy byte-stability holds.
-  const VerifyReport vr =
-      verify_program(m.program_, m.verify_bindings(), system);
+  // mutates them, so legacy byte-stability holds. The same walk prices
+  // the program; each node is charged its instruction range.
+  VerifyReport vr = verify_program(m.program_, m.verify_bindings(), system);
   if (!vr.clean()) {
     throw Error("compile: static verification failed: " + vr.summary());
   }
+  for (NodePlan& p : m.plan_) {
+    const auto id = static_cast<std::size_t>(p.id);
+    for (int i = emit_begin[id]; i < emit_end[id]; ++i) {
+      p.cycles += vr.instruction_cycles[static_cast<std::size_t>(i)];
+    }
+  }
+  m.price_ = std::move(vr.price);
   return m;
 }
 
@@ -516,17 +439,11 @@ RunResult CompiledModel::run(
   return r;
 }
 
-std::uint64_t CompiledModel::total_est_cycles() const {
-  std::uint64_t c = 0;
-  for (const NodePlan& p : plan_) c += p.est_cycles;
-  return c;
-}
-
 std::string CompiledModel::report() const {
   std::ostringstream os;
   const double total = static_cast<double>(std::max<std::uint64_t>(
-      1, total_est_cycles()));
-  os << "node  op          mode                     shape        est.cycles"
+      1, price_.device_cycles));
+  os << "node  op          mode                     shape            cycles"
         "   share\n";
   for (const NodePlan& p : plan_) {
     char line[160];
@@ -534,8 +451,8 @@ std::string CompiledModel::report() const {
                   "%-4d  %-10s  %-23s  %5dx%-5d  %10llu  %5.1f%%  %s\n",
                   p.id, graph_op_name(p.op), p.mode.c_str(), p.shape.rows,
                   p.shape.cols,
-                  static_cast<unsigned long long>(p.est_cycles),
-                  100.0 * static_cast<double>(p.est_cycles) / total,
+                  static_cast<unsigned long long>(p.cycles),
+                  100.0 * static_cast<double>(p.cycles) / total,
                   p.name.c_str());
     os << line;
   }

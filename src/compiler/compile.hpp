@@ -1,6 +1,6 @@
 // Graph -> ISA compilation: assigns every graph node to a hardware mode of
-// the multi-mode unit, emits one executable Program, and carries a static
-// per-node latency plan (the schedule a deployment compiler would print).
+// the multi-mode unit, emits one executable Program, and carries its static
+// price per node (the schedule a deployment compiler would print).
 #pragma once
 
 #include <cstdint>
@@ -29,14 +29,14 @@ struct CompileOptions {
   bool macro_kernels = false;
 };
 
-/// Per-node scheduling decision + static latency estimate.
+/// Per-node scheduling decision and price.
 struct NodePlan {
   NodeId id = -1;
   std::string name;
   GraphOp op = GraphOp::kInput;
   TensorShape shape;
-  std::string mode;              ///< "bfp8-matmul" / "fp32-vector" / ...
-  std::uint64_t est_cycles = 0;  ///< system latency estimate
+  std::string mode;          ///< "bfp8-matmul" / "fp32-vector" / ...
+  std::uint64_t cycles = 0;  ///< device cycles of the node's instructions
 };
 
 /// Result of executing a compiled model.
@@ -60,7 +60,10 @@ class CompiledModel {
 
   /// The static schedule.
   const std::vector<NodePlan>& plan() const { return plan_; }
-  std::uint64_t total_est_cycles() const;
+
+  /// The program's static price: what run() returns in stats for any
+  /// inputs (price_program over verify_bindings()).
+  const ExecutionStats& price() const { return price_; }
 
   /// Human-readable schedule report (one row per node).
   std::string report() const;
@@ -97,6 +100,7 @@ class CompiledModel {
   int output_reg_ = -1;
   TensorShape output_shape_;
   std::vector<VerifyValue> values_;  ///< declared allocator value intervals
+  ExecutionStats price_;
 };
 
 /// Compile a graph for an accelerator system. Graphs up to 240 nodes get

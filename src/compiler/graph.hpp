@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "isa/instruction.hpp"
 
 namespace bfpsim {
 
@@ -41,16 +42,6 @@ enum class GraphOp {
 };
 
 const char* graph_op_name(GraphOp op);
-
-struct TensorShape {
-  int rows = 0;
-  int cols = 0;
-
-  bool operator==(const TensorShape&) const = default;
-  std::size_t elements() const {
-    return static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
-  }
-};
 
 using NodeId = int;
 

@@ -171,7 +171,7 @@ ScheduleDecision search_schedule(const VitConfig& cfg,
   dec.cards = cards;
   const auto& last = dp[static_cast<std::size_t>(depth - 1)];
   int state = last[kPipe] <= last[kTens] ? kPipe : kTens;
-  dec.est_cycles = last[static_cast<std::size_t>(state)];
+  dec.cycles = last[static_cast<std::size_t>(state)];
   dec.blocks.resize(static_cast<std::size_t>(depth));
   for (int b = depth - 1; b >= 0; --b) {
     auto& bs = dec.blocks[static_cast<std::size_t>(b)];
@@ -212,7 +212,7 @@ std::string ScheduleDecision::report() const {
                   static_cast<unsigned long long>(b.tensor_cycles));
     os << line;
   }
-  os << "chosen " << est_cycles << " cycles/request ("
+  os << "chosen " << cycles << " cycles/request ("
      << pipeline_blocks << " pipeline, " << tensor_blocks
      << " tensor) vs uniform pipeline " << uniform_pipeline_cycles
      << ", uniform tensor " << uniform_tensor_cycles << "\n";
@@ -221,7 +221,7 @@ std::string ScheduleDecision::report() const {
 
 std::string ScheduleDecision::to_json() const {
   std::ostringstream os;
-  os << "{\"cards\":" << cards << ",\"est_cycles\":" << est_cycles
+  os << "{\"cards\":" << cards << ",\"cycles\":" << cycles
      << ",\"uniform_pipeline_cycles\":" << uniform_pipeline_cycles
      << ",\"uniform_tensor_cycles\":" << uniform_tensor_cycles
      << ",\"pipeline_blocks\":" << pipeline_blocks

@@ -35,7 +35,7 @@ struct BlockSchedule {
 struct ScheduleDecision {
   int cards = 1;
   std::vector<BlockSchedule> blocks;
-  std::uint64_t est_cycles = 0;           ///< chosen plan, per request
+  std::uint64_t cycles = 0;               ///< chosen plan, per request
   std::uint64_t uniform_pipeline_cycles = 0;
   std::uint64_t uniform_tensor_cycles = 0;
   int tensor_blocks = 0;

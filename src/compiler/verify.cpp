@@ -192,6 +192,7 @@ class ProgramVerifier {
           inst)]);
     }
     rep_.findings.push_back(std::move(f));
+    if (sev == VerifySeverity::kError) ++errors_;
   }
 
   void index_values() {
@@ -342,6 +343,12 @@ class ProgramVerifier {
   void check_matmul_carrier(const Instruction& inst, int i) {
     const int idx = inst.mode_index();
     Discipline d = sysdisc_;
+    if (idx == 0 && !is_numeric_mode(d.name)) {
+      finding(VerifyKind::kUnknownMode, VerifySeverity::kError, i,
+              "system mode '" + d.name +
+                  "' is outside the numeric-mode registry");
+      return;
+    }
     if (idx != 0) {
       const auto& modes = numeric_modes();
       if (static_cast<std::size_t>(idx - 1) >= modes.size()) {
@@ -365,12 +372,24 @@ class ProgramVerifier {
     }
   }
 
+  /// Walk to the halt, pricing each instruction whose contracts hold
+  /// (a rejected program has no price to be exact about).
   void interpret() {
     const auto& insts = prog_.instructions();
+    rep_.instruction_cycles.assign(static_cast<std::size_t>(halt_pos_), 0);
+    rep_.price.instructions = static_cast<std::uint64_t>(halt_pos_);
     for (int i = 0; i < halt_pos_; ++i) {
       const Instruction& inst = insts[static_cast<std::size_t>(i)];
       ++rep_.instructions_checked;
+      const TensorShape a = regs_[inst.src_a].shape;
+      const TensorShape b = regs_[inst.src_b].shape;
+      const std::size_t errors = errors_;
       step(inst, i);
+      if (errors_ != errors) continue;
+      const InstructionCost cost = instruction_cost(inst, a, b, sys_);
+      rep_.price.charge(cost);
+      rep_.instruction_cycles[static_cast<std::size_t>(i)] =
+          cost.device_cycles;
     }
     if (halt_pos_ < static_cast<int>(prog_.size())) {
       ++rep_.instructions_checked;  // the halt itself
@@ -887,6 +906,7 @@ class ProgramVerifier {
   int peak_inst_ = -1;
   int halt_pos_ = 0;
   bool range_warned_ = false;
+  std::size_t errors_ = 0;
 };
 
 }  // namespace
@@ -963,6 +983,14 @@ VerifyReport verify_program(const Program& program,
                             const VerifyOptions& options) {
   ProgramVerifier v(program, bindings, system, options);
   return v.run();
+}
+
+ExecutionStats price_program(const Program& program,
+                             const VerifyBindings& bindings,
+                             const AcceleratorSystem& system) {
+  VerifyReport rep = verify_program(program, bindings, system);
+  BFP_REQUIRE(rep.clean(), "price_program: " + rep.summary());
+  return std::move(rep.price);
 }
 
 namespace {

@@ -36,6 +36,12 @@
 //      additionally checks the paged-KV reservation formula of
 //      serve_decode against the arena.
 //
+// The same shape walk prices the program: every instruction whose
+// contracts hold is charged through instruction_cost (isa/executor.hpp),
+// so a clean report carries the ExecutionStats Executor::run returns for
+// any binding of the declared shapes — without the ABFT overhead only a
+// run can know.
+//
 // Soundness contract (pinned by the differential fuzz harness in
 // tests/test_verify.cpp): a program that verifies with no error-severity
 // findings executes contract-clean on the Executor for any binding that
@@ -51,6 +57,7 @@
 #include "compiler/graph.hpp"
 #include "compiler/spec.hpp"
 #include "fabric/system.hpp"
+#include "isa/executor.hpp"
 #include "isa/program.hpp"
 
 namespace bfpsim {
@@ -124,6 +131,10 @@ struct VerifyReport {
   int peak_live_values = 0;              ///< declared-value holder peak
   std::uint64_t peak_resident_bytes = 0;  ///< register-file footprint
   std::string context;                    ///< spec/program label for JSON
+  /// The program's static price (exact when clean()).
+  ExecutionStats price;
+  /// Device cycles of each instruction, indexed like the program.
+  std::vector<std::uint64_t> instruction_cycles;
 
   [[nodiscard]] std::size_t errors() const;
   [[nodiscard]] std::size_t warnings() const;
@@ -146,6 +157,13 @@ struct VerifyReport {
     const Program& program, const VerifyBindings& bindings,
     const AcceleratorSystem& system,
     const VerifyOptions& options = VerifyOptions{});
+
+/// verify_program's price of a clean program: the ExecutionStats
+/// Executor::run returns on any binding of the declared shapes (without
+/// ABFT overhead). Throws when the program does not verify.
+[[nodiscard]] ExecutionStats price_program(const Program& program,
+                                           const VerifyBindings& bindings,
+                                           const AcceleratorSystem& system);
 
 /// Spec-level verification behind `bfpsim verify`: static checks on the
 /// model geometry (GQA divisibility, block alignment of head/kv widths,

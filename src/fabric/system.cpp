@@ -168,6 +168,15 @@ WorkloadResult AcceleratorSystem::gemm_latency(std::int64_t m, std::int64_t k,
   return r;
 }
 
+std::uint64_t AcceleratorSystem::gemm_cycles(const NumericMode& mode,
+                                             std::int64_t m, std::int64_t k,
+                                             std::int64_t n) const {
+  const std::uint64_t base = gemm_latency(m, k, n).cycles;
+  if (mode.name == "bfp8") return base;
+  return static_cast<std::uint64_t>(static_cast<double>(base) *
+                                    mode.cycle_scale);
+}
+
 WorkloadResult AcceleratorSystem::vector_latency(std::uint64_t mul_ops,
                                                  std::uint64_t add_ops) const {
   WorkloadResult r;
@@ -219,14 +228,12 @@ GemmRun AcceleratorSystem::gemm(const NumericMode& mode,
     return run;
   }
   // Non-bfp8 numeric modes run the registry's independent scalar golden
-  // for that mode; latency is the bfp8 system latency scaled by the
-  // mode's per-MAC issue cost.
+  // for that mode.
   GemmRun run;
   run.c = mode_gemm_reference(mode, a, m, k, b, n, cfg_.pu.psu_bits, pool_);
   run.macs = static_cast<std::uint64_t>(m) *
              static_cast<std::uint64_t>(k) * static_cast<std::uint64_t>(n);
-  const double base = static_cast<double>(gemm_latency(m, k, n).cycles);
-  run.compute_cycles = static_cast<std::uint64_t>(base * mode.cycle_scale);
+  run.compute_cycles = gemm_cycles(mode, m, k, n);
   return run;
 }
 

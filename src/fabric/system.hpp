@@ -93,6 +93,11 @@ class AcceleratorSystem {
   WorkloadResult gemm_latency(std::int64_t m, std::int64_t k,
                               std::int64_t n) const;
 
+  /// Cycles the functional gemm() charges under `mode`: gemm_latency for
+  /// bfp8, scaled by the mode's per-MAC issue cost otherwise.
+  std::uint64_t gemm_cycles(const NumericMode& mode, std::int64_t m,
+                            std::int64_t k, std::int64_t n) const;
+
   /// End-to-end latency of `mul_ops` fp32 multiplies plus `add_ops` fp32
   /// adds executed on the vector mode across all units.
   WorkloadResult vector_latency(std::uint64_t mul_ops,

@@ -164,23 +164,40 @@ RegTensor like(const RegTensor& a) {
 }  // namespace
 
 void Executor::exec_one(const Instruction& inst, ExecutionStats& stats) {
+  if (inst.op == Opcode::kNop || inst.op == Opcode::kSync ||
+      inst.op == Opcode::kHalt) {
+    return;
+  }
+  const RegTensor& a = tensor(inst.src_a);
+  if (inst.op == Opcode::kBfpMatmul) {
+    const RegTensor& b = tensor(inst.src_b);
+    BFP_REQUIRE(a.rows == inst.m && a.cols == inst.k,
+                "bfp.matmul: A shape mismatch");
+    BFP_REQUIRE(b.rows == inst.k && b.cols == inst.n,
+                "bfp.matmul: B shape mismatch");
+    if (rel_.has_value() && inst.mode_index() == 0) {
+      exec_matmul_reliable(inst, a, b, stats);
+      return;
+    }
+  }
+  const TensorShape b_shape =
+      inst.op == Opcode::kConcatCols
+          ? TensorShape{tensor(inst.src_b).rows, tensor(inst.src_b).cols}
+          : TensorShape{};
+  RegTensor c = compute(inst, a);
+  stats.charge(instruction_cost(inst, {a.rows, a.cols}, b_shape, system_));
+  store(inst.dst, std::move(c));
+}
+
+RegTensor Executor::compute(const Instruction& inst,
+                             const RegTensor& a) const {
   switch (inst.op) {
     case Opcode::kNop:
     case Opcode::kSync:
     case Opcode::kHalt:
-      return;
+      break;
 
     case Opcode::kBfpMatmul: {
-      const RegTensor& a = tensor(inst.src_a);
-      const RegTensor& b = tensor(inst.src_b);
-      BFP_REQUIRE(a.rows == inst.m && a.cols == inst.k,
-                  "bfp.matmul: A shape mismatch");
-      BFP_REQUIRE(b.rows == inst.k && b.cols == inst.n,
-                  "bfp.matmul: B shape mismatch");
-      if (rel_.has_value() && inst.mode_index() == 0) {
-        exec_matmul_reliable(inst, a, b, stats);
-        return;
-      }
       // A nonzero flags low byte is a per-layer NumericMode annotation
       // from the graph compiler (i+1 = numeric_modes()[i]); it overrides
       // the system's configured mode for this matmul only. Mode-annotated
@@ -188,6 +205,7 @@ void Executor::exec_one(const Instruction& inst, ExecutionStats& stats) {
       // checksum protection is a bfp8-datapath feature. A B register bound
       // with its pre-quantized operand (bind) skips B's quantization; the
       // ABFT and mode-annotated paths read the floats.
+      const RegTensor& b = tensor(inst.src_b);
       const BfpMatrix* bfp_b = reg(inst.src_b).bfp_b.get();
       const GemmRun run =
           inst.mode_index() == 0
@@ -202,110 +220,54 @@ void Executor::exec_one(const Instruction& inst, ExecutionStats& stats) {
                   return system_.gemm(modes[idx], a.data, a.rows, a.cols,
                                       b.data, b.cols);
                 }();
-      RegTensor c;
-      c.rows = inst.m;
-      c.cols = inst.n;
-      c.data = run.c;
-      store(inst.dst, std::move(c));
-      stats.device_cycles += run.compute_cycles;
-      return;
+      return RegTensor{inst.m, inst.n, run.c};
     }
 
-    case Opcode::kVecMul: {
-      const RegTensor& a = tensor(inst.src_a);
-      const RegTensor& b = tensor(inst.src_b);
-      require_same_shape(a, b, "vec.mul");
-      RegTensor c = like(a);
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        c.data[i] = fp32_mul_sliced(a.data[i], b.data[i]);
-      }
-      stats.ops.fp_mul += a.size();
-      stats.device_cycles +=
-          system_.vector_latency(a.size(), 0).cycles;
-      store(inst.dst, std::move(c));
-      return;
-    }
-
+    case Opcode::kVecMul:
     case Opcode::kVecAdd: {
-      const RegTensor& a = tensor(inst.src_a);
+      const bool is_mul = inst.op == Opcode::kVecMul;
       const RegTensor& b = tensor(inst.src_b);
-      require_same_shape(a, b, "vec.add");
+      require_same_shape(a, b, is_mul ? "vec.mul" : "vec.add");
       RegTensor c = like(a);
       for (std::size_t i = 0; i < a.size(); ++i) {
-        c.data[i] = fp32_add_aligned(a.data[i], b.data[i]);
+        c.data[i] = is_mul ? fp32_mul_sliced(a.data[i], b.data[i])
+                           : fp32_add_aligned(a.data[i], b.data[i]);
       }
-      stats.ops.fp_add += a.size();
-      stats.device_cycles +=
-          system_.vector_latency(0, a.size()).cycles;
-      store(inst.dst, std::move(c));
-      return;
+      return c;
     }
 
-    case Opcode::kVecMulScalar: {
-      const RegTensor& a = tensor(inst.src_a);
-      RegTensor c = like(a);
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        c.data[i] = fp32_mul_sliced(a.data[i], inst.imm);
-      }
-      stats.ops.fp_mul += a.size();
-      stats.device_cycles +=
-          system_.vector_latency(a.size(), 0).cycles;
-      store(inst.dst, std::move(c));
-      return;
-    }
-
+    case Opcode::kVecMulScalar:
     case Opcode::kVecAddScalar: {
-      const RegTensor& a = tensor(inst.src_a);
+      const bool is_mul = inst.op == Opcode::kVecMulScalar;
       RegTensor c = like(a);
       for (std::size_t i = 0; i < a.size(); ++i) {
-        c.data[i] = fp32_add_aligned(a.data[i], inst.imm);
+        c.data[i] = is_mul ? fp32_mul_sliced(a.data[i], inst.imm)
+                           : fp32_add_aligned(a.data[i], inst.imm);
       }
-      stats.ops.fp_add += a.size();
-      stats.device_cycles +=
-          system_.vector_latency(0, a.size()).cycles;
-      store(inst.dst, std::move(c));
-      return;
+      return c;
     }
 
     case Opcode::kVecExp: {
-      const RegTensor& a = tensor(inst.src_a);
       RegTensor c = like(a);
-      OpCounter local;
       const bool fast = (inst.flags & 1) != 0;
       for (std::size_t i = 0; i < a.size(); ++i) {
-        c.data[i] = fast ? approx_exp_split(a.data[i], &local)
-                         : approx_exp(a.data[i], &local);
+        c.data[i] = fast ? approx_exp_split(a.data[i]) : approx_exp(a.data[i]);
       }
-      stats.ops += local;
-      stats.device_cycles +=
-          system_.vector_latency(local.fp_mul, local.fp_add).cycles;
-      store(inst.dst, std::move(c));
-      return;
+      return c;
     }
 
     case Opcode::kVecTanh: {
-      const RegTensor& a = tensor(inst.src_a);
       RegTensor c = like(a);
-      OpCounter local;
       for (std::size_t i = 0; i < a.size(); ++i) {
-        c.data[i] = approx_tanh(a.data[i], &local);
+        c.data[i] = approx_tanh(a.data[i]);
       }
-      stats.ops += local;
-      stats.host_ops += local.host_other;
-      stats.device_cycles +=
-          system_.vector_latency(local.fp_mul, local.fp_add).cycles;
-      store(inst.dst, std::move(c));
-      return;
+      return c;
     }
 
     case Opcode::kRowSum: {
-      const RegTensor& a = tensor(inst.src_a);
       BFP_REQUIRE(a.rows == inst.m && a.cols == inst.n,
                   "row.sum: shape mismatch");
-      RegTensor c;
-      c.rows = a.rows;
-      c.cols = 1;
-      c.data.assign(static_cast<std::size_t>(a.rows), 0.0F);
+      RegTensor c{a.rows, 1, std::vector<float>(static_cast<std::size_t>(a.rows))};
       for (int r = 0; r < a.rows; ++r) {
         float acc = 0.0F;
         for (int j = 0; j < a.cols; ++j) {
@@ -314,20 +276,13 @@ void Executor::exec_one(const Instruction& inst, ExecutionStats& stats) {
         }
         c.data[static_cast<std::size_t>(r)] = acc;
       }
-      stats.ops.fp_add += a.size();
-      stats.device_cycles += system_.vector_latency(0, a.size()).cycles;
-      store(inst.dst, std::move(c));
-      return;
+      return c;
     }
 
     case Opcode::kRowMax: {
-      const RegTensor& a = tensor(inst.src_a);
       BFP_REQUIRE(a.rows == inst.m && a.cols == inst.n,
                   "row.max: shape mismatch");
-      RegTensor c;
-      c.rows = a.rows;
-      c.cols = 1;
-      c.data.assign(static_cast<std::size_t>(a.rows), 0.0F);
+      RegTensor c{a.rows, 1, std::vector<float>(static_cast<std::size_t>(a.rows))};
       for (int r = 0; r < a.rows; ++r) {
         float mx = a.data[static_cast<std::size_t>(r) * a.cols];
         for (int j = 1; j < a.cols; ++j) {
@@ -336,58 +291,34 @@ void Executor::exec_one(const Instruction& inst, ExecutionStats& stats) {
         }
         c.data[static_cast<std::size_t>(r)] = mx;
       }
-      stats.ops.host_other += a.size();
-      stats.host_ops += a.size();
-      store(inst.dst, std::move(c));
-      return;
+      return c;
     }
 
-    case Opcode::kRowSub: {
-      const RegTensor& a = tensor(inst.src_a);
-      const RegTensor& v = tensor(inst.src_b);
-      BFP_REQUIRE(a.rows == inst.m && a.cols == inst.n,
-                  "row.sub: shape mismatch");
-      BFP_REQUIRE(v.rows == a.rows && v.cols == 1,
-                  "row.sub: row vector must be (rows x 1)");
-      RegTensor c = like(a);
-      for (int r = 0; r < a.rows; ++r) {
-        for (int j = 0; j < a.cols; ++j) {
-          c.data[static_cast<std::size_t>(r) * a.cols + j] = fp32_add_aligned(
-              a.data[static_cast<std::size_t>(r) * a.cols + j],
-              -v.data[static_cast<std::size_t>(r)]);
-        }
-      }
-      stats.ops.fp_add += a.size();
-      stats.device_cycles += system_.vector_latency(0, a.size()).cycles;
-      store(inst.dst, std::move(c));
-      return;
-    }
-
+    case Opcode::kRowSub:
     case Opcode::kRowMulBcast: {
-      const RegTensor& a = tensor(inst.src_a);
+      const bool is_sub = inst.op == Opcode::kRowSub;
       const RegTensor& v = tensor(inst.src_b);
       BFP_REQUIRE(a.rows == inst.m && a.cols == inst.n,
-                  "row.mulb: shape mismatch");
+                  is_sub ? "row.sub: shape mismatch"
+                         : "row.mulb: shape mismatch");
       BFP_REQUIRE(v.rows == a.rows && v.cols == 1,
-                  "row.mulb: row vector must be (rows x 1)");
+                  is_sub ? "row.sub: row vector must be (rows x 1)"
+                         : "row.mulb: row vector must be (rows x 1)");
       RegTensor c = like(a);
       for (int r = 0; r < a.rows; ++r) {
+        const float vr = v.data[static_cast<std::size_t>(r)];
         for (int j = 0; j < a.cols; ++j) {
-          c.data[static_cast<std::size_t>(r) * a.cols + j] = fp32_mul_sliced(
-              a.data[static_cast<std::size_t>(r) * a.cols + j],
-              v.data[static_cast<std::size_t>(r)]);
+          const std::size_t i = static_cast<std::size_t>(r) * a.cols + j;
+          c.data[i] = is_sub ? fp32_add_aligned(a.data[i], -vr)
+                             : fp32_mul_sliced(a.data[i], vr);
         }
       }
-      stats.ops.fp_mul += a.size();
-      stats.device_cycles += system_.vector_latency(a.size(), 0).cycles;
-      store(inst.dst, std::move(c));
-      return;
+      return c;
     }
 
     case Opcode::kColAddBcast:
     case Opcode::kColMulBcast: {
       const bool is_add = inst.op == Opcode::kColAddBcast;
-      const RegTensor& a = tensor(inst.src_a);
       const RegTensor& v = tensor(inst.src_b);
       BFP_REQUIRE(a.rows == inst.m && a.cols == inst.n,
                   "col broadcast: shape mismatch");
@@ -404,44 +335,23 @@ void Executor::exec_one(const Instruction& inst, ExecutionStats& stats) {
                                 a.data[i], v.data[static_cast<std::size_t>(j)]);
         }
       }
-      if (is_add) {
-        stats.ops.fp_add += a.size();
-        stats.device_cycles += system_.vector_latency(0, a.size()).cycles;
-      } else {
-        stats.ops.fp_mul += a.size();
-        stats.device_cycles += system_.vector_latency(a.size(), 0).cycles;
-      }
-      store(inst.dst, std::move(c));
-      return;
+      return c;
     }
 
     case Opcode::kTranspose: {
-      const RegTensor& a = tensor(inst.src_a);
       BFP_REQUIRE(a.rows == inst.m && a.cols == inst.n,
                   "transpose: shape mismatch");
-      RegTensor c;
-      c.rows = a.cols;
-      c.cols = a.rows;
-      c.data.assign(a.size(), 0.0F);
+      RegTensor c{a.cols, a.rows, std::vector<float>(a.size())};
       for (int r = 0; r < a.rows; ++r) {
         for (int j = 0; j < a.cols; ++j) {
           c.data[static_cast<std::size_t>(j) * a.rows + r] =
               a.data[static_cast<std::size_t>(r) * a.cols + j];
         }
       }
-      // Pure data movement on the DMA path; charge its transfer time.
-      const std::uint64_t dma =
-          a.size() * 4 /
-          static_cast<std::uint64_t>(
-              system_.memory().hbm().bytes_per_cycle_total());
-      stats.device_cycles += dma;
-      stats.move_cycles += dma;
-      store(inst.dst, std::move(c));
-      return;
+      return c;
     }
 
     case Opcode::kSliceCols: {
-      const RegTensor& a = tensor(inst.src_a);
       const int start = inst.k;
       const int width = inst.n;
       BFP_REQUIRE(a.rows == inst.m, "slice.cols: row count mismatch");
@@ -457,18 +367,10 @@ void Executor::exec_one(const Instruction& inst, ExecutionStats& stats) {
               a.data[static_cast<std::size_t>(r) * a.cols + start + j];
         }
       }
-      const std::uint64_t dma =
-          c.size() * 4 /
-          static_cast<std::uint64_t>(
-              system_.memory().hbm().bytes_per_cycle_total());
-      stats.device_cycles += dma;
-      stats.move_cycles += dma;
-      store(inst.dst, std::move(c));
-      return;
+      return c;
     }
 
     case Opcode::kConcatCols: {
-      const RegTensor& a = tensor(inst.src_a);
       const RegTensor& b = tensor(inst.src_b);
       BFP_REQUIRE(a.rows == b.rows, "concat.cols: row counts must match");
       RegTensor c;
@@ -485,62 +387,39 @@ void Executor::exec_one(const Instruction& inst, ExecutionStats& stats) {
               b.data[static_cast<std::size_t>(r) * b.cols + j];
         }
       }
-      const std::uint64_t dma =
-          c.size() * 4 /
-          static_cast<std::uint64_t>(
-              system_.memory().hbm().bytes_per_cycle_total());
-      stats.device_cycles += dma;
-      stats.move_cycles += dma;
-      store(inst.dst, std::move(c));
-      return;
+      return c;
     }
 
     case Opcode::kHostDiv: {
-      const RegTensor& a = tensor(inst.src_a);
       const RegTensor& b = tensor(inst.src_b);
       require_same_shape(a, b, "host.div");
       RegTensor c = like(a);
       for (std::size_t i = 0; i < a.size(); ++i) {
         c.data[i] = a.data[i] / b.data[i];
       }
-      stats.ops.host_div += a.size();
-      stats.host_ops += a.size();
-      store(inst.dst, std::move(c));
-      return;
+      return c;
     }
 
     case Opcode::kHostRecip: {
-      const RegTensor& a = tensor(inst.src_a);
       RegTensor c = like(a);
       for (std::size_t i = 0; i < a.size(); ++i) {
         c.data[i] = 1.0F / a.data[i];
       }
-      stats.ops.host_div += a.size();
-      stats.host_ops += a.size();
-      store(inst.dst, std::move(c));
-      return;
+      return c;
     }
 
     case Opcode::kHostRsqrt: {
-      const RegTensor& a = tensor(inst.src_a);
       RegTensor c = like(a);
       for (std::size_t i = 0; i < a.size(); ++i) {
         c.data[i] = 1.0F / std::sqrt(a.data[i] + inst.imm);
       }
-      stats.ops.host_div += a.size();
-      stats.host_ops += a.size();
-      store(inst.dst, std::move(c));
-      return;
+      return c;
     }
 
     // ---- macro kernels: the controller expands these into the exact
-    // nonlinear.* micro-programs VitModel::forward_mixed runs, and each
-    // charges one vector_latency(fp_mul, fp_add) pass over the macro's
-    // whole op tally — the same single charge forward_mixed makes per
-    // kernel call, which is what cycle-identity pins rely on. ----
+    // nonlinear.* micro-programs VitModel::forward_mixed runs. ----
 
     case Opcode::kLayerNormM: {
-      const RegTensor& a = tensor(inst.src_a);
       const RegTensor& gamma = tensor(inst.src_b);
       const RegTensor& beta = tensor(inst.src_c());
       BFP_REQUIRE(a.rows == inst.m && a.cols == inst.n,
@@ -548,79 +427,36 @@ void Executor::exec_one(const Instruction& inst, ExecutionStats& stats) {
       BFP_REQUIRE(gamma.rows == 1 && gamma.cols == a.cols && beta.rows == 1 &&
                       beta.cols == a.cols,
                   "ln.macro: gamma/beta must be (1 x cols)");
-      OpCounter local;
-      RegTensor c;
-      c.rows = a.rows;
-      c.cols = a.cols;
-      c.data = approx_layernorm(a.data, a.rows, a.cols, gamma.data,
-                                beta.data, &local, inst.imm);
-      stats.ops += local;
-      stats.host_ops += local.host_div + local.host_other;
-      stats.device_cycles +=
-          system_.vector_latency(local.fp_mul, local.fp_add).cycles;
-      store(inst.dst, std::move(c));
-      return;
+      return RegTensor{a.rows, a.cols,
+                       approx_layernorm(a.data, a.rows, a.cols, gamma.data,
+                                        beta.data, nullptr, inst.imm)};
     }
 
     case Opcode::kRmsNormM: {
-      const RegTensor& a = tensor(inst.src_a);
       const RegTensor& gamma = tensor(inst.src_b);
       BFP_REQUIRE(a.rows == inst.m && a.cols == inst.n,
                   "rmsn.macro: shape mismatch");
       BFP_REQUIRE(gamma.rows == 1 && gamma.cols == a.cols,
                   "rmsn.macro: gamma must be (1 x cols)");
-      OpCounter local;
-      RegTensor c;
-      c.rows = a.rows;
-      c.cols = a.cols;
-      c.data = approx_rmsnorm(a.data, a.rows, a.cols, gamma.data, &local,
-                              inst.imm);
-      stats.ops += local;
-      stats.host_ops += local.host_div + local.host_other;
-      stats.device_cycles +=
-          system_.vector_latency(local.fp_mul, local.fp_add).cycles;
-      store(inst.dst, std::move(c));
-      return;
+      return RegTensor{a.rows, a.cols,
+                       approx_rmsnorm(a.data, a.rows, a.cols, gamma.data,
+                                      nullptr, inst.imm)};
     }
 
     case Opcode::kSoftmaxM: {
-      const RegTensor& a = tensor(inst.src_a);
       BFP_REQUIRE(a.rows == inst.m && a.cols == inst.n,
                   "softmax.macro: shape mismatch");
-      OpCounter local;
-      const bool fast = (inst.flags & 1) != 0;
-      RegTensor c;
-      c.rows = a.rows;
-      c.cols = a.cols;
-      c.data = approx_softmax(a.data, a.rows, a.cols, &local, fast);
-      stats.ops += local;
-      stats.host_ops += local.host_div + local.host_other;
-      stats.device_cycles +=
-          system_.vector_latency(local.fp_mul, local.fp_add).cycles;
-      store(inst.dst, std::move(c));
-      return;
+      return RegTensor{a.rows, a.cols,
+                       approx_softmax(a.data, a.rows, a.cols, nullptr,
+                                      (inst.flags & 1) != 0)};
     }
 
     case Opcode::kGeluM:
-    case Opcode::kSiluM: {
-      const RegTensor& a = tensor(inst.src_a);
-      OpCounter local;
-      RegTensor c;
-      c.rows = a.rows;
-      c.cols = a.cols;
-      c.data = inst.op == Opcode::kGeluM
-                   ? approx_gelu(std::span<const float>(a.data), &local)
-                   : approx_silu(std::span<const float>(a.data), &local);
-      stats.ops += local;
-      stats.host_ops += local.host_other;
-      stats.device_cycles +=
-          system_.vector_latency(local.fp_mul, local.fp_add).cycles;
-      store(inst.dst, std::move(c));
-      return;
-    }
+      return RegTensor{a.rows, a.cols, approx_gelu(std::span(a.data))};
+    case Opcode::kSiluM:
+      return RegTensor{a.rows, a.cols, approx_silu(std::span(a.data))};
 
     case Opcode::kRope: {
-      const RegTensor& a = tensor(inst.src_a);
       const RegTensor& cs = tensor(inst.src_b);
       const RegTensor& sn = tensor(inst.src_c());
       BFP_REQUIRE(a.rows == inst.m && a.cols == inst.n,
@@ -644,22 +480,13 @@ void Executor::exec_one(const Instruction& inst, ExecutionStats& stats) {
                                fp32_mul_sliced(rot, sn.data[i]));
         }
       }
-      stats.ops.fp_mul += 2 * a.size();
-      stats.ops.fp_add += a.size();
-      stats.ops.exp_manip += a.size();
-      stats.device_cycles +=
-          system_.vector_latency(2 * a.size(), a.size()).cycles;
-      store(inst.dst, std::move(c));
-      return;
+      return c;
     }
 
-    // ---- fused ops: each charges the same vector passes the unfused
-    // sequence would (fusion saves instruction issue and intermediate
-    // registers, never modelled datapath work). ----
+    // ---- fused ops: the same arithmetic as the unfused sequence. ----
 
     case Opcode::kBiasGelu:
     case Opcode::kBiasSilu: {
-      const RegTensor& a = tensor(inst.src_a);
       const RegTensor& bias = tensor(inst.src_b);
       BFP_REQUIRE(a.rows == inst.m && a.cols == inst.n,
                   "bias+act: shape mismatch");
@@ -673,22 +500,12 @@ void Executor::exec_one(const Instruction& inst, ExecutionStats& stats) {
               fp32_add_aligned(a.data[i], bias.data[static_cast<std::size_t>(j)]);
         }
       }
-      stats.ops.fp_add += a.size();
-      stats.device_cycles += system_.vector_latency(0, a.size()).cycles;
-      OpCounter local;
-      c.data = inst.op == Opcode::kBiasGelu
-                   ? approx_gelu(std::span<const float>(c.data), &local)
-                   : approx_silu(std::span<const float>(c.data), &local);
-      stats.ops += local;
-      stats.host_ops += local.host_other;
-      stats.device_cycles +=
-          system_.vector_latency(local.fp_mul, local.fp_add).cycles;
-      store(inst.dst, std::move(c));
-      return;
+      c.data = inst.op == Opcode::kBiasGelu ? approx_gelu(std::span(c.data))
+                                            : approx_silu(std::span(c.data));
+      return c;
     }
 
     case Opcode::kBiasResidual: {
-      const RegTensor& a = tensor(inst.src_a);
       const RegTensor& bias = tensor(inst.src_b);
       const RegTensor& res = tensor(inst.src_c());
       BFP_REQUIRE(a.rows == inst.m && a.cols == inst.n,
@@ -698,8 +515,7 @@ void Executor::exec_one(const Instruction& inst, ExecutionStats& stats) {
       require_same_shape(a, res, "bias.residual");
       RegTensor c = like(a);
       // out = residual + (a + bias): the same aligned-add order as the
-      // legacy model's add_bias_mixed / add_residual_mixed pair, charged
-      // as the two vector passes it fuses.
+      // legacy model's add_bias_mixed / add_residual_mixed pair.
       for (int r = 0; r < a.rows; ++r) {
         for (int j = 0; j < a.cols; ++j) {
           const std::size_t i = static_cast<std::size_t>(r) * a.cols + j;
@@ -708,14 +524,117 @@ void Executor::exec_one(const Instruction& inst, ExecutionStats& stats) {
           c.data[i] = fp32_add_aligned(res.data[i], biased);
         }
       }
-      stats.ops.fp_add += 2 * a.size();
-      stats.device_cycles += system_.vector_latency(0, a.size()).cycles;
-      stats.device_cycles += system_.vector_latency(0, a.size()).cycles;
-      store(inst.dst, std::move(c));
-      return;
+      return c;
     }
   }
   BFP_ASSERT(false);
+  return {};
+}
+
+InstructionCost instruction_cost(const Instruction& inst, TensorShape a,
+                                 TensorShape b,
+                                 const AcceleratorSystem& system) {
+  const std::uint64_t e = a.elements();
+  InstructionCost c;
+  // One vector pass over an op mix.
+  auto pass = [&](const OpCounter& mix) {
+    c.ops += mix;
+    c.device_cycles += system.vector_latency(mix.fp_mul, mix.fp_add).cycles;
+  };
+  // Pure data movement on the DMA path: its transfer time.
+  auto move = [&](std::uint64_t elems) {
+    const std::uint64_t dma =
+        elems * 4 /
+        static_cast<std::uint64_t>(
+            system.memory().hbm().bytes_per_cycle_total());
+    c.device_cycles += dma;
+    c.move_cycles += dma;
+  };
+  switch (inst.op) {
+    case Opcode::kNop:
+    case Opcode::kSync:
+    case Opcode::kHalt:
+      break;
+    case Opcode::kBfpMatmul: {
+      const int idx = inst.mode_index();
+      const NumericMode& mode =
+          idx == 0 ? numeric_mode(system.config().pu.mode)
+                   : numeric_modes()[static_cast<std::size_t>(idx - 1)];
+      c.device_cycles = system.gemm_cycles(mode, inst.m, inst.k, inst.n);
+      break;
+    }
+    case Opcode::kVecMul:
+    case Opcode::kVecMulScalar:
+    case Opcode::kRowMulBcast:
+    case Opcode::kColMulBcast:
+      pass({.fp_mul = e});
+      break;
+    case Opcode::kVecAdd:
+    case Opcode::kVecAddScalar:
+    case Opcode::kRowSum:
+    case Opcode::kRowSub:
+    case Opcode::kColAddBcast:
+      pass({.fp_add = e});
+      break;
+    case Opcode::kVecExp:
+      // The exp's clamp and snap comparators stay in the op mix but, as
+      // they always have been, off the host-op tally.
+      pass((inst.flags & 1) != 0 ? approx_exp_split_ops(e)
+                                 : approx_exp_ops(e));
+      return c;
+    case Opcode::kVecTanh:
+      pass(approx_tanh_ops(e));
+      break;
+    case Opcode::kRowMax:
+      c.ops.host_other = e;
+      break;
+    case Opcode::kHostDiv:
+    case Opcode::kHostRecip:
+    case Opcode::kHostRsqrt:
+      c.ops.host_div = e;
+      break;
+    case Opcode::kTranspose:
+      move(e);
+      break;
+    case Opcode::kSliceCols:
+      move(static_cast<std::uint64_t>(a.rows) * inst.n);
+      break;
+    case Opcode::kConcatCols:
+      move(e + b.elements());
+      break;
+    case Opcode::kLayerNormM:
+      pass(approx_layernorm_ops(a.rows, a.cols));
+      break;
+    case Opcode::kRmsNormM:
+      pass(approx_rmsnorm_ops(a.rows, a.cols));
+      break;
+    case Opcode::kSoftmaxM:
+      pass(approx_softmax_ops(a.rows, a.cols, (inst.flags & 1) != 0));
+      break;
+    case Opcode::kGeluM:
+      pass(approx_gelu_ops(e));
+      break;
+    case Opcode::kSiluM:
+      pass(approx_silu_ops(e));
+      break;
+    case Opcode::kRope:
+      pass({.fp_mul = 2 * e, .fp_add = e, .exp_manip = e});
+      break;
+    case Opcode::kBiasGelu:
+      pass({.fp_add = e});
+      pass(approx_gelu_ops(e));
+      break;
+    case Opcode::kBiasSilu:
+      pass({.fp_add = e});
+      pass(approx_silu_ops(e));
+      break;
+    case Opcode::kBiasResidual:
+      pass({.fp_add = e});
+      pass({.fp_add = e});
+      break;
+  }
+  c.host_ops = c.ops.host_div + c.ops.host_other;
+  return c;
 }
 
 }  // namespace bfpsim

@@ -3,9 +3,10 @@
 //
 // Device opcodes execute with the accelerator's exact arithmetic (bfp8 GEMM
 // through the golden PU path; fp32 vector ops through the sliced-multiply /
-// aligned-add datapaths) and charge cycles through the system's workload
-// models. Host opcodes use IEEE arithmetic and are tallied separately,
-// mirroring the paper's host-side division (Section III-B).
+// aligned-add datapaths). Every instruction is charged by instruction_cost,
+// the one cycle model: a function of opcode, operand shapes and system,
+// never of tensor values. Host opcodes use IEEE arithmetic and are tallied
+// separately, mirroring the paper's host-side division (Section III-B).
 #pragma once
 
 #include <cstdint>
@@ -34,6 +35,24 @@ struct RegTensor {
   }
 };
 
+/// What one instruction charges.
+struct InstructionCost {
+  std::uint64_t device_cycles = 0;  ///< includes move_cycles
+  std::uint64_t move_cycles = 0;
+  std::uint64_t host_ops = 0;
+  OpCounter ops;
+};
+
+/// The cost of `inst` given the shapes of its src_a operand `a` and src_b
+/// operand `b` (read by concat.cols only). Each macro charges one
+/// vector_latency pass over its whole op mix, the single charge
+/// VitModel::forward_mixed makes per kernel call; a fused op charges the
+/// passes of the sequence it fuses. The ABFT checksum overhead of a
+/// protected matmul is not included: it depends on the faults a run meets.
+InstructionCost instruction_cost(const Instruction& inst, TensorShape a,
+                                 TensorShape b,
+                                 const AcceleratorSystem& system);
+
 /// What a program run consumed.
 struct ExecutionStats {
   std::uint64_t device_cycles = 0;   ///< PU cycles incl. modelled memory I/O
@@ -51,6 +70,13 @@ struct ExecutionStats {
 
   double device_seconds(double freq_hz) const {
     return static_cast<double>(device_cycles) / freq_hz;
+  }
+  /// Add one instruction's cost.
+  void charge(const InstructionCost& c) {
+    device_cycles += c.device_cycles;
+    move_cycles += c.move_cycles;
+    host_ops += c.host_ops;
+    ops += c.ops;
   }
 };
 
@@ -132,6 +158,8 @@ class Executor {
   void store(int r, std::shared_ptr<const RegTensor> t,
              std::shared_ptr<const BfpMatrix> bfp_b);
   void exec_one(const Instruction& inst, ExecutionStats& stats);
+  /// The result tensor of a non-control instruction whose src_a is `a`.
+  RegTensor compute(const Instruction& inst, const RegTensor& a) const;
   void exec_matmul_reliable(const Instruction& inst, const RegTensor& a,
                             const RegTensor& b, ExecutionStats& stats);
 

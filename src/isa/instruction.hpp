@@ -12,6 +12,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -113,6 +114,17 @@ struct Instruction {
   }
 
   bool operator==(const Instruction&) const = default;
+};
+
+/// Shape of a row-major tensor operand.
+struct TensorShape {
+  int rows = 0;
+  int cols = 0;
+
+  bool operator==(const TensorShape&) const = default;
+  std::size_t elements() const {
+    return static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
+  }
 };
 
 /// 128-bit encoded instruction word.

@@ -22,6 +22,11 @@ OpCounter& OpCounter::operator+=(const OpCounter& o) {
   return *this;
 }
 
+OpCounter OpCounter::operator*(std::uint64_t n) const {
+  return {fp_mul * n, fp_add * n, exp_manip * n, host_div * n,
+          host_other * n};
+}
+
 std::vector<float> softmax_reference(std::span<const float> x, int rows,
                                      int cols) {
   BFP_REQUIRE(rows > 0 && cols > 0 &&
@@ -142,12 +147,15 @@ float approx_exp(float x, OpCounter* ops) {
   // The fitted polynomial can dip ~1e-6 below zero near the clamp edge;
   // probabilities must not (one comparator op).
   if (p < 0.0) p = 0.0;
-  if (ops != nullptr) {
-    ops->fp_mul += 2 + kExpChebDeg + 1;
-    ops->fp_add += 1 + 2 * kExpChebDeg + 2;
-    ops->host_other += 2;  // clamp + negative snap
-  }
+  if (ops != nullptr) *ops += approx_exp_ops(1);
   return static_cast<float>(p);
+}
+
+OpCounter approx_exp_ops(std::uint64_t n) {
+  return OpCounter{.fp_mul = 2 + kExpChebDeg + 1,
+                   .fp_add = 1 + 2 * kExpChebDeg + 2,
+                   .host_other = 2} *  // clamp + negative snap
+         n;
 }
 
 namespace {
@@ -175,69 +183,72 @@ float approx_exp_split(float x, OpCounter* ops) {
   const float f = t - kf;  // one add
   double p = kExp2Poly[6];
   for (int i = 5; i >= 0; --i) p = p * f + kExp2Poly[i];  // 6 mul + 6 add
-  if (ops != nullptr) {
-    ops->fp_mul += 1 + 6;
-    ops->fp_add += 1 + 6;
-    ops->exp_manip += 2;
-  }
+  if (ops != nullptr) *ops += approx_exp_split_ops(1);
   return static_cast<float>(std::ldexp(p, k));
 }
 
+OpCounter approx_exp_split_ops(std::uint64_t n) {
+  return OpCounter{.fp_mul = 1 + 6, .fp_add = 1 + 6, .exp_manip = 2} * n;
+}
+
 float approx_tanh(float x, OpCounter* ops) {
-  const float ax = std::fabs(x);
-  if (ax >= 3.2F) {
-    if (ops != nullptr) ops->host_other += 1;  // clamp comparison
-    return x > 0 ? 1.0F : -1.0F;
-  }
-  const double x2 = static_cast<double>(x) * x;  // 1 mul
+  if (ops != nullptr) *ops += approx_tanh_ops(1);
+  if (std::fabs(x) >= 3.2F) return x > 0 ? 1.0F : -1.0F;
+  const double x2 = static_cast<double>(x) * x;
   double p = kTanhPoly[9];
-  for (int i = 8; i >= 0; --i) p = p * x2 + kTanhPoly[i];  // 9 mul + 9 add
-  if (ops != nullptr) {
-    ops->fp_mul += 1 + 9 + 1;  // x2, Horner, final x*P
-    ops->fp_add += 9;
-    ops->host_other += 1;  // range check
-  }
+  for (int i = 8; i >= 0; --i) p = p * x2 + kTanhPoly[i];
   return static_cast<float>(static_cast<double>(x) * p);
+}
+
+OpCounter approx_tanh_ops(std::uint64_t n) {
+  return OpCounter{.fp_mul = 1 + 9 + 1,  // x2, Horner, final x*P
+                   .fp_add = 9,
+                   .host_other = 1} *  // range comparator
+         n;
 }
 
 float approx_gelu(float x, OpCounter* ops) {
   // 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 x^3)))
   const double xd = x;
   const double inner = 0.7978845608028654 * (xd + 0.044715 * xd * xd * xd);
-  if (ops != nullptr) {
-    ops->fp_mul += 4;  // x^2, x^3, 0.044715*, sqrt(2/pi)*
-    ops->fp_add += 1;  // x + ...
-  }
-  const float t = approx_tanh(static_cast<float>(inner), ops);
-  if (ops != nullptr) {
-    ops->fp_add += 1;  // 1 + t
-    ops->fp_mul += 2;  // 0.5 * x *
-  }
+  const float t = approx_tanh(static_cast<float>(inner));
+  if (ops != nullptr) *ops += approx_gelu_ops(1);
   return static_cast<float>(0.5 * xd * (1.0 + static_cast<double>(t)));
+}
+
+OpCounter approx_gelu_ops(std::uint64_t n) {
+  // x^2, x^3, 0.044715*, sqrt(2/pi)*, 0.5 * x *; x + ..., 1 + t.
+  OpCounter per = approx_tanh_ops(1);
+  per += OpCounter{.fp_mul = 4 + 2, .fp_add = 1 + 1};
+  return per * n;
 }
 
 std::vector<float> approx_gelu(std::span<const float> x, OpCounter* ops) {
   std::vector<float> out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = approx_gelu(x[i], ops);
+  for (std::size_t i = 0; i < x.size(); ++i) out[i] = approx_gelu(x[i]);
+  if (ops != nullptr) *ops += approx_gelu_ops(x.size());
   return out;
 }
 
 float approx_silu(float x, OpCounter* ops) {
   // x * sigmoid(x) with sigmoid(x) = 0.5 * (1 + tanh(x / 2)).
-  const float half_x = 0.5F * x;
-  if (ops != nullptr) ops->fp_mul += 1;  // x / 2 as 0.5 * x
-  const float t = approx_tanh(half_x, ops);
-  if (ops != nullptr) {
-    ops->fp_add += 1;  // 1 + t
-    ops->fp_mul += 2;  // 0.5 *, x *
-  }
+  const float t = approx_tanh(0.5F * x);
+  if (ops != nullptr) *ops += approx_silu_ops(1);
   return static_cast<float>(static_cast<double>(x) * 0.5 *
                             (1.0 + static_cast<double>(t)));
 }
 
+OpCounter approx_silu_ops(std::uint64_t n) {
+  // x / 2 as 0.5 * x, 0.5 *, x *; 1 + t.
+  OpCounter per = approx_tanh_ops(1);
+  per += OpCounter{.fp_mul = 1 + 2, .fp_add = 1};
+  return per * n;
+}
+
 std::vector<float> approx_silu(std::span<const float> x, OpCounter* ops) {
   std::vector<float> out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = approx_silu(x[i], ops);
+  for (std::size_t i = 0; i < x.size(); ++i) out[i] = approx_silu(x[i]);
+  if (ops != nullptr) *ops += approx_silu_ops(x.size());
   return out;
 }
 
@@ -252,23 +263,28 @@ std::vector<float> approx_softmax(std::span<const float> x, int rows,
     auto* orow = out.data() + static_cast<std::size_t>(r) * cols;
     float mx = row[0];
     for (int c = 1; c < cols; ++c) mx = std::max(mx, row[c]);
-    if (ops != nullptr) ops->host_other += static_cast<std::uint64_t>(cols);
     float sum = 0.0F;
     for (int c = 0; c < cols; ++c) {
-      const float e = fast_exp ? approx_exp_split(row[c] - mx, ops)
-                               : approx_exp(row[c] - mx, ops);
+      const float e =
+          fast_exp ? approx_exp_split(row[c] - mx) : approx_exp(row[c] - mx);
       orow[c] = e;
       sum += e;
     }
-    if (ops != nullptr) {
-      ops->fp_add += 2 * static_cast<std::uint64_t>(cols);  // sub + sum
-    }
     const float inv = 1.0F / sum;  // host division (Section III-B)
-    if (ops != nullptr) ops->host_div += 1;
     for (int c = 0; c < cols; ++c) orow[c] *= inv;
-    if (ops != nullptr) ops->fp_mul += static_cast<std::uint64_t>(cols);
   }
+  if (ops != nullptr) *ops += approx_softmax_ops(rows, cols, fast_exp);
   return out;
+}
+
+OpCounter approx_softmax_ops(int rows, int cols, bool fast_exp) {
+  const auto n = static_cast<std::uint64_t>(cols);
+  // Per row: the max compares, the exps, subtract + sum adds, one host
+  // reciprocal and the scale multiplies.
+  OpCounter row = fast_exp ? approx_exp_split_ops(n) : approx_exp_ops(n);
+  row += OpCounter{.fp_mul = n, .fp_add = 2 * n, .host_div = 1,
+                   .host_other = n};
+  return row * static_cast<std::uint64_t>(rows);
 }
 
 std::vector<float> approx_layernorm(std::span<const float> x, int rows,
@@ -292,28 +308,26 @@ std::vector<float> approx_layernorm(std::span<const float> x, int rows,
       sum += row[c];
       sumsq += row[c] * row[c];
     }
-    if (ops != nullptr) {
-      ops->fp_add += 2 * static_cast<std::uint64_t>(cols);
-      ops->fp_mul += static_cast<std::uint64_t>(cols);
-    }
     const float mean = sum * invn;
     const float var = std::max(0.0F, sumsq * invn - mean * mean);
     const float inv = 1.0F / std::sqrt(var + eps);  // host rsqrt
-    if (ops != nullptr) {
-      ops->fp_mul += 3;
-      ops->fp_add += 2;
-      ops->host_div += 1;
-    }
     for (int c = 0; c < cols; ++c) {
       orow[c] = (row[c] - mean) * inv * gamma[static_cast<std::size_t>(c)] +
                 beta[static_cast<std::size_t>(c)];
     }
-    if (ops != nullptr) {
-      ops->fp_add += 2 * static_cast<std::uint64_t>(cols);
-      ops->fp_mul += 2 * static_cast<std::uint64_t>(cols);
-    }
   }
+  if (ops != nullptr) *ops += approx_layernorm_ops(rows, cols);
   return out;
+}
+
+OpCounter approx_layernorm_ops(int rows, int cols) {
+  const auto n = static_cast<std::uint64_t>(cols);
+  // Per row: sum + sum-of-squares reductions, mean/variance (3 mul, 2
+  // add), one host rsqrt, then normalize-scale-shift per element.
+  const OpCounter row{.fp_mul = n + 3 + 2 * n,
+                      .fp_add = 2 * n + 2 + 2 * n,
+                      .host_div = 1};
+  return row * static_cast<std::uint64_t>(rows);
 }
 
 std::vector<float> rmsnorm_reference(std::span<const float> x, int rows,
@@ -356,24 +370,21 @@ std::vector<float> approx_rmsnorm(std::span<const float> x, int rows,
     auto* orow = out.data() + static_cast<std::size_t>(r) * cols;
     float sumsq = 0.0F;
     for (int c = 0; c < cols; ++c) sumsq += row[c] * row[c];
-    if (ops != nullptr) {
-      ops->fp_mul += static_cast<std::uint64_t>(cols);
-      ops->fp_add += static_cast<std::uint64_t>(cols);
-    }
     const float inv = 1.0F / std::sqrt(sumsq * invn + eps);  // host rsqrt
-    if (ops != nullptr) {
-      ops->fp_mul += 1;
-      ops->fp_add += 1;
-      ops->host_div += 1;
-    }
     for (int c = 0; c < cols; ++c) {
       orow[c] = row[c] * inv * gamma[static_cast<std::size_t>(c)];
     }
-    if (ops != nullptr) {
-      ops->fp_mul += 2 * static_cast<std::uint64_t>(cols);
-    }
   }
+  if (ops != nullptr) *ops += approx_rmsnorm_ops(rows, cols);
   return out;
+}
+
+OpCounter approx_rmsnorm_ops(int rows, int cols) {
+  const auto n = static_cast<std::uint64_t>(cols);
+  // Per row: squared row-sum, the mean-square scale (1 mul, 1 add), one
+  // host rsqrt, then the broadcast scale and gamma per element.
+  const OpCounter row{.fp_mul = n + 1 + 2 * n, .fp_add = n + 1, .host_div = 1};
+  return row * static_cast<std::uint64_t>(rows);
 }
 
 }  // namespace bfpsim

@@ -7,6 +7,11 @@
 //    the exponent unit / quantizer, and division runs on the host CPU
 //    (Section III-B). Each approximation therefore reports the operation mix
 //    it consumed through an OpCounter, which feeds the Table IV analysis.
+//
+// That mix is a closed form in the approximation's shape (the approx_*_ops
+// function next to each one): a pipelined vector unit streams every element
+// through the same datapath, so a clamp is a comparator and a mux, never a
+// skipped polynomial, and the count never depends on the values.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +33,8 @@ struct OpCounter {
     return device_flops() + host_div + host_other;
   }
   OpCounter& operator+=(const OpCounter& o);
+  /// This mix repeated `n` times (a per-element count over n elements).
+  OpCounter operator*(std::uint64_t n) const;
   bool operator==(const OpCounter&) const = default;
 };
 
@@ -52,25 +59,31 @@ std::vector<float> layernorm_reference(std::span<const float> x, int rows,
 /// exp(x) as the vector unit computes it: a degree-16 Chebyshev polynomial
 /// (Clenshaw evaluation, mul/add only — the unit has no float-to-int path
 /// for a 2^k range reduction) over the clamped post-max-subtraction softmax
-/// range [-20, 0]; absolute error ~1e-6, and ~53 device operations per
+/// range [-20, 0]; absolute error ~1e-6, and 54 device operations per
 /// element, which is what makes SoftMax dominate the fp32 latency in
 /// Table IV. Inputs outside [-20, 0] are clamped.
 float approx_exp(float x, OpCounter* ops = nullptr);
+OpCounter approx_exp_ops(std::uint64_t n);
 
 /// Softermax-style fast exp (extension; Stevens et al. [8], the paper's
 /// cited direction for its fp32 bottleneck): add a small float-to-int /
 /// exponent-injection path next to the EU so exp can split into an integer
 /// 2^k (exponent-field add) and a degree-6 polynomial on the fraction —
-/// ~15 device ops per element instead of the plain unit's ~53. Requires
+/// 16 device ops per element instead of the plain unit's 54. Requires
 /// the "+exp2 unit" hardware option (see resource model).
 float approx_exp_split(float x, OpCounter* ops = nullptr);
+OpCounter approx_exp_split_ops(std::uint64_t n);
 
 /// tanh(x) via odd polynomial x * P(x^2) on |x| <= 3.2, clamped to +/-1
-/// outside; mul/add only.
+/// outside; mul/add only. Every lane is charged the polynomial and its
+/// range comparator, saturated or not.
 float approx_tanh(float x, OpCounter* ops = nullptr);
+OpCounter approx_tanh_ops(std::uint64_t n);
 
-/// GELU via the standard tanh form with approx_tanh.
+/// GELU via the standard tanh form with approx_tanh: 28 device ops per
+/// element.
 float approx_gelu(float x, OpCounter* ops = nullptr);
+OpCounter approx_gelu_ops(std::uint64_t n);
 
 /// Row-wise softmax as a vector program: max reduction (host compare per
 /// element), subtract, approx_exp per element, sum reduction on the ACC,
@@ -79,6 +92,7 @@ float approx_gelu(float x, OpCounter* ops = nullptr);
 std::vector<float> approx_softmax(std::span<const float> x, int rows,
                                   int cols, OpCounter* ops = nullptr,
                                   bool fast_exp = false);
+OpCounter approx_softmax_ops(int rows, int cols, bool fast_exp = false);
 
 /// Row-wise LayerNorm as a vector program: mean and variance via ACC
 /// reductions (adds + squares), rsqrt on the host (one division per row),
@@ -88,6 +102,7 @@ std::vector<float> approx_layernorm(std::span<const float> x, int rows,
                                     std::span<const float> beta,
                                     OpCounter* ops = nullptr,
                                     float eps = 1e-5F);
+OpCounter approx_layernorm_ops(int rows, int cols);
 
 /// Elementwise GELU over a span, accumulating op counts.
 std::vector<float> approx_gelu(std::span<const float> x,
@@ -98,6 +113,7 @@ std::vector<float> approx_gelu(std::span<const float> x,
 float approx_silu(float x, OpCounter* ops = nullptr);
 std::vector<float> approx_silu(std::span<const float> x,
                                OpCounter* ops = nullptr);
+OpCounter approx_silu_ops(std::uint64_t n);
 
 /// Row-wise RMSNorm (Llama-family normalization: no mean subtraction,
 /// x * gamma / rms(x)) — double-precision reference.
@@ -111,5 +127,6 @@ std::vector<float> approx_rmsnorm(std::span<const float> x, int rows,
                                   int cols, std::span<const float> gamma,
                                   OpCounter* ops = nullptr,
                                   float eps = 1e-5F);
+OpCounter approx_rmsnorm_ops(int rows, int cols);
 
 }  // namespace bfpsim

@@ -1,9 +1,6 @@
 #include "transformer/config.hpp"
 
-#include <vector>
-
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "numerics/nonlinear.hpp"
 
 namespace bfpsim {
@@ -85,44 +82,19 @@ NonlinearCostModel measure_nonlinear_costs(int softmax_row, int ln_row,
                                            bool fast_exp) {
   BFP_REQUIRE(softmax_row > 0 && ln_row > 0,
               "measure_nonlinear_costs: row sizes must be positive");
+  // Per-element device and host ops of one row of `cols` elements.
+  auto per_elem = [](const OpCounter& ops, int cols, double& device,
+                     double& host) {
+    device = static_cast<double>(ops.device_flops()) / cols;
+    host = static_cast<double>(ops.host_div + ops.host_other) / cols;
+  };
   NonlinearCostModel m;
-  Rng rng(4242);
-  {
-    const int rows = 4;
-    const auto x = rng.normal_vec(
-        static_cast<std::size_t>(rows) * softmax_row, 0.0F, 2.0F);
-    OpCounter ops;
-    approx_softmax(x, rows, softmax_row, &ops, fast_exp);
-    const double n = static_cast<double>(x.size());
-    m.softmax_device_ops_per_elem =
-        static_cast<double>(ops.device_flops()) / n;
-    m.softmax_host_ops_per_elem =
-        static_cast<double>(ops.host_div + ops.host_other) / n;
-  }
-  {
-    const int rows = 4;
-    const auto x = rng.normal_vec(
-        static_cast<std::size_t>(rows) * ln_row, 0.0F, 1.0F);
-    const std::vector<float> gamma(static_cast<std::size_t>(ln_row), 1.0F);
-    const std::vector<float> beta(static_cast<std::size_t>(ln_row), 0.0F);
-    OpCounter ops;
-    approx_layernorm(x, rows, ln_row, gamma, beta, &ops);
-    const double n = static_cast<double>(x.size());
-    m.layernorm_device_ops_per_elem =
-        static_cast<double>(ops.device_flops()) / n;
-    m.layernorm_host_ops_per_elem =
-        static_cast<double>(ops.host_div + ops.host_other) / n;
-  }
-  {
-    const auto x = rng.normal_vec(4096, 0.0F, 2.0F);
-    OpCounter ops;
-    approx_gelu(std::span<const float>(x), &ops);
-    const double n = static_cast<double>(x.size());
-    m.gelu_device_ops_per_elem =
-        static_cast<double>(ops.device_flops()) / n;
-    m.gelu_host_ops_per_elem =
-        static_cast<double>(ops.host_div + ops.host_other) / n;
-  }
+  per_elem(approx_softmax_ops(1, softmax_row, fast_exp), softmax_row,
+           m.softmax_device_ops_per_elem, m.softmax_host_ops_per_elem);
+  per_elem(approx_layernorm_ops(1, ln_row), ln_row,
+           m.layernorm_device_ops_per_elem, m.layernorm_host_ops_per_elem);
+  per_elem(approx_gelu_ops(1), 1, m.gelu_device_ops_per_elem,
+           m.gelu_host_ops_per_elem);
   return m;
 }
 

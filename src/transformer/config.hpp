@@ -60,10 +60,10 @@ struct NonlinearElemCounts {
 
 NonlinearElemCounts count_nonlinear_elems(const VitConfig& cfg);
 
-/// Device-op cost per element of each non-linear function, derived from
-/// the vector-unit micro-programs (src/isa/kernels.*): what one element
-/// costs in fp32 mul/add (+ exponent-unit) operations on the PU, and in
-/// host operations (divisions, comparisons).
+/// Device-op cost per element of each non-linear function, from the
+/// approximations' closed-form op counts (numerics/nonlinear.hpp): what one
+/// element costs in fp32 mul/add (+ exponent-unit) operations on the PU,
+/// and in host operations (divisions, comparisons).
 struct NonlinearCostModel {
   double softmax_device_ops_per_elem = 0.0;
   double softmax_host_ops_per_elem = 0.0;
@@ -73,10 +73,10 @@ struct NonlinearCostModel {
   double gelu_host_ops_per_elem = 0.0;
 };
 
-/// Measure the cost model by running the kernels' op counters on a probe
-/// tile (row length matters for reductions; pass the model's realistic
-/// row sizes). `fast_exp` measures the Softermax-style split-exp softmax
-/// (the exp2-unit hardware option).
+/// The cost model at the given row lengths (row length matters for the
+/// per-row reductions; pass the model's realistic row sizes). `fast_exp`
+/// prices the Softermax-style split-exp softmax (the exp2-unit hardware
+/// option).
 NonlinearCostModel measure_nonlinear_costs(int softmax_row, int ln_row,
                                            bool fast_exp = false);
 

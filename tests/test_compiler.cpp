@@ -179,14 +179,14 @@ TEST_F(CompilerTest, AttentionBlockEndToEnd) {
     if (p.op == GraphOp::kMatMul) {
       saw_matmul = true;
       EXPECT_EQ(p.mode, "bfp8-matmul");
-      EXPECT_GT(p.est_cycles, 0u);
+      EXPECT_GT(p.cycles, 0u);
     }
     if (p.op == GraphOp::kSoftmax) saw_softmax = true;
   }
   EXPECT_TRUE(saw_matmul);
   EXPECT_TRUE(saw_softmax);
   EXPECT_FALSE(model.report().empty());
-  EXPECT_GT(model.total_est_cycles(), 0u);
+  EXPECT_EQ(model.price().device_cycles, r.stats.device_cycles);
 }
 
 TEST_F(CompilerTest, SiluAndMulLowering) {

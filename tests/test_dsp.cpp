@@ -1,13 +1,10 @@
-// Tests for the DSP48E2 slice model, combined-MAC packing, and cascades —
+// Tests for the DSP48E2 slice model and combined-MAC packing —
 // including the paper's overflow claims about 7- vs 8-term accumulation.
 #include "dsp/dsp48e2.hpp"
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "common/rng.hpp"
-#include "dsp/cascade.hpp"
 #include "dsp/packing.hpp"
 
 namespace bfpsim {
@@ -125,22 +122,6 @@ TEST(Packing, SevenTermsSafeEvenAsymmetric) {
     p += pack_dual(0, -128) * -128;
   }
   EXPECT_EQ(unpack_dual(p).lower, 7 * 16384);
-}
-
-TEST(Cascade, ColumnSumsProducts) {
-  CascadeColumn col(8);
-  std::vector<std::int64_t> a = {1, 2, 3, 4, 5, 6, 7, 8};
-  std::vector<std::int64_t> b = {8, 7, 6, 5, 4, 3, 2, 1};
-  std::int64_t expect = 0;
-  for (int i = 0; i < 8; ++i) expect += a[static_cast<std::size_t>(i)] *
-                                        b[static_cast<std::size_t>(i)];
-  EXPECT_EQ(col.pass(a, b), expect);
-  EXPECT_EQ(col.op_count(), 8u);
-}
-
-TEST(Cascade, DepthValidation) {
-  EXPECT_THROW(CascadeColumn(0), Error);
-  EXPECT_THROW(CascadeColumn(65), Error);
 }
 
 }  // namespace

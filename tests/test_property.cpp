@@ -4,10 +4,12 @@
 //  * rounding-mode properties of the quantizer,
 //  * hardware-contract violations surfacing as exceptions, not silent
 //    corruption,
-//  * randomized executor programs vs direct evaluation.
+//  * randomized executor programs vs direct evaluation,
+//  * data independence of every opcode's cycle charge.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 #include <tuple>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "common/rng.hpp"
 #include "dsp/dsp48e2.hpp"
 #include "isa/executor.hpp"
+#include "numerics/format/registry.hpp"
 #include "numerics/quantizer.hpp"
 #include "pu/processing_unit.hpp"
 
@@ -186,6 +189,77 @@ TEST(ExecutorFuzz, RandomElementwiseChainsMatchDirectEvaluation) {
           << "trial=" << trial << " i=" << i;
     }
   }
+}
+
+/// -------- cycle costs depend on shapes, never on values --------
+
+TEST(CostModel, EveryOpcodeChargesTheSameForAnyValues) {
+  // Operands: r0 = A and r1 = B (m x n), r2 = row vector (m x 1),
+  // r3 = column vector (1 x n), r4 = matmul B (n x p), r5/r6 (m x n).
+  const int m = 6;
+  const int n = 16;
+  const int p = 8;
+  const TensorShape shapes[] = {{m, n}, {m, n}, {m, 1}, {1, n},
+                                {n, p}, {m, n}, {m, n}};
+  ProgramBuilder pb;
+  pb.raw(Instruction{}).sync().halt().bfp_matmul(7, 0, 4, m, n, p);
+  for (std::size_t i = 0; i < numeric_modes().size(); ++i) {
+    pb.bfp_matmul(7, 0, 4, m, n, p, static_cast<int>(i) + 1);
+  }
+  pb.vec_mul(7, 0, 1).vec_add(7, 0, 1).vec_mul_scalar(7, 0, 1.5F)
+      .vec_add_scalar(7, 0, -0.5F).vec_exp(7, 0).vec_exp(7, 0, true)
+      .vec_tanh(7, 0).row_sum(7, 0, m, n).row_max(7, 0, m, n)
+      .row_sub(7, 0, 2, m, n).row_mul_bcast(7, 0, 2, m, n)
+      .host_div(7, 0, 1).host_rsqrt(7, 0, 1e-5F).host_recip(7, 0)
+      .col_add_bcast(7, 0, 3, m, n).col_mul_bcast(7, 0, 3, m, n)
+      .transpose(7, 0, m, n).slice_cols(7, 0, m, 8, 8).concat_cols(7, 0, 1)
+      .layernorm_m(7, 0, 3, 3, m, n, 1e-5F).rmsnorm_m(7, 0, 3, m, n, 1e-5F)
+      .softmax_m(7, 0, m, n).softmax_m(7, 0, m, n, true).gelu_m(7, 0)
+      .silu_m(7, 0).rope(7, 0, 5, 6, m, n).bias_gelu(7, 0, 3, m, n)
+      .bias_silu(7, 0, 3, m, n).bias_residual(7, 0, 3, 5, m, n);
+  const Program all = pb.build();
+
+  // Random-normal operands against saturated ones (|x| = 50: every tanh
+  // and exp lane clamps).
+  const AcceleratorSystem system;
+  Executor normal(system);
+  Executor saturated(system);
+  Rng rng(4);
+  for (int r = 0; r < 7; ++r) {
+    const TensorShape s = shapes[r];
+    std::vector<float> x(s.elements());
+    std::vector<float> y(s.elements());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x[i] = rng.normal(0.0F, 1.0F);
+      y[i] = rng.uniform(0.0F, 1.0F) < 0.5F ? -50.0F : 50.0F;
+    }
+    normal.set_tensor(r, s.rows, s.cols, x);
+    saturated.set_tensor(r, s.rows, s.cols, y);
+  }
+
+  std::set<Opcode> covered;
+  for (const Instruction& inst : all.instructions()) {
+    covered.insert(inst.op);
+    Program one;
+    one.push(inst);
+    const ExecutionStats a = normal.run(one);
+    const ExecutionStats b = saturated.run(one);
+    const char* op = opcode_name(inst.op);
+    EXPECT_EQ(a.device_cycles, b.device_cycles) << op;
+    EXPECT_EQ(a.move_cycles, b.move_cycles) << op;
+    EXPECT_EQ(a.host_ops, b.host_ops) << op;
+    EXPECT_EQ(a.ops, b.ops) << op;
+    // ...and both are the shape-only instruction_cost.
+    if (inst.op == Opcode::kHalt) continue;
+    const InstructionCost c =
+        instruction_cost(inst, shapes[inst.src_a], shapes[inst.src_b],
+                         system);
+    EXPECT_EQ(a.device_cycles, c.device_cycles) << op;
+    EXPECT_EQ(a.move_cycles, c.move_cycles) << op;
+    EXPECT_EQ(a.host_ops, c.host_ops) << op;
+    EXPECT_EQ(a.ops, c.ops) << op;
+  }
+  EXPECT_EQ(covered.size(), static_cast<std::size_t>(kMaxOpcode) + 1);
 }
 
 }  // namespace

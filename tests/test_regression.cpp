@@ -55,15 +55,14 @@ TEST(Regression, Fig7Series) {
 TEST(Regression, TableIvShares) {
   const AcceleratorSystem sys;
   const WorkloadBreakdown b = analyze_workload(deit_small(), sys);
-  // Pinned against the portable splitmix64 generator: the nonlinear op
-  // counts are measured on Rng(4242) data, so the pin tracks the seeded
-  // draw sequence (see measure_nonlinear_costs).
-  EXPECT_NEAR(b.total_latency_ms, 44.92, 0.05);
-  EXPECT_NEAR(b.fp32_latency_share, 0.8376, 0.002);
-  EXPECT_NEAR(b.fp32_ops_share, 0.0282, 0.0005);
+  // The nonlinear op counts are closed forms in the layer shapes (GELU is
+  // 28 device ops per element), so these pins depend on no data.
+  EXPECT_NEAR(b.total_latency_ms, 46.51, 0.05);
+  EXPECT_NEAR(b.fp32_latency_share, 0.8429, 0.002);
+  EXPECT_NEAR(b.fp32_ops_share, 0.0293, 0.0005);
   const WorkloadBreakdown fast =
       analyze_workload(deit_small(), sys, false, /*softermax=*/true);
-  EXPECT_NEAR(fast.total_latency_ms, 29.72, 0.05);
+  EXPECT_NEAR(fast.total_latency_ms, 31.30, 0.05);
 }
 
 TEST(Regression, GemmNumericsPinned) {

@@ -5,6 +5,8 @@
 //   * the degenerate decoder spec's analytic per-token costs equal
 //     analyze_decode's exactly,
 //   * compilation is deterministic across reruns and thread counts,
+//   * the static price of every compiled program equals what the executor
+//     charges, node by node,
 //   * the schedule search never loses to either uniform strategy, and
 //   * the seeded weight materialization is byte-pinned (one initializer
 //     shared by random_weights, checkpointing, and the spec frontend).
@@ -22,6 +24,7 @@
 #include "compiler/schedule.hpp"
 #include "compiler/spec_graph.hpp"
 #include "compiler/spec_registry.hpp"
+#include "numerics/format/registry.hpp"
 #include "runtime/decode_serve.hpp"
 #include "transformer/checkpoint.hpp"
 #include "transformer/decoder.hpp"
@@ -155,7 +158,74 @@ TEST(SpecCompile, DeitSmallSpecCompilesWithFusions) {
   opt.macro_kernels = true;
   const CompiledModel cm = compile(g, sys, opt);
   EXPECT_GT(cm.program().size(), 0U);
-  EXPECT_GT(cm.total_est_cycles(), 0U);
+  EXPECT_GT(cm.price().device_cycles, 0U);
+}
+
+/// Run `cm` on seeded random inputs and check its static price against
+/// the executor's stats field for field, and the per-node plan against
+/// the priced total.
+void expect_priced_exactly(const CompiledModel& cm,
+                           const AcceleratorSystem& sys,
+                           const std::string& what) {
+  std::vector<std::vector<float>> inputs;
+  Rng rng(11);
+  for (const NodePlan& p : cm.plan()) {
+    if (p.op != GraphOp::kInput) continue;
+    inputs.push_back(rng.normal_vec(p.shape.elements(), 0.0F, 1.0F));
+  }
+  const ExecutionStats run = cm.run(inputs).stats;
+  const ExecutionStats price =
+      price_program(cm.program(), cm.verify_bindings(), sys);
+  EXPECT_EQ(price.device_cycles, run.device_cycles) << what;
+  EXPECT_EQ(price.move_cycles, run.move_cycles) << what;
+  EXPECT_EQ(price.host_ops, run.host_ops) << what;
+  EXPECT_EQ(price.ops, run.ops) << what;
+  EXPECT_EQ(price.instructions, run.instructions) << what;
+  EXPECT_EQ(cm.price().device_cycles, price.device_cycles) << what;
+  std::uint64_t nodes = 0;
+  for (const NodePlan& p : cm.plan()) nodes += p.cycles;
+  EXPECT_EQ(nodes, price.device_cycles) << what;
+}
+
+TEST(ProgramPrice, EqualsExecutorInEveryModeAndLowering) {
+  for (const char* name : {"vit-tiny-test", "llama-tiny"}) {
+    const ModelSpec spec = load_model_spec(name);
+    const int tokens = spec.family == SpecFamily::kDecoder ? 8 : 0;
+    for (const NumericMode& mode : numeric_modes()) {
+      SystemConfig cfg;
+      cfg.pu.mode = mode.name;
+      cfg.pu.format = mode.spec;
+      const AcceleratorSystem sys(cfg);
+      for (const bool fuse : {true, false}) {
+        CompileOptions opt;
+        opt.macro_kernels = fuse;
+        const CompiledModel cm =
+            compile(fuse ? build_fused_spec_graph(spec, tokens)
+                         : build_spec_graph(spec, tokens),
+                    sys, opt);
+        expect_priced_exactly(
+            cm, sys,
+            std::string(name) + " " + mode.name + (fuse ? "" : " no-fuse"));
+      }
+    }
+  }
+}
+
+TEST(ProgramPrice, DeitSmallEqualsExecutorFusedAndUnfused) {
+  const ModelSpec spec = load_model_spec("deit-small");
+  const AcceleratorSystem sys;
+  for (const bool fuse : {true, false}) {
+    CompileOptions opt;
+    opt.macro_kernels = fuse;
+    const CompiledModel cm = compile(
+        fuse ? build_fused_spec_graph(spec) : build_spec_graph(spec), sys,
+        opt);
+    expect_priced_exactly(cm, sys, fuse ? "fused" : "no-fuse");
+    // The fused program's cycles, as `bfpsim compile deit-small` prints.
+    if (fuse) {
+      EXPECT_EQ(cm.price().device_cycles, 15149280U);
+    }
+  }
 }
 
 TEST(SpecDecode, LlmDecodeDegenerateParityWithAnalyzeDecode) {
@@ -196,12 +266,12 @@ TEST(ScheduleSearch, NeverLosesToEitherUniformStrategy) {
         ClusterTopology::ring(cards, LinkConfig{}, SystemConfig{});
     const ScheduleDecision dec = search_schedule(cfg, topo);
     EXPECT_EQ(dec.blocks.size(), static_cast<std::size_t>(cfg.depth));
-    EXPECT_LE(dec.est_cycles, dec.uniform_pipeline_cycles) << cards;
-    EXPECT_LE(dec.est_cycles, dec.uniform_tensor_cycles) << cards;
+    EXPECT_LE(dec.cycles, dec.uniform_pipeline_cycles) << cards;
+    EXPECT_LE(dec.cycles, dec.uniform_tensor_cycles) << cards;
     EXPECT_EQ(dec.pipeline_blocks + dec.tensor_blocks, cfg.depth);
     // Deterministic: same inputs, same plan.
     const ScheduleDecision again = search_schedule(cfg, topo);
-    EXPECT_EQ(again.est_cycles, dec.est_cycles);
+    EXPECT_EQ(again.cycles, dec.cycles);
     EXPECT_EQ(again.to_json(), dec.to_json());
   }
 }
@@ -209,7 +279,7 @@ TEST(ScheduleSearch, NeverLosesToEitherUniformStrategy) {
 TEST(ScheduleSearch, SingleCardIsPipelineOnly) {
   const ScheduleDecision dec = search_schedule(
       vit_test_tiny(), ClusterTopology::ring(1, LinkConfig{}, SystemConfig{}));
-  EXPECT_EQ(dec.est_cycles,
+  EXPECT_EQ(dec.cycles,
             std::min(dec.uniform_pipeline_cycles, dec.uniform_tensor_cycles));
 }
 

@@ -44,18 +44,18 @@ TEST(OpCounts, NonlinearElementCounts) {
 
 TEST(OpCounts, NonlinearCostModelSane) {
   const NonlinearCostModel m = measure_nonlinear_costs(197, 384);
-  // exp-dominated softmax: the degree-16 Chebyshev exp costs ~53 device
-  // ops per element (the paper's Table IV implies ~52).
-  EXPECT_GT(m.softmax_device_ops_per_elem, 40.0);
-  EXPECT_LT(m.softmax_device_ops_per_elem, 75.0);
-  // One host division per row amortized over the row.
-  EXPECT_GT(m.softmax_host_ops_per_elem, 0.9);  // incl. row-max compares
-  // GELU: polynomial tanh.
-  EXPECT_GT(m.gelu_device_ops_per_elem, 10.0);
-  EXPECT_LT(m.gelu_device_ops_per_elem, 30.0);
-  // LayerNorm: a handful of ops per element.
-  EXPECT_GT(m.layernorm_device_ops_per_elem, 3.0);
-  EXPECT_LT(m.layernorm_device_ops_per_elem, 12.0);
+  // exp-dominated softmax: the degree-16 Chebyshev exp costs 54 device
+  // ops per element, plus subtract, sum and scale (the paper's Table IV
+  // implies ~52). Host: a max compare and two exp clamp compares per
+  // element, one division per row.
+  EXPECT_DOUBLE_EQ(m.softmax_device_ops_per_elem, 57.0);
+  EXPECT_DOUBLE_EQ(m.softmax_host_ops_per_elem, (3.0 * 197 + 1) / 197);
+  // GELU: the tanh polynomial and its comparator on every element.
+  EXPECT_DOUBLE_EQ(m.gelu_device_ops_per_elem, 28.0);
+  EXPECT_DOUBLE_EQ(m.gelu_host_ops_per_elem, 1.0);
+  // LayerNorm: 7 ops per element plus 5 per row, one host rsqrt per row.
+  EXPECT_DOUBLE_EQ(m.layernorm_device_ops_per_elem, (7.0 * 384 + 5) / 384);
+  EXPECT_DOUBLE_EQ(m.layernorm_host_ops_per_elem, 1.0 / 384);
 }
 
 TEST(TableIV, ShapeMatchesPaperClaims) {

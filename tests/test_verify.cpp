@@ -203,6 +203,25 @@ TEST_F(VerifyCorpus, UnknownModeRejectedAndExecutorFaults) {
   EXPECT_THROW(ex.run(p), Error);  // "mode annotation out of range"
 }
 
+TEST_F(VerifyCorpus, UnregisteredSystemModeRejectedAndExecutorFaults) {
+  SystemConfig cfg;
+  cfg.pu.mode = "no-such-mode";
+  const AcceleratorSystem system(cfg);
+  ProgramBuilder pb;
+  pb.bfp_matmul(2, 0, 1, 4, 8, 4).halt();
+  const Program p = pb.build();
+  const std::vector<Input> inputs = {{0, 4, 8}, {1, 8, 4}};
+  const VerifyBindings b = bindings_of(inputs, 2);
+  const VerifyReport rep = verify_program(p, b, system);
+  EXPECT_FALSE(rep.clean());
+  EXPECT_TRUE(has_error_kind(rep, VerifyKind::kUnknownMode));
+  EXPECT_THROW((void)price_program(p, b, system), Error);
+
+  Executor ex(system);
+  bind_inputs(ex, inputs, rng_);
+  EXPECT_THROW(ex.run(p), Error);  // the system's mode is not registered
+}
+
 TEST_F(VerifyCorpus, CarrierOverflowRejectedAndExecutorFaults) {
   // bf16 element products of the all-ones mantissa (1.9921875^2 carries a
   // 65025 mantissa product); at K = 65535 the int32 PSU carrier overflows

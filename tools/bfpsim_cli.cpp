@@ -344,7 +344,7 @@ int cmd_resources(const std::string& scope) {
 /// Online serving demo: replay a seeded arrival trace through the
 /// virtual-time event loop and print the latency-percentile report.
 /// `bfpsim compile <spec>`: front-end smoke surface. Encoders build the
-/// fused graph, compile it, and print the static schedule summary (plus
+/// fused graph, compile it, and print the program's static price (plus
 /// the pipeline/tensor schedule search when --cards > 1). Decoders print
 /// the analytic per-token decode costs — the big bench models' graphs
 /// would not fit host memory, and decode is the regime that matters.
@@ -421,9 +421,9 @@ int cmd_compile(int argc, char** argv) {
   }
   if (json) {
     std::printf("{\"model\":\"%s\",\"nodes\":%zu,\"instructions\":%zu,"
-                "\"est_cycles\":%llu",
+                "\"cycles\":%llu",
                 spec.name.c_str(), g.size(), cm.program().size(),
-                static_cast<unsigned long long>(cm.total_est_cycles()));
+                static_cast<unsigned long long>(cm.price().device_cycles));
     if (!schedule_json.empty()) {
       std::printf(",\"schedule_search\":%s", schedule_json.c_str());
     }
@@ -437,8 +437,8 @@ int cmd_compile(int argc, char** argv) {
                   fs.qkv_merges, fs.bias_act_folds,
                   fs.residual_absorptions, fs.nodes_in, fs.nodes_out);
     }
-    std::printf("  est cycles/request: %llu\n",
-                static_cast<unsigned long long>(cm.total_est_cycles()));
+    std::printf("  cycles/request: %llu\n",
+                static_cast<unsigned long long>(cm.price().device_cycles));
     if (!schedule_report.empty()) std::printf("%s", schedule_report.c_str());
   }
   return 0;
