@@ -13,8 +13,9 @@
 #include <string>
 
 #include "common/stats.hpp"
-#include "compiler/blocks.hpp"
 #include "compiler/compile.hpp"
+#include "compiler/spec_graph.hpp"
+#include "compiler/spec_registry.hpp"
 #include "fabric/system.hpp"
 #include "transformer/latency.hpp"
 #include "transformer/model.hpp"
@@ -90,10 +91,13 @@ int main(int argc, char** argv) {
   }
 
   if (which == "test") {
-    // Bonus (small config only): the same encoder through the graph
-    // compiler — weights to a single device instruction stream.
-    const VitWeights w2 = random_weights(cfg, 2024);
-    const Graph g = build_vit_encoder(w2);
+    // Bonus (small config only): the same encoder, as the committed
+    // vit-tiny-test spec, through the graph compiler — weights to a single
+    // device instruction stream — against the direct path on the spec's
+    // weights.
+    const ModelSpec spec = load_model_spec("vit-tiny-test");
+    const VitModel spec_model(random_weights(vit_config_of(spec), spec.seed));
+    const Graph g = build_spec_graph(spec);
     const CompiledModel compiled = compile(g, sys);
     const std::vector<std::vector<float>> inputs = {x};
     const RunResult r = compiled.run(inputs);
@@ -102,7 +106,7 @@ int main(int argc, char** argv) {
                 "direct path: cosine %.6f\n",
                 g.size(), compiled.program().size(),
                 compiled.program().serialize().size(),
-                cosine_similarity(r.output, mixed));
+                cosine_similarity(r.output, spec_model.forward_mixed(x, sys)));
   }
   return 0;
 }

@@ -28,7 +28,7 @@
 //    as the un-split GEMM had them, so the gathered result is the
 //    un-split result bit-for-bit. A row-split + all-reduce variant would
 //    halve the gather traffic but re-associates the PSU alignment chain
-//    (see collectives.hpp) — rejected here by design.
+//    (fp32 addition does not re-associate) — rejected here by design.
 #pragma once
 
 #include <cstdint>

@@ -139,13 +139,4 @@ std::uint64_t ClusterTopology::all_gather_cycles(
   return static_cast<std::uint64_t>(cards_ - 1) * ring_step_cycles(shard);
 }
 
-std::uint64_t ClusterTopology::all_reduce_cycles(
-    std::uint64_t total_bytes) const {
-  if (cards_ <= 1 || total_bytes == 0) return 0;
-  const auto n = static_cast<std::uint64_t>(cards_);
-  const std::uint64_t shard = (total_bytes + n - 1) / n;
-  return 2 * static_cast<std::uint64_t>(cards_ - 1) *
-         ring_step_cycles(shard);
-}
-
 }  // namespace bfpsim

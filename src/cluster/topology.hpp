@@ -86,12 +86,6 @@ class ClusterTopology {
   /// the slowest ring link. 0 for a single card.
   std::uint64_t all_gather_cycles(std::uint64_t total_bytes) const;
 
-  /// Ring all-reduce of a `total_bytes` buffer (reduce-scatter followed by
-  /// all-gather): 2(N-1) steps of one ceil(total/N)-byte shard each, i.e.
-  /// the classic 2(N-1)/N * bytes / bandwidth wire time plus the per-step
-  /// burst-overhead and latency terms. 0 for a single card.
-  std::uint64_t all_reduce_cycles(std::uint64_t total_bytes) const;
-
  private:
   ClusterTopology(int cards, TopologyKind kind, const LinkConfig& link,
                   const SystemConfig& card);

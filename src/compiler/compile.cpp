@@ -245,30 +245,20 @@ CompiledModel compile(const Graph& graph, const AcceleratorSystem& system,
         pb.concat_cols(dst, reg_of(n.inputs[0]), reg_of(n.inputs[1]));
         break;
       case GraphOp::kLayerNorm: {
-        const int rows = n.shape.rows;
-        const int cols = n.shape.cols;
         if (options.macro_kernels) {
           pb.layernorm_m(dst, reg_of(n.inputs[0]), reg_of(n.inputs[1]),
-                         reg_of(n.inputs[2]), rows, cols, n.imm);
+                         reg_of(n.inputs[2]), n.shape.rows, n.shape.cols,
+                         n.imm);
           break;
         }
-        // Lowered inline with column broadcasts for gamma/beta.
-        const int s0 = kScratchWindow + 0;
-        const int s1 = kScratchWindow + 1;
-        const int s2 = kScratchWindow + 2;
-        const float invn = 1.0F / static_cast<float>(cols);
-        pb.row_sum(s0, reg_of(n.inputs[0]), rows, cols)
-            .vec_mul_scalar(s0, s0, invn)               // mean
-            .row_sub(s1, reg_of(n.inputs[0]), s0, rows, cols)  // centered
-            .vec_mul(s2, s1, s1)
-            .row_sum(s2, s2, rows, cols)
-            .vec_mul_scalar(s2, s2, invn)               // variance
-            .host_rsqrt(s2, s2, n.imm)
-            .row_mul_bcast(s1, s1, s2, rows, cols)      // normalized
-            .col_mul_bcast(s1, s1, reg_of(n.inputs[1]), rows,
-                           cols)                        // * gamma
-            .col_add_bcast(dst, s1, reg_of(n.inputs[2]), rows,
-                           cols);                       // + beta
+        // Emitted over the node's registers rather than remapped by
+        // inline_kernel, which would also rewrite unread register fields.
+        kernels::layernorm(pb, n.shape.rows, n.shape.cols, n.imm,
+                           {.in = reg_of(n.inputs[0]),
+                            .out = dst,
+                            .gamma = reg_of(n.inputs[1]),
+                            .beta = reg_of(n.inputs[2]),
+                            .scratch = kScratchWindow});
         break;
       }
       case GraphOp::kSoftmax: {

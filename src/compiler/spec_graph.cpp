@@ -395,6 +395,11 @@ DecoderConfig decoder_config_of(const ModelSpec& spec) {
   return cfg;
 }
 
+DecodeShape decode_shape_of(const ModelSpec& spec) {
+  return {spec.d_model, spec.depth, spec.heads, spec.kv_dim(),
+          spec.mlp_hidden, spec.activation == SpecActivation::kSwiGlu};
+}
+
 Graph build_spec_graph(const ModelSpec& spec, int tokens) {
   return spec.family == SpecFamily::kEncoder
              ? build_encoder_graph(spec)

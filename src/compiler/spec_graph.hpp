@@ -41,6 +41,10 @@ VitConfig vit_config_of(const ModelSpec& spec);
 /// for encoder specs or when mlp_hidden % d_model != 0.
 DecoderConfig decoder_config_of(const ModelSpec& spec);
 
+/// The per-token decode stream of a decoder spec (embeddings excluded,
+/// matching DecoderConfig::params_per_layer for the degenerate case).
+DecodeShape decode_shape_of(const ModelSpec& spec);
+
 /// Build the unfused graph for `spec`. `tokens` overrides the sequence
 /// length for decoder specs (<= 0 means spec.context); encoder specs
 /// always use their patch-grid token count.

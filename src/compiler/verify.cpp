@@ -4,10 +4,12 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
+#include <span>
 #include <sstream>
 
 #include "compiler/compile.hpp"
 #include "compiler/spec_graph.hpp"
+#include "fabric/hbm.hpp"
 #include "numerics/format/registry.hpp"
 #include "sim/trace.hpp"
 
@@ -20,15 +22,6 @@ namespace {
 /// because re-blocking changes which elements share an exponent.
 constexpr int kBlockCols = 8;
 
-/// Mirror of DeviceMemory::kDefaultCapacity / kAlignment (runtime layer —
-/// the compiler cannot include it without inverting the module ladder).
-constexpr std::uint64_t kDefaultArenaBytes = 8ull << 30;
-constexpr std::uint64_t kMemAlignment = 64;
-
-/// bfp8 storage cost per element (65 bytes per 64-element block), the
-/// serve_decode paged-KV accounting unit.
-constexpr double kBfpBytesPerElem = 65.0 / 64.0;
-
 /// Magnitude-interval ceiling: bounds that reach it mean "unknown", and
 /// range warnings are suppressed above it (a capped bound proves nothing).
 constexpr double kMagCap = 1e300;
@@ -38,6 +31,18 @@ constexpr double kFp32Guard = 3.4028234663852886e38 / 16.0;
 
 const char* severity_name(VerifySeverity s) {
   return s == VerifySeverity::kError ? "error" : "warning";
+}
+
+/// The finding an operand-contract fault is reported as.
+VerifyKind kind_of(OperandFault fault) {
+  switch (fault) {
+    case OperandFault::kSliceWindow: return VerifyKind::kMisalignedSplit;
+    case OperandFault::kUnknownMode: return VerifyKind::kUnknownMode;
+    case OperandFault::kNone:
+    case OperandFault::kShape:
+      break;
+  }
+  return VerifyKind::kShapeMismatch;
 }
 
 /// The numeric discipline one matmul runs under: storage format plus the
@@ -280,14 +285,17 @@ class ProgramVerifier {
     peak_resident_ = resident_;
   }
 
-  /// Read an operand register: use-before-def against the forward state,
-  /// read-after-retire against the declared intervals. Returns nullptr
-  /// when the read is invalid (caller falls back to a degraded shape).
-  const AbsReg* read(int r, int i, const char* role) {
+  /// Read operand `j` of `op` from register `r`: use-before-def against
+  /// the forward state, read-after-retire against the declared intervals.
+  /// Returns nullptr when the read is invalid.
+  const AbsReg* read(int r, int i, Opcode op, int j) {
     const AbsReg& a = regs_[static_cast<std::size_t>(r)];
+    auto role = [&] {
+      return std::string(opcode_name(op)) + " operand " + "ABC"[j];
+    };
     if (!a.set) {
       finding(VerifyKind::kUseBeforeDef, VerifySeverity::kError, i,
-              std::string(role) + " reads register r" + std::to_string(r) +
+              role() + " reads register r" + std::to_string(r) +
                   " that no write dominates (executor would fault on an "
                   "unset register)");
       return nullptr;
@@ -304,7 +312,7 @@ class ProgramVerifier {
       }
       if (!covered) {
         finding(VerifyKind::kReadAfterRetire, VerifySeverity::kError, i,
-                std::string(role) + " reads register r" + std::to_string(r) +
+                role() + " reads register r" + std::to_string(r) +
                     " outside every declared live interval (value retired)");
       }
     }
@@ -332,34 +340,23 @@ class ProgramVerifier {
     }
   }
 
-  void shape_err(int i, const std::string& msg) {
-    finding(VerifyKind::kShapeMismatch, VerifySeverity::kError, i, msg);
+  void warn_domain(int i, std::string msg) {
+    finding(VerifyKind::kDomainError, VerifySeverity::kWarning, i,
+            std::move(msg));
   }
 
   bool is_shared_block_system() const {
     return sys_.config().pu.format.shared_exponent;
   }
 
+  /// The carrier bound of a matmul whose mode the operand contract has
+  /// accepted.
   void check_matmul_carrier(const Instruction& inst, int i) {
     const int idx = inst.mode_index();
-    Discipline d = sysdisc_;
-    if (idx == 0 && !is_numeric_mode(d.name)) {
-      finding(VerifyKind::kUnknownMode, VerifySeverity::kError, i,
-              "system mode '" + d.name +
-                  "' is outside the numeric-mode registry");
-      return;
-    }
-    if (idx != 0) {
-      const auto& modes = numeric_modes();
-      if (static_cast<std::size_t>(idx - 1) >= modes.size()) {
-        finding(VerifyKind::kUnknownMode, VerifySeverity::kError, i,
-                "matmul mode annotation " + std::to_string(idx) +
-                    " is outside the numeric-mode registry (" +
-                    std::to_string(modes.size()) + " modes)");
-        return;
-      }
-      d = mode_discipline(modes[static_cast<std::size_t>(idx - 1)]);
-    }
+    const Discipline d =
+        idx == 0 ? sysdisc_
+                 : mode_discipline(
+                       numeric_modes()[static_cast<std::size_t>(idx - 1)]);
     const int acc_bits = sys_.config().pu.psu_bits;
     const CarrierBound cb = carrier_bound(d, inst.k, acc_bits);
     if (!cb.ok) {
@@ -379,467 +376,199 @@ class ProgramVerifier {
     rep_.instruction_cycles.assign(static_cast<std::size_t>(halt_pos_), 0);
     rep_.price.instructions = static_cast<std::uint64_t>(halt_pos_);
     for (int i = 0; i < halt_pos_; ++i) {
-      const Instruction& inst = insts[static_cast<std::size_t>(i)];
       ++rep_.instructions_checked;
-      const TensorShape a = regs_[inst.src_a].shape;
-      const TensorShape b = regs_[inst.src_b].shape;
-      const std::size_t errors = errors_;
-      step(inst, i);
-      if (errors_ != errors) continue;
-      const InstructionCost cost = instruction_cost(inst, a, b, sys_);
-      rep_.price.charge(cost);
-      rep_.instruction_cycles[static_cast<std::size_t>(i)] =
-          cost.device_cycles;
+      step(insts[static_cast<std::size_t>(i)], i);
     }
     if (halt_pos_ < static_cast<int>(prog_.size())) {
       ++rep_.instructions_checked;  // the halt itself
     }
   }
 
-  /// One abstract step, mirroring Executor::exec_one's BFP_REQUIRE
-  /// contracts opcode for opcode. A failed operand check still defines the
-  /// destination with the opcode's nominal output shape so downstream
-  /// analysis continues (the program is already rejected).
+  /// One abstract step. The operand contract (check_operands) says what
+  /// the instruction reads, whether its shapes, fields and mode hold, and
+  /// what it writes; this pass adds what is its own: def-use of the reads,
+  /// the carrier bound, block-grid and domain warnings, and the magnitude/
+  /// sign transfer. A faulted instruction still defines its destination
+  /// (nominal m x n) so downstream analysis continues (the program is
+  /// already rejected).
   void step(const Instruction& inst, int i) {
-    const int m = inst.m;
-    const int k = inst.k;
+    const std::size_t errors = errors_;
+    const Operands ops = operands(inst);
+    const auto count = static_cast<std::size_t>(ops.count);
+    std::array<const AbsReg*, 3> in{};
+    std::array<TensorShape, 3> shapes{};
+    bool defined = true;
+    bool all_nonneg = true;
+    for (std::size_t j = 0; j < count; ++j) {
+      in[j] = read(ops.regs[j], i, inst.op, static_cast<int>(j));
+      defined = defined && in[j] != nullptr;
+      all_nonneg = all_nonneg && in[j] != nullptr && in[j]->nonneg;
+      if (in[j] != nullptr) shapes[j] = in[j]->shape;
+    }
+    OperandCheck check;
+    check.result = {inst.m, inst.n};
+    if (defined) {
+      check = check_operands(inst, std::span(shapes).first(count), sys_);
+      if (!check.ok()) {
+        finding(kind_of(check.fault), VerifySeverity::kError, i,
+                check.message);
+      }
+    }
+    if (!check.writes) return;
+
+    auto mag_of = [&](std::size_t j, double absent) {
+      return in[j] != nullptr ? in[j]->mag : absent;
+    };
+    const double am = mag_of(0, 0.0);
     const int n = inst.n;
+    double mag = am;
+    bool nonneg = all_nonneg;
     switch (inst.op) {
       case Opcode::kNop:
       case Opcode::kSync:
       case Opcode::kHalt:
-        return;
-
-      case Opcode::kBfpMatmul: {
-        const AbsReg* a = read(inst.src_a, i, "bfp.matmul A");
-        const AbsReg* b = read(inst.src_b, i, "bfp.matmul B");
-        if (a != nullptr && (a->shape.rows != m || a->shape.cols != k)) {
-          shape_err(i, "bfp.matmul: A is " + shape_str(a->shape) +
-                           " but the instruction expects " +
-                           std::to_string(m) + "x" + std::to_string(k));
+      case Opcode::kRowMax:
+      case Opcode::kTranspose:
+        break;
+      case Opcode::kBfpMatmul:
+        if (defined && check.fault != OperandFault::kUnknownMode) {
+          check_matmul_carrier(inst, i);
         }
-        if (b != nullptr && (b->shape.rows != k || b->shape.cols != n)) {
-          shape_err(i, "bfp.matmul: B is " + shape_str(b->shape) +
-                           " but the instruction expects " +
-                           std::to_string(k) + "x" + std::to_string(n));
-        }
-        check_matmul_carrier(inst, i);
-        const double am = a != nullptr ? a->mag : bind_.input_magnitude;
-        const double bm = b != nullptr ? b->mag : bind_.input_magnitude;
-        const bool nonneg =
-            a != nullptr && b != nullptr && a->nonneg && b->nonneg;
-        write(inst.dst, {m, n}, static_cast<double>(std::max(k, 1)) * am * bm,
-              nonneg, i);
-        return;
-      }
-
+        mag = static_cast<double>(std::max<int>(inst.k, 1)) *
+              mag_of(0, bind_.input_magnitude) *
+              mag_of(1, bind_.input_magnitude);
+        break;
       case Opcode::kVecMul:
+      case Opcode::kRowMulBcast:
+      case Opcode::kColMulBcast:
+        mag = am * mag_of(1, 0.0);
+        break;
       case Opcode::kVecAdd:
-      case Opcode::kHostDiv: {
-        const char* what = inst.op == Opcode::kVecMul   ? "vec.mul"
-                           : inst.op == Opcode::kVecAdd ? "vec.add"
-                                                        : "host.div";
-        const AbsReg* a = read(inst.src_a, i, what);
-        const AbsReg* b = read(inst.src_b, i, what);
-        if (a != nullptr && b != nullptr && a->shape != b->shape) {
-          shape_err(i, std::string(what) + ": operand shapes " +
-                           shape_str(a->shape) + " and " +
-                           shape_str(b->shape) + " must match");
+      case Opcode::kColAddBcast:
+        mag = am + mag_of(1, 0.0);
+        break;
+      case Opcode::kRowSub:
+        mag = am + mag_of(1, 0.0);
+        nonneg = false;
+        break;
+      case Opcode::kHostDiv:
+        if (in[1] != nullptr && !in[1]->nonneg) {
+          warn_domain(i, "host.div divisor may be zero or negative (Inf/NaN "
+                         "escape)");
         }
-        const TensorShape out =
-            a != nullptr ? a->shape : (b != nullptr ? b->shape : TensorShape{m, n});
-        double mag = 0.0;
-        bool nonneg = false;
-        const double am = a != nullptr ? a->mag : 0.0;
-        const double bm = b != nullptr ? b->mag : 0.0;
-        if (inst.op == Opcode::kVecMul) {
-          mag = am * bm;
-          nonneg = a != nullptr && b != nullptr && a->nonneg && b->nonneg;
-        } else if (inst.op == Opcode::kVecAdd) {
-          mag = am + bm;
-          nonneg = a != nullptr && b != nullptr && a->nonneg && b->nonneg;
-        } else {
-          if (b != nullptr && !b->nonneg) {
-            finding(VerifyKind::kDomainError, VerifySeverity::kWarning, i,
-                    "host.div divisor may be zero or negative (Inf/NaN "
-                    "escape)");
-          }
-          mag = kMagCap;  // divisor lower bound unknown
-          nonneg = a != nullptr && b != nullptr && a->nonneg && b->nonneg;
-        }
-        write(inst.dst, out, mag, nonneg, i);
-        return;
-      }
-
+        mag = kMagCap;  // divisor lower bound unknown
+        break;
       case Opcode::kVecMulScalar:
       case Opcode::kVecAddScalar: {
-        const AbsReg* a = read(inst.src_a, i, "vec scalar op");
-        const TensorShape out = a != nullptr ? a->shape : TensorShape{m, n};
-        const double am = a != nullptr ? a->mag : 0.0;
         const double s = std::abs(static_cast<double>(inst.imm));
-        const bool imm_nonneg = inst.imm >= 0.0F;
-        if (inst.op == Opcode::kVecMulScalar) {
-          write(inst.dst, out, am * s,
-                a != nullptr && a->nonneg && imm_nonneg, i);
-        } else {
-          write(inst.dst, out, am + s,
-                a != nullptr && a->nonneg && imm_nonneg, i);
-        }
-        return;
+        mag = inst.op == Opcode::kVecMulScalar ? am * s : am + s;
+        nonneg = all_nonneg && inst.imm >= 0.0F;
+        break;
       }
-
-      case Opcode::kVecExp: {
-        const AbsReg* a = read(inst.src_a, i, "vec.exp");
-        const TensorShape out = a != nullptr ? a->shape : TensorShape{m, n};
-        const double am = a != nullptr ? a->mag : 0.0;
+      case Opcode::kVecExp:
         if (am > 88.0) {
-          finding(VerifyKind::kDomainError, VerifySeverity::kWarning, i,
-                  "vec.exp operand bound " + std::to_string(am) +
-                      " exceeds exp's fp32 overflow threshold (~88)");
+          warn_domain(i, "vec.exp operand bound " + std::to_string(am) +
+                             " exceeds exp's fp32 overflow threshold (~88)");
         }
-        write(inst.dst, out, std::exp(std::min(am, 700.0)), true, i);
-        return;
-      }
-
-      case Opcode::kVecTanh: {
-        const AbsReg* a = read(inst.src_a, i, "vec.tanh");
-        write(inst.dst, a != nullptr ? a->shape : TensorShape{m, n}, 1.0,
-              a != nullptr && a->nonneg, i);
-        return;
-      }
-
+        mag = std::exp(std::min(am, 700.0));
+        nonneg = true;
+        break;
+      case Opcode::kVecTanh:
+        mag = 1.0;
+        break;
       case Opcode::kRowSum:
-      case Opcode::kRowMax: {
-        const char* what = inst.op == Opcode::kRowSum ? "row.sum" : "row.max";
-        const AbsReg* a = read(inst.src_a, i, what);
-        if (a != nullptr && (a->shape.rows != m || a->shape.cols != n)) {
-          shape_err(i, std::string(what) + ": operand is " +
-                           shape_str(a->shape) + " but the instruction "
-                           "expects " + std::to_string(m) + "x" +
-                           std::to_string(n));
-        }
-        const int rows = a != nullptr ? a->shape.rows : m;
-        const double am = a != nullptr ? a->mag : 0.0;
-        const double mag = inst.op == Opcode::kRowSum
-                               ? static_cast<double>(std::max(n, 1)) * am
-                               : am;
-        write(inst.dst, {rows, 1}, mag, a != nullptr && a->nonneg, i);
-        return;
-      }
-
-      case Opcode::kRowSub:
-      case Opcode::kRowMulBcast: {
-        const char* what =
-            inst.op == Opcode::kRowSub ? "row.sub" : "row.mulb";
-        const AbsReg* a = read(inst.src_a, i, what);
-        const AbsReg* v = read(inst.src_b, i, what);
-        if (a != nullptr && (a->shape.rows != m || a->shape.cols != n)) {
-          shape_err(i, std::string(what) + ": operand is " +
-                           shape_str(a->shape) + " but the instruction "
-                           "expects " + std::to_string(m) + "x" +
-                           std::to_string(n));
-        }
-        if (a != nullptr && v != nullptr &&
-            (v->shape.rows != a->shape.rows || v->shape.cols != 1)) {
-          shape_err(i, std::string(what) + ": row vector must be (" +
-                           std::to_string(a->shape.rows) + " x 1), got " +
-                           shape_str(v->shape));
-        }
-        const TensorShape out = a != nullptr ? a->shape : TensorShape{m, n};
-        const double am = a != nullptr ? a->mag : 0.0;
-        const double vm = v != nullptr ? v->mag : 0.0;
-        if (inst.op == Opcode::kRowSub) {
-          write(inst.dst, out, am + vm, false, i);
-        } else {
-          write(inst.dst, out, am * vm,
-                a != nullptr && v != nullptr && a->nonneg && v->nonneg, i);
-        }
-        return;
-      }
-
-      case Opcode::kColAddBcast:
-      case Opcode::kColMulBcast: {
-        const AbsReg* a = read(inst.src_a, i, "col broadcast");
-        const AbsReg* v = read(inst.src_b, i, "col broadcast");
-        if (a != nullptr && (a->shape.rows != m || a->shape.cols != n)) {
-          shape_err(i, "col broadcast: operand is " + shape_str(a->shape) +
-                           " but the instruction expects " +
-                           std::to_string(m) + "x" + std::to_string(n));
-        }
-        if (a != nullptr && v != nullptr &&
-            (v->shape.rows != 1 || v->shape.cols != a->shape.cols)) {
-          shape_err(i, "col broadcast: vector must be (1 x " +
-                           std::to_string(a->shape.cols) + "), got " +
-                           shape_str(v->shape));
-        }
-        const TensorShape out = a != nullptr ? a->shape : TensorShape{m, n};
-        const double am = a != nullptr ? a->mag : 0.0;
-        const double vm = v != nullptr ? v->mag : 0.0;
-        const bool both =
-            a != nullptr && v != nullptr && a->nonneg && v->nonneg;
-        if (inst.op == Opcode::kColAddBcast) {
-          write(inst.dst, out, am + vm, both, i);
-        } else {
-          write(inst.dst, out, am * vm, both, i);
-        }
-        return;
-      }
-
-      case Opcode::kTranspose: {
-        const AbsReg* a = read(inst.src_a, i, "transpose");
-        if (a != nullptr && (a->shape.rows != m || a->shape.cols != n)) {
-          shape_err(i, "transpose: operand is " + shape_str(a->shape) +
-                           " but the instruction expects " +
-                           std::to_string(m) + "x" + std::to_string(n));
-        }
-        const TensorShape src = a != nullptr ? a->shape : TensorShape{m, n};
-        write(inst.dst, {src.cols, src.rows}, a != nullptr ? a->mag : 0.0,
-              a != nullptr && a->nonneg, i);
-        return;
-      }
-
-      case Opcode::kSliceCols: {
-        const AbsReg* a = read(inst.src_a, i, "slice.cols");
-        const int start = k;
-        const int width = n;
-        if (a != nullptr && a->shape.rows != m) {
-          shape_err(i, "slice.cols: operand has " +
-                           std::to_string(a->shape.rows) +
-                           " rows but the instruction expects " +
-                           std::to_string(m));
-        }
-        if (a != nullptr && (width <= 0 || start + width > a->shape.cols)) {
-          finding(VerifyKind::kMisalignedSplit, VerifySeverity::kError, i,
-                  "slice.cols: window [" + std::to_string(start) + ", " +
-                      std::to_string(start + width) +
-                      ") is outside the operand's " +
-                      std::to_string(a->shape.cols) + " columns");
-        } else if (is_shared_block_system() &&
-                   (start % kBlockCols != 0 || width % kBlockCols != 0)) {
+        mag = static_cast<double>(std::max(n, 1)) * am;
+        break;
+      case Opcode::kSliceCols:
+        if (check.ok() && is_shared_block_system() &&
+            (inst.k % kBlockCols != 0 || n % kBlockCols != 0)) {
           finding(VerifyKind::kMisalignedSplit, VerifySeverity::kWarning, i,
-                  "slice.cols: window [" + std::to_string(start) + ", " +
-                      std::to_string(start + width) +
-                      ") is off the " + std::to_string(kBlockCols) +
+                  "slice.cols: window [" + std::to_string(inst.k) + ", " +
+                      std::to_string(inst.k + n) + ") is off the " +
+                      std::to_string(kBlockCols) +
                       "-column bfp block grid (re-blocking changes shared "
                       "exponents)");
         }
-        const int rows = a != nullptr ? a->shape.rows : m;
-        write(inst.dst, {rows, std::max(width, 1)},
-              a != nullptr ? a->mag : 0.0, a != nullptr && a->nonneg, i);
-        return;
-      }
-
-      case Opcode::kConcatCols: {
-        const AbsReg* a = read(inst.src_a, i, "concat.cols");
-        const AbsReg* b = read(inst.src_b, i, "concat.cols");
-        if (a != nullptr && b != nullptr &&
-            a->shape.rows != b->shape.rows) {
-          shape_err(i, "concat.cols: row counts " +
-                           std::to_string(a->shape.rows) + " and " +
-                           std::to_string(b->shape.rows) + " must match");
-        } else if (is_shared_block_system() && a != nullptr &&
-                   a->shape.cols % kBlockCols != 0) {
+        break;
+      case Opcode::kConcatCols:
+        if (check.ok() && is_shared_block_system() &&
+            shapes[0].cols % kBlockCols != 0) {
           finding(VerifyKind::kMisalignedSplit, VerifySeverity::kWarning, i,
                   "concat.cols: seam at column " +
-                      std::to_string(a->shape.cols) + " is off the " +
+                      std::to_string(shapes[0].cols) + " is off the " +
                       std::to_string(kBlockCols) + "-column bfp block grid");
         }
-        const int rows = a != nullptr ? a->shape.rows
-                         : b != nullptr ? b->shape.rows
-                                        : std::max(m, 1);
-        const int cols = (a != nullptr ? a->shape.cols : 0) +
-                         (b != nullptr ? b->shape.cols : 0);
-        write(inst.dst, {rows, std::max(cols, 1)},
-              std::max(a != nullptr ? a->mag : 0.0,
-                       b != nullptr ? b->mag : 0.0),
-              a != nullptr && b != nullptr && a->nonneg && b->nonneg, i);
-        return;
-      }
-
-      case Opcode::kHostRecip: {
-        const AbsReg* a = read(inst.src_a, i, "host.recip");
-        if (a != nullptr && !a->nonneg) {
-          finding(VerifyKind::kDomainError, VerifySeverity::kWarning, i,
-                  "host.recip operand may be zero or negative (Inf/NaN "
-                  "escape)");
+        mag = std::max(am, mag_of(1, 0.0));
+        break;
+      case Opcode::kHostRecip:
+        if (in[0] != nullptr && !in[0]->nonneg) {
+          warn_domain(i, "host.recip operand may be zero or negative (Inf/NaN "
+                         "escape)");
         }
-        write(inst.dst, a != nullptr ? a->shape : TensorShape{m, n},
-              kMagCap, a != nullptr && a->nonneg, i);
-        return;
-      }
-
+        mag = kMagCap;
+        break;
       case Opcode::kHostRsqrt: {
-        const AbsReg* a = read(inst.src_a, i, "host.rsqrt");
         const double lower =
-            a == nullptr ? 0.0 : (a->nonneg ? 0.0 : -a->mag);
+            in[0] == nullptr || in[0]->nonneg ? 0.0 : -in[0]->mag;
         if (lower + static_cast<double>(inst.imm) < 0.0) {
-          finding(VerifyKind::kDomainError, VerifySeverity::kWarning, i,
-                  "host.rsqrt operand plus eps may be negative (NaN "
-                  "escape)");
+          warn_domain(i, "host.rsqrt operand plus eps may be negative (NaN "
+                         "escape)");
         }
-        const double mag = inst.imm > 0.0F
-                               ? 1.0 / std::sqrt(static_cast<double>(inst.imm))
-                               : kMagCap;
-        write(inst.dst, a != nullptr ? a->shape : TensorShape{m, n}, mag,
-              true, i);
-        return;
+        mag = inst.imm > 0.0F
+                  ? 1.0 / std::sqrt(static_cast<double>(inst.imm))
+                  : kMagCap;
+        nonneg = true;
+        break;
       }
-
       case Opcode::kLayerNormM:
       case Opcode::kRmsNormM: {
-        const bool ln = inst.op == Opcode::kLayerNormM;
-        const char* what = ln ? "ln.macro" : "rmsn.macro";
-        const AbsReg* a = read(inst.src_a, i, what);
-        const AbsReg* g = read(inst.src_b, i, what);
-        const AbsReg* beta =
-            ln ? read(inst.src_c(), i, "ln.macro beta") : nullptr;
-        if (a != nullptr && (a->shape.rows != m || a->shape.cols != n)) {
-          shape_err(i, std::string(what) + ": operand is " +
-                           shape_str(a->shape) + " but the instruction "
-                           "expects " + std::to_string(m) + "x" +
-                           std::to_string(n));
-        }
-        const int cols = a != nullptr ? a->shape.cols : n;
-        if (g != nullptr && (g->shape.rows != 1 || g->shape.cols != cols)) {
-          shape_err(i, std::string(what) + ": gamma must be (1 x " +
-                           std::to_string(cols) + "), got " +
-                           shape_str(g->shape));
-        }
-        if (ln && beta != nullptr &&
-            (beta->shape.rows != 1 || beta->shape.cols != cols)) {
-          shape_err(i, "ln.macro: beta must be (1 x " +
-                           std::to_string(cols) + "), got " +
-                           shape_str(beta->shape));
-        }
         if (inst.imm < 0.0F) {
-          finding(VerifyKind::kDomainError, VerifySeverity::kWarning, i,
-                  std::string(what) +
-                      ": negative eps can make the variance term negative "
-                      "(NaN escape)");
+          warn_domain(i, std::string(opcode_name(inst.op)) +
+                             ": negative eps can make the variance term "
+                             "negative (NaN escape)");
         }
         // A normalized row is bounded by sqrt(cols) independent of the
         // data (the max z-score bound), so the macro output is bounded by
         // sqrt(cols)*|gamma| (+|beta|) even though its input is not.
-        const double norm_bound =
-            std::sqrt(static_cast<double>(std::max(cols, 1)));
-        const double gm = g != nullptr ? g->mag : 1.0;
-        const double bm = beta != nullptr ? beta->mag : 0.0;
-        write(inst.dst, a != nullptr ? a->shape : TensorShape{m, n},
-              norm_bound * gm + bm, false, i);
-        return;
+        const int cols = in[0] != nullptr ? in[0]->shape.cols : n;
+        const double beta =
+            inst.op == Opcode::kLayerNormM ? mag_of(2, 0.0) : 0.0;
+        mag = std::sqrt(static_cast<double>(std::max(cols, 1))) *
+                  mag_of(1, 1.0) +
+              beta;
+        nonneg = false;
+        break;
       }
-
-      case Opcode::kSoftmaxM: {
-        const AbsReg* a = read(inst.src_a, i, "softmax.macro");
-        if (a != nullptr && (a->shape.rows != m || a->shape.cols != n)) {
-          shape_err(i, "softmax.macro: operand is " + shape_str(a->shape) +
-                           " but the instruction expects " +
-                           std::to_string(m) + "x" + std::to_string(n));
-        }
-        write(inst.dst, a != nullptr ? a->shape : TensorShape{m, n}, 1.0,
-              true, i);
-        return;
-      }
-
+      case Opcode::kSoftmaxM:
+        mag = 1.0;
+        nonneg = true;
+        break;
       case Opcode::kGeluM:
-      case Opcode::kSiluM: {
-        const AbsReg* a = read(
-            inst.src_a, i, inst.op == Opcode::kGeluM ? "gelu" : "silu");
+      case Opcode::kSiluM:
         // gelu/silu are bounded by |x| + 0.5 (their negative lobes are
         // below 0.3 in magnitude).
-        write(inst.dst, a != nullptr ? a->shape : TensorShape{m, n},
-              (a != nullptr ? a->mag : 0.0) + 0.5,
-              a != nullptr && a->nonneg, i);
-        return;
-      }
-
-      case Opcode::kRope: {
-        const AbsReg* a = read(inst.src_a, i, "rope");
-        const AbsReg* cs = read(inst.src_b, i, "rope(cos)");
-        const AbsReg* sn = read(inst.src_c(), i, "rope(sin)");
-        if (a != nullptr && (a->shape.rows != m || a->shape.cols != n)) {
-          shape_err(i, "rope: operand is " + shape_str(a->shape) +
-                           " but the instruction expects " +
-                           std::to_string(m) + "x" + std::to_string(n));
-        }
-        if (a != nullptr && a->shape.cols % 2 != 0) {
-          shape_err(i, "rope: head dim " + std::to_string(a->shape.cols) +
-                           " must be even");
-        }
-        if (a != nullptr && cs != nullptr && a->shape != cs->shape) {
-          shape_err(i, "rope(cos): table shape " + shape_str(cs->shape) +
-                           " must match the operand " + shape_str(a->shape));
-        }
-        if (a != nullptr && sn != nullptr && a->shape != sn->shape) {
-          shape_err(i, "rope(sin): table shape " + shape_str(sn->shape) +
-                           " must match the operand " + shape_str(a->shape));
-        }
-        const double am = a != nullptr ? a->mag : 0.0;
-        const double tm = (cs != nullptr ? cs->mag : 1.0) +
-                          (sn != nullptr ? sn->mag : 1.0);
-        write(inst.dst, a != nullptr ? a->shape : TensorShape{m, n},
-              am * tm, false, i);
-        return;
-      }
-
+        mag = am + 0.5;
+        break;
+      case Opcode::kRope:
+        mag = am * (mag_of(1, 1.0) + mag_of(2, 1.0));
+        nonneg = false;
+        break;
       case Opcode::kBiasGelu:
-      case Opcode::kBiasSilu: {
-        const AbsReg* a = read(inst.src_a, i, "bias+act");
-        const AbsReg* bias = read(inst.src_b, i, "bias+act");
-        if (a != nullptr && (a->shape.rows != m || a->shape.cols != n)) {
-          shape_err(i, "bias+act: operand is " + shape_str(a->shape) +
-                           " but the instruction expects " +
-                           std::to_string(m) + "x" + std::to_string(n));
-        }
-        if (a != nullptr && bias != nullptr &&
-            (bias->shape.rows != 1 || bias->shape.cols != a->shape.cols)) {
-          shape_err(i, "bias+act: bias must be (1 x " +
-                           std::to_string(a->shape.cols) + "), got " +
-                           shape_str(bias->shape));
-        }
-        write(inst.dst, a != nullptr ? a->shape : TensorShape{m, n},
-              (a != nullptr ? a->mag : 0.0) +
-                  (bias != nullptr ? bias->mag : 0.0) + 0.5,
-              a != nullptr && bias != nullptr && a->nonneg && bias->nonneg,
-              i);
-        return;
-      }
-
-      case Opcode::kBiasResidual: {
-        const AbsReg* a = read(inst.src_a, i, "bias.residual");
-        const AbsReg* bias = read(inst.src_b, i, "bias.residual");
-        const AbsReg* res = read(inst.src_c(), i, "bias.residual");
-        if (a != nullptr && (a->shape.rows != m || a->shape.cols != n)) {
-          shape_err(i, "bias.residual: operand is " + shape_str(a->shape) +
-                           " but the instruction expects " +
-                           std::to_string(m) + "x" + std::to_string(n));
-        }
-        if (a != nullptr && bias != nullptr &&
-            (bias->shape.rows != 1 || bias->shape.cols != a->shape.cols)) {
-          shape_err(i, "bias.residual: bias must be (1 x " +
-                           std::to_string(a->shape.cols) + "), got " +
-                           shape_str(bias->shape));
-        }
-        if (a != nullptr && res != nullptr && a->shape != res->shape) {
-          shape_err(i, "bias.residual: residual shape " +
-                           shape_str(res->shape) + " must match the "
-                           "operand " + shape_str(a->shape));
-        }
-        write(inst.dst, a != nullptr ? a->shape : TensorShape{m, n},
-              (a != nullptr ? a->mag : 0.0) +
-                  (bias != nullptr ? bias->mag : 0.0) +
-                  (res != nullptr ? res->mag : 0.0),
-              a != nullptr && bias != nullptr && res != nullptr &&
-                  a->nonneg && bias->nonneg && res->nonneg,
-              i);
-        return;
-      }
+      case Opcode::kBiasSilu:
+        mag = am + mag_of(1, 0.0) + 0.5;
+        break;
+      case Opcode::kBiasResidual:
+        mag = am + mag_of(1, 0.0) + mag_of(2, 0.0);
+        break;
     }
-    // An opcode value outside the enum cannot be executed (decode rejects
-    // it; the interpreter would abort) — always reject.
-    shape_err(i, "invalid opcode " +
-                     std::to_string(static_cast<int>(inst.op)));
+    write(inst.dst, check.result, mag, nonneg, i);
+    if (errors_ != errors) return;
+    const InstructionCost cost =
+        instruction_cost(inst, shapes[0], shapes[1], sys_);
+    rep_.price.charge(cost);
+    rep_.instruction_cycles[static_cast<std::size_t>(i)] = cost.device_cycles;
   }
+
 
   void check_epilogue() {
     if (bind_.output_reg < 0) return;
@@ -879,7 +608,7 @@ class ProgramVerifier {
   void check_arena() {
     rep_.peak_resident_bytes = peak_resident_;
     const std::uint64_t arena =
-        opt_.arena_bytes != 0 ? opt_.arena_bytes : kDefaultArenaBytes;
+        opt_.arena_bytes != 0 ? opt_.arena_bytes : kHbmCapacityBytes;
     if (peak_resident_ > arena) {
       finding(VerifyKind::kArenaOverflow, VerifySeverity::kError,
               peak_inst_,
@@ -887,10 +616,6 @@ class ProgramVerifier {
                   std::to_string(peak_resident_) + " bytes exceeds the " +
                   std::to_string(arena) + "-byte device arena");
     }
-  }
-
-  static std::string shape_str(const TensorShape& s) {
-    return std::to_string(s.rows) + "x" + std::to_string(s.cols);
   }
 
   const Program& prog_;
@@ -1143,25 +868,22 @@ VerifyReport verify_model_spec(const ModelSpec& spec,
   }
 
   // ---- device memory: the paged-KV reservation of serve_decode ----
-  if (spec.family == SpecFamily::kDecoder && spec.context > 0) {
-    const auto kv_bytes_per_token = static_cast<std::uint64_t>(
-        static_cast<double>(spec.depth) * 2.0 *
-        static_cast<double>(spec.kv_dim()) * kBfpBytesPerElem);
-    const auto page_tokens =
-        static_cast<std::uint64_t>(std::max(options.page_tokens, 1));
-    const std::uint64_t page_bytes = page_tokens * kv_bytes_per_token;
-    const std::uint64_t ctx_pages =
-        (static_cast<std::uint64_t>(spec.context) + page_tokens - 1) /
-        page_tokens;
-    const std::uint64_t page_cost = page_bytes + 2 * kMemAlignment;
-    // serve_decode's default arena holds exactly one full-context
-    // sequence; every concurrent stream pins its own pages.
+  if (spec.family == SpecFamily::kDecoder && spec.context > 0 &&
+      options.page_tokens < 1) {
+    spec_finding(rep, VerifyKind::kShapeMismatch, VerifySeverity::kError,
+                 "paged KV: page_tokens must be >= 1, got " +
+                     std::to_string(options.page_tokens),
+                 spec.name);
+  } else if (spec.family == SpecFamily::kDecoder && spec.context > 0) {
+    const KvReservation kv = kv_reservation(
+        decode_shape_of(spec), spec.context, options.page_tokens);
     const std::uint64_t arena = options.arena_bytes != 0
                                     ? options.arena_bytes
-                                    : ctx_pages * page_cost;
+                                    : kv.default_arena();
+    // Every concurrent stream pins its own pages.
     const std::uint64_t required =
-        static_cast<std::uint64_t>(std::max(options.batch, 1)) * ctx_pages *
-        page_cost;
+        static_cast<std::uint64_t>(std::max(options.batch, 1)) *
+        kv.context_pages * kv.page_cost;
     if (required > arena) {
       spec_finding(rep, VerifyKind::kArenaOverflow, VerifySeverity::kError,
                    "paged KV: " + std::to_string(std::max(options.batch, 1)) +

@@ -14,10 +14,11 @@
 //      allocator's declared 240-register window. When the compiler
 //      declares its value intervals (VerifyBindings::values) this
 //      independently re-checks the two-phase liveness allocator.
-//   2. shape / format flow — per-instruction shape inference mirroring the
-//      executor's BFP_REQUIRE checks exactly, so every ShapeError becomes
-//      a compile-time diagnostic with an instruction index; plus block-
-//      boundary checks (column slices at bfp block multiples).
+//   2. shape / format flow — each instruction goes through the operand
+//      contract the executor faults on (check_operands, isa/executor.hpp),
+//      so every operand fault becomes a compile-time diagnostic with an
+//      instruction index; plus block-boundary checks (column slices at bfp
+//      block multiples).
 //   3. bitwidth interval analysis — for every matmul, propagate the
 //      mantissa-magnitude interval implied by FormatSpec{we,wm} and the K
 //      reduction depth through the EU/PSU discipline and prove the
@@ -33,8 +34,8 @@
 //      (pre-bound tensors + computed values, overwrite frees the old
 //      value) checked against the configured arena, matching
 //      Executor::set_memory_limit byte for byte; spec-level verification
-//      additionally checks the paged-KV reservation formula of
-//      serve_decode against the arena.
+//      additionally checks serve_decode's paged-KV reservation
+//      (kv_reservation, transformer/decoder.hpp) against the arena.
 //
 // The same shape walk prices the program: every instruction whose
 // contracts hold is charged through instruction_cost (isa/executor.hpp),
@@ -47,7 +48,13 @@
 // findings executes contract-clean on the Executor for any binding that
 // honours the declared shapes and magnitude bound. The converse is
 // deliberately one-directional — the verifier may reject programs that
-// would happen to execute, never the other way around.
+// would happen to execute (a carrier bound proven for every input, a
+// retired read), never the other way around. For operand faults alone
+// the two sides are one rule, so they agree exactly
+// (OperandContract.VerifierRejectsExactlyWhatExecutorFaults). The one
+// data-dependent exception: a possible NaN/Inf escape is a domain-error
+// warning, and the sliced fp32 datapath refuses NaN/Inf operands at run
+// time.
 #pragma once
 
 #include <cstdint>
@@ -118,7 +125,7 @@ struct VerifyBindings {
 
 struct VerifyOptions {
   /// Device arena the peak resident footprint is checked against.
-  /// 0 = DeviceMemory::kDefaultCapacity (8 GiB).
+  /// 0 = kHbmCapacityBytes (8 GiB, DeviceMemory's default capacity).
   std::uint64_t arena_bytes = 0;
   /// Paged-KV page geometry for spec-level decoder verification.
   int page_tokens = 16;

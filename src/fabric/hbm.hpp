@@ -17,6 +17,12 @@ namespace bfpsim {
 
 class FaultStream;
 
+/// HBM2 capacity of one Alveo U280 card: the default device arena.
+inline constexpr std::uint64_t kHbmCapacityBytes = 8ull << 30;
+/// Device allocation granularity: one AXI beat across a unit's channel
+/// pair.
+inline constexpr std::uint64_t kHbmAlignment = 64;
+
 struct HbmConfig {
   int axi_channels_per_unit = 2;   ///< 256-bit channels per PU
   int bytes_per_cycle_per_channel = 32;  ///< 256 bit @ fabric clock

@@ -147,12 +147,6 @@ void Executor::exec_matmul_reliable(const Instruction& inst,
 
 namespace {
 
-void require_same_shape(const RegTensor& a, const RegTensor& b,
-                        const char* what) {
-  BFP_REQUIRE(a.rows == b.rows && a.cols == b.cols,
-              std::string(what) + ": operand shapes must match");
-}
-
 RegTensor like(const RegTensor& a) {
   RegTensor t;
   t.rows = a.rows;
@@ -161,36 +155,189 @@ RegTensor like(const RegTensor& a) {
   return t;
 }
 
+std::string shape_str(TensorShape s) {
+  return std::to_string(s.rows) + "x" + std::to_string(s.cols);
+}
+
 }  // namespace
 
+OperandCheck check_operands(const Instruction& inst,
+                            std::span<const TensorShape> shapes,
+                            const AcceleratorSystem& system) {
+  BFP_ASSERT(shapes.size() ==
+             static_cast<std::size_t>(operands(inst).count));
+  const int m = inst.m;
+  const int n = inst.n;
+  const TensorShape mn{m, n};
+  OperandCheck c;
+  c.result = mn;
+  auto fail = [&](OperandFault fault, const std::string& why) {
+    c.fault = fault;
+    c.result = mn;
+    c.message = std::string(opcode_name(inst.op)) + ": " + why;
+  };
+  // Operand j must be `want`; records the first broken rule.
+  auto is = [&](std::size_t j, TensorShape want) {
+    if (shapes[j] == want) return true;
+    static const char* const kRole[] = {"A", "B", "C"};
+    fail(OperandFault::kShape, std::string("operand ") + kRole[j] + " is " +
+                                   shape_str(shapes[j]) + ", expected " +
+                                   shape_str(want));
+    return false;
+  };
+  auto done = [&](TensorShape result) {
+    c.result = result;
+    return c;
+  };
+  switch (inst.op) {
+    case Opcode::kNop:
+    case Opcode::kSync:
+    case Opcode::kHalt:
+      c.writes = false;
+      return c;
+
+    case Opcode::kBfpMatmul: {
+      // The mode first: it selects the datapath the shapes feed.
+      const std::size_t idx = inst.mode_index();
+      const std::string& sys_mode = system.config().pu.mode;
+      if (idx == 0 && !is_numeric_mode(sys_mode)) {
+        fail(OperandFault::kUnknownMode,
+             "system mode '" + sys_mode +
+                 "' is outside the numeric-mode registry");
+        return c;
+      }
+      if (idx > numeric_modes().size()) {
+        fail(OperandFault::kUnknownMode,
+             "mode annotation " + std::to_string(idx) +
+                 " is outside the numeric-mode registry (" +
+                 std::to_string(numeric_modes().size()) + " modes)");
+        return c;
+      }
+      if (!is(0, {m, inst.k}) || !is(1, {inst.k, n})) return c;
+      return done(mn);
+    }
+
+    case Opcode::kVecMul:
+    case Opcode::kVecAdd:
+    case Opcode::kHostDiv:
+      if (!is(1, shapes[0])) return c;
+      return done(shapes[0]);
+
+    case Opcode::kVecMulScalar:
+    case Opcode::kVecAddScalar:
+    case Opcode::kVecExp:
+    case Opcode::kVecTanh:
+    case Opcode::kHostRsqrt:
+    case Opcode::kHostRecip:
+    case Opcode::kGeluM:
+    case Opcode::kSiluM:
+      return done(shapes[0]);
+
+    case Opcode::kRowSum:
+    case Opcode::kRowMax:
+      if (!is(0, mn)) return c;
+      return done({m, 1});
+
+    case Opcode::kRowSub:
+    case Opcode::kRowMulBcast:
+      if (!is(0, mn) || !is(1, {m, 1})) return c;
+      return done(mn);
+
+    case Opcode::kColAddBcast:
+    case Opcode::kColMulBcast:
+    case Opcode::kRmsNormM:
+    case Opcode::kBiasGelu:
+    case Opcode::kBiasSilu:
+      if (!is(0, mn) || !is(1, {1, n})) return c;
+      return done(mn);
+
+    case Opcode::kLayerNormM:
+      if (!is(0, mn) || !is(1, {1, n}) || !is(2, {1, n})) return c;
+      return done(mn);
+
+    case Opcode::kBiasResidual:
+      if (!is(0, mn) || !is(1, {1, n}) || !is(2, mn)) return c;
+      return done(mn);
+
+    case Opcode::kSoftmaxM:
+      if (!is(0, mn)) return c;
+      return done(mn);
+
+    case Opcode::kRope:
+      if (!is(0, mn)) return c;
+      if (n % 2 != 0) {
+        fail(OperandFault::kShape,
+             "head dim " + std::to_string(n) + " must be even");
+        return c;
+      }
+      if (!is(1, mn) || !is(2, mn)) return c;
+      return done(mn);
+
+    case Opcode::kTranspose:
+      if (!is(0, mn)) return c;
+      return done({n, m});
+
+    case Opcode::kSliceCols:
+      if (shapes[0].rows != m) {
+        fail(OperandFault::kShape,
+             "operand has " + std::to_string(shapes[0].rows) +
+                 " rows, expected " + std::to_string(m));
+        return c;
+      }
+      if (n == 0 || inst.k + n > shapes[0].cols) {
+        fail(OperandFault::kSliceWindow,
+             "window [" + std::to_string(inst.k) + ", " +
+                 std::to_string(inst.k + n) + ") is outside the operand's " +
+                 std::to_string(shapes[0].cols) + " columns");
+        return c;
+      }
+      return done(mn);
+
+    case Opcode::kConcatCols:
+      if (shapes[1].rows != shapes[0].rows) {
+        fail(OperandFault::kShape,
+             "row counts " + std::to_string(shapes[0].rows) + " and " +
+                 std::to_string(shapes[1].rows) + " must match");
+        return c;
+      }
+      return done({shapes[0].rows, shapes[0].cols + shapes[1].cols});
+  }
+  // An opcode value outside the enum (decode rejects it; a hand-built
+  // Program can still carry one) reads and writes nothing.
+  c.writes = false;
+  fail(OperandFault::kShape,
+       "invalid opcode " + std::to_string(static_cast<int>(inst.op)));
+  return c;
+}
+
 void Executor::exec_one(const Instruction& inst, ExecutionStats& stats) {
-  if (inst.op == Opcode::kNop || inst.op == Opcode::kSync ||
-      inst.op == Opcode::kHalt) {
+  const Operands ops = operands(inst);
+  std::array<const Reg*, 3> in{};
+  std::array<TensorShape, 3> shapes{};
+  for (int j = 0; j < ops.count; ++j) {
+    const auto u = static_cast<std::size_t>(j);
+    in[u] = &reg(ops.regs[u]);
+    shapes[u] = {in[u]->t->rows, in[u]->t->cols};
+  }
+  const OperandCheck check = check_operands(
+      inst, std::span(shapes).first(static_cast<std::size_t>(ops.count)),
+      system_);
+  if (!check.ok()) throw Error(check.message);
+  if (!check.writes) return;
+  if (inst.op == Opcode::kBfpMatmul && rel_.has_value() &&
+      inst.mode_index() == 0) {
+    exec_matmul_reliable(inst, *in[0]->t, *in[1]->t, stats);
     return;
   }
-  const RegTensor& a = tensor(inst.src_a);
-  if (inst.op == Opcode::kBfpMatmul) {
-    const RegTensor& b = tensor(inst.src_b);
-    BFP_REQUIRE(a.rows == inst.m && a.cols == inst.k,
-                "bfp.matmul: A shape mismatch");
-    BFP_REQUIRE(b.rows == inst.k && b.cols == inst.n,
-                "bfp.matmul: B shape mismatch");
-    if (rel_.has_value() && inst.mode_index() == 0) {
-      exec_matmul_reliable(inst, a, b, stats);
-      return;
-    }
-  }
-  const TensorShape b_shape =
-      inst.op == Opcode::kConcatCols
-          ? TensorShape{tensor(inst.src_b).rows, tensor(inst.src_b).cols}
-          : TensorShape{};
-  RegTensor c = compute(inst, a);
-  stats.charge(instruction_cost(inst, {a.rows, a.cols}, b_shape, system_));
+  RegTensor c = compute(inst, in);
+  BFP_ASSERT(c.rows == check.result.rows && c.cols == check.result.cols);
+  stats.charge(instruction_cost(inst, shapes[0], shapes[1], system_));
   store(inst.dst, std::move(c));
 }
 
 RegTensor Executor::compute(const Instruction& inst,
-                             const RegTensor& a) const {
+                            const std::array<const Reg*, 3>& in) const {
+  const RegTensor& a = *in[0]->t;
   switch (inst.op) {
     case Opcode::kNop:
     case Opcode::kSync:
@@ -205,29 +352,22 @@ RegTensor Executor::compute(const Instruction& inst,
       // checksum protection is a bfp8-datapath feature. A B register bound
       // with its pre-quantized operand (bind) skips B's quantization; the
       // ABFT and mode-annotated paths read the floats.
-      const RegTensor& b = tensor(inst.src_b);
-      const BfpMatrix* bfp_b = reg(inst.src_b).bfp_b.get();
+      const RegTensor& b = *in[1]->t;
+      const BfpMatrix* bfp_b = in[1]->bfp_b.get();
       const GemmRun run =
           inst.mode_index() == 0
               ? (bfp_b != nullptr
                      ? system_.gemm(a.data, a.rows, a.cols, *bfp_b, b.cols)
                      : system_.gemm(a.data, a.rows, a.cols, b.data, b.cols))
-              : [&] {
-                  const auto& modes = numeric_modes();
-                  const std::size_t idx = inst.mode_index() - 1U;
-                  BFP_REQUIRE(idx < modes.size(),
-                              "bfp.matmul: mode annotation out of range");
-                  return system_.gemm(modes[idx], a.data, a.rows, a.cols,
-                                      b.data, b.cols);
-                }();
+              : system_.gemm(numeric_modes()[inst.mode_index() - 1U], a.data,
+                             a.rows, a.cols, b.data, b.cols);
       return RegTensor{inst.m, inst.n, run.c};
     }
 
     case Opcode::kVecMul:
     case Opcode::kVecAdd: {
       const bool is_mul = inst.op == Opcode::kVecMul;
-      const RegTensor& b = tensor(inst.src_b);
-      require_same_shape(a, b, is_mul ? "vec.mul" : "vec.add");
+      const RegTensor& b = *in[1]->t;
       RegTensor c = like(a);
       for (std::size_t i = 0; i < a.size(); ++i) {
         c.data[i] = is_mul ? fp32_mul_sliced(a.data[i], b.data[i])
@@ -265,8 +405,6 @@ RegTensor Executor::compute(const Instruction& inst,
     }
 
     case Opcode::kRowSum: {
-      BFP_REQUIRE(a.rows == inst.m && a.cols == inst.n,
-                  "row.sum: shape mismatch");
       RegTensor c{a.rows, 1, std::vector<float>(static_cast<std::size_t>(a.rows))};
       for (int r = 0; r < a.rows; ++r) {
         float acc = 0.0F;
@@ -280,8 +418,6 @@ RegTensor Executor::compute(const Instruction& inst,
     }
 
     case Opcode::kRowMax: {
-      BFP_REQUIRE(a.rows == inst.m && a.cols == inst.n,
-                  "row.max: shape mismatch");
       RegTensor c{a.rows, 1, std::vector<float>(static_cast<std::size_t>(a.rows))};
       for (int r = 0; r < a.rows; ++r) {
         float mx = a.data[static_cast<std::size_t>(r) * a.cols];
@@ -297,13 +433,7 @@ RegTensor Executor::compute(const Instruction& inst,
     case Opcode::kRowSub:
     case Opcode::kRowMulBcast: {
       const bool is_sub = inst.op == Opcode::kRowSub;
-      const RegTensor& v = tensor(inst.src_b);
-      BFP_REQUIRE(a.rows == inst.m && a.cols == inst.n,
-                  is_sub ? "row.sub: shape mismatch"
-                         : "row.mulb: shape mismatch");
-      BFP_REQUIRE(v.rows == a.rows && v.cols == 1,
-                  is_sub ? "row.sub: row vector must be (rows x 1)"
-                         : "row.mulb: row vector must be (rows x 1)");
+      const RegTensor& v = *in[1]->t;
       RegTensor c = like(a);
       for (int r = 0; r < a.rows; ++r) {
         const float vr = v.data[static_cast<std::size_t>(r)];
@@ -319,11 +449,7 @@ RegTensor Executor::compute(const Instruction& inst,
     case Opcode::kColAddBcast:
     case Opcode::kColMulBcast: {
       const bool is_add = inst.op == Opcode::kColAddBcast;
-      const RegTensor& v = tensor(inst.src_b);
-      BFP_REQUIRE(a.rows == inst.m && a.cols == inst.n,
-                  "col broadcast: shape mismatch");
-      BFP_REQUIRE(v.rows == 1 && v.cols == a.cols,
-                  "col broadcast: vector must be (1 x cols)");
+      const RegTensor& v = *in[1]->t;
       RegTensor c = like(a);
       for (int r = 0; r < a.rows; ++r) {
         for (int j = 0; j < a.cols; ++j) {
@@ -339,8 +465,6 @@ RegTensor Executor::compute(const Instruction& inst,
     }
 
     case Opcode::kTranspose: {
-      BFP_REQUIRE(a.rows == inst.m && a.cols == inst.n,
-                  "transpose: shape mismatch");
       RegTensor c{a.cols, a.rows, std::vector<float>(a.size())};
       for (int r = 0; r < a.rows; ++r) {
         for (int j = 0; j < a.cols; ++j) {
@@ -354,9 +478,6 @@ RegTensor Executor::compute(const Instruction& inst,
     case Opcode::kSliceCols: {
       const int start = inst.k;
       const int width = inst.n;
-      BFP_REQUIRE(a.rows == inst.m, "slice.cols: row count mismatch");
-      BFP_REQUIRE(width > 0 && start >= 0 && start + width <= a.cols,
-                  "slice.cols: slice out of range");
       RegTensor c;
       c.rows = a.rows;
       c.cols = width;
@@ -371,8 +492,7 @@ RegTensor Executor::compute(const Instruction& inst,
     }
 
     case Opcode::kConcatCols: {
-      const RegTensor& b = tensor(inst.src_b);
-      BFP_REQUIRE(a.rows == b.rows, "concat.cols: row counts must match");
+      const RegTensor& b = *in[1]->t;
       RegTensor c;
       c.rows = a.rows;
       c.cols = a.cols + b.cols;
@@ -391,8 +511,7 @@ RegTensor Executor::compute(const Instruction& inst,
     }
 
     case Opcode::kHostDiv: {
-      const RegTensor& b = tensor(inst.src_b);
-      require_same_shape(a, b, "host.div");
+      const RegTensor& b = *in[1]->t;
       RegTensor c = like(a);
       for (std::size_t i = 0; i < a.size(); ++i) {
         c.data[i] = a.data[i] / b.data[i];
@@ -420,36 +539,24 @@ RegTensor Executor::compute(const Instruction& inst,
     // nonlinear.* micro-programs VitModel::forward_mixed runs. ----
 
     case Opcode::kLayerNormM: {
-      const RegTensor& gamma = tensor(inst.src_b);
-      const RegTensor& beta = tensor(inst.src_c());
-      BFP_REQUIRE(a.rows == inst.m && a.cols == inst.n,
-                  "ln.macro: shape mismatch");
-      BFP_REQUIRE(gamma.rows == 1 && gamma.cols == a.cols && beta.rows == 1 &&
-                      beta.cols == a.cols,
-                  "ln.macro: gamma/beta must be (1 x cols)");
+      const RegTensor& gamma = *in[1]->t;
+      const RegTensor& beta = *in[2]->t;
       return RegTensor{a.rows, a.cols,
                        approx_layernorm(a.data, a.rows, a.cols, gamma.data,
                                         beta.data, nullptr, inst.imm)};
     }
 
     case Opcode::kRmsNormM: {
-      const RegTensor& gamma = tensor(inst.src_b);
-      BFP_REQUIRE(a.rows == inst.m && a.cols == inst.n,
-                  "rmsn.macro: shape mismatch");
-      BFP_REQUIRE(gamma.rows == 1 && gamma.cols == a.cols,
-                  "rmsn.macro: gamma must be (1 x cols)");
+      const RegTensor& gamma = *in[1]->t;
       return RegTensor{a.rows, a.cols,
                        approx_rmsnorm(a.data, a.rows, a.cols, gamma.data,
                                       nullptr, inst.imm)};
     }
 
-    case Opcode::kSoftmaxM: {
-      BFP_REQUIRE(a.rows == inst.m && a.cols == inst.n,
-                  "softmax.macro: shape mismatch");
+    case Opcode::kSoftmaxM:
       return RegTensor{a.rows, a.cols,
                        approx_softmax(a.data, a.rows, a.cols, nullptr,
                                       (inst.flags & 1) != 0)};
-    }
 
     case Opcode::kGeluM:
       return RegTensor{a.rows, a.cols, approx_gelu(std::span(a.data))};
@@ -457,13 +564,8 @@ RegTensor Executor::compute(const Instruction& inst,
       return RegTensor{a.rows, a.cols, approx_silu(std::span(a.data))};
 
     case Opcode::kRope: {
-      const RegTensor& cs = tensor(inst.src_b);
-      const RegTensor& sn = tensor(inst.src_c());
-      BFP_REQUIRE(a.rows == inst.m && a.cols == inst.n,
-                  "rope: shape mismatch");
-      BFP_REQUIRE(a.cols % 2 == 0, "rope: head dim must be even");
-      require_same_shape(a, cs, "rope(cos)");
-      require_same_shape(a, sn, "rope(sin)");
+      const RegTensor& cs = *in[1]->t;
+      const RegTensor& sn = *in[2]->t;
       RegTensor c = like(a);
       const int half = a.cols / 2;
       for (int r = 0; r < a.rows; ++r) {
@@ -487,11 +589,7 @@ RegTensor Executor::compute(const Instruction& inst,
 
     case Opcode::kBiasGelu:
     case Opcode::kBiasSilu: {
-      const RegTensor& bias = tensor(inst.src_b);
-      BFP_REQUIRE(a.rows == inst.m && a.cols == inst.n,
-                  "bias+act: shape mismatch");
-      BFP_REQUIRE(bias.rows == 1 && bias.cols == a.cols,
-                  "bias+act: bias must be (1 x cols)");
+      const RegTensor& bias = *in[1]->t;
       RegTensor c = like(a);
       for (int r = 0; r < a.rows; ++r) {
         for (int j = 0; j < a.cols; ++j) {
@@ -506,13 +604,8 @@ RegTensor Executor::compute(const Instruction& inst,
     }
 
     case Opcode::kBiasResidual: {
-      const RegTensor& bias = tensor(inst.src_b);
-      const RegTensor& res = tensor(inst.src_c());
-      BFP_REQUIRE(a.rows == inst.m && a.cols == inst.n,
-                  "bias.residual: shape mismatch");
-      BFP_REQUIRE(bias.rows == 1 && bias.cols == a.cols,
-                  "bias.residual: bias must be (1 x cols)");
-      require_same_shape(a, res, "bias.residual");
+      const RegTensor& bias = *in[1]->t;
+      const RegTensor& res = *in[2]->t;
       RegTensor c = like(a);
       // out = residual + (a + bias): the same aligned-add order as the
       // legacy model's add_bias_mixed / add_residual_mixed pair.

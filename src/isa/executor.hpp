@@ -3,16 +3,20 @@
 //
 // Device opcodes execute with the accelerator's exact arithmetic (bfp8 GEMM
 // through the golden PU path; fp32 vector ops through the sliced-multiply /
-// aligned-add datapaths). Every instruction is charged by instruction_cost,
-// the one cycle model: a function of opcode, operand shapes and system,
-// never of tensor values. Host opcodes use IEEE arithmetic and are tallied
+// aligned-add datapaths). Every instruction's operands are checked by
+// check_operands, the one operand contract the static verifier applies
+// too, and every instruction is charged by instruction_cost, the one
+// cycle model: a function of opcode, operand shapes and system, never of
+// tensor values. Host opcodes use IEEE arithmetic and are tallied
 // separately, mirroring the paper's host-side division (Section III-B).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "fabric/system.hpp"
@@ -35,6 +39,34 @@ struct RegTensor {
   }
 };
 
+/// Why an instruction's operands break its opcode's contract.
+enum class OperandFault : std::uint8_t {
+  kNone,
+  kShape,        ///< an operand shape disagrees with the opcode or m/k/n
+  kSliceWindow,  ///< slice.cols window outside the operand's columns
+  kUnknownMode,  ///< matmul mode annotation or system mode unregistered
+};
+
+/// The operand contract's verdict on one instruction.
+struct OperandCheck {
+  OperandFault fault = OperandFault::kNone;
+  bool writes = true;   ///< defines dst (false for control opcodes)
+  TensorShape result;   ///< dst shape; the nominal m x n after a fault
+  std::string message;  ///< the broken rule; empty when ok()
+
+  bool ok() const { return fault == OperandFault::kNone; }
+};
+
+/// The one operand contract: whether `inst`, reading operands of shapes
+/// `shapes` (one per operands(inst) register, in order), satisfies its
+/// opcode on `system` — operand shapes, the m/k/n fields, the slice window
+/// and the matmul's numeric mode — and the shape it writes. The Executor
+/// faults exactly when this fails; the static verifier reports the same
+/// failure as a finding. A passing check builds no string.
+OperandCheck check_operands(const Instruction& inst,
+                            std::span<const TensorShape> shapes,
+                            const AcceleratorSystem& system);
+
 /// What one instruction charges.
 struct InstructionCost {
   std::uint64_t device_cycles = 0;  ///< includes move_cycles
@@ -43,8 +75,8 @@ struct InstructionCost {
   OpCounter ops;
 };
 
-/// The cost of `inst` given the shapes of its src_a operand `a` and src_b
-/// operand `b` (read by concat.cols only). Each macro charges one
+/// The cost of `inst` given the shapes of its first two operands `a` and
+/// `b` (b is read by concat.cols only). Each macro charges one
 /// vector_latency pass over its whole op mix, the single charge
 /// VitModel::forward_mixed makes per kernel call; a fused op charges the
 /// passes of the sequence it fuses. The ABFT checksum overhead of a
@@ -158,8 +190,10 @@ class Executor {
   void store(int r, std::shared_ptr<const RegTensor> t,
              std::shared_ptr<const BfpMatrix> bfp_b);
   void exec_one(const Instruction& inst, ExecutionStats& stats);
-  /// The result tensor of a non-control instruction whose src_a is `a`.
-  RegTensor compute(const Instruction& inst, const RegTensor& a) const;
+  /// The result tensor of a non-control instruction whose operands (in
+  /// operands(inst) order) passed check_operands.
+  RegTensor compute(const Instruction& inst,
+                    const std::array<const Reg*, 3>& in) const;
   void exec_matmul_reliable(const Instruction& inst, const RegTensor& a,
                             const RegTensor& b, ExecutionStats& stats);
 

@@ -143,55 +143,59 @@ const char* opcode_name(Opcode op) {
   return "?";
 }
 
-namespace {
-bool has_src_c(Opcode op) {
-  // Exhaustive over Opcode (no default) so a new three-operand opcode
-  // cannot silently disassemble without its third register.
-  switch (op) {
-    case Opcode::kLayerNormM:
-    case Opcode::kRope:
-    case Opcode::kBiasResidual:
-      return true;
+Operands operands(const Instruction& inst) {
+  // Exhaustive over Opcode (no default): a new opcode must declare what it
+  // reads before the executor, verifier or disassembler can handle it.
+  int count = 0;
+  switch (inst.op) {
     case Opcode::kNop:
-    case Opcode::kBfpMatmul:
-    case Opcode::kVecMul:
-    case Opcode::kVecAdd:
+    case Opcode::kSync:
+    case Opcode::kHalt:
+      break;
     case Opcode::kVecMulScalar:
     case Opcode::kVecAddScalar:
     case Opcode::kVecExp:
     case Opcode::kVecTanh:
     case Opcode::kRowSum:
     case Opcode::kRowMax:
-    case Opcode::kRowSub:
-    case Opcode::kRowMulBcast:
-    case Opcode::kHostDiv:
     case Opcode::kHostRsqrt:
     case Opcode::kHostRecip:
-    case Opcode::kSync:
-    case Opcode::kColAddBcast:
-    case Opcode::kColMulBcast:
     case Opcode::kTranspose:
     case Opcode::kSliceCols:
-    case Opcode::kConcatCols:
-    case Opcode::kHalt:
-    case Opcode::kRmsNormM:
     case Opcode::kSoftmaxM:
     case Opcode::kGeluM:
     case Opcode::kSiluM:
+      count = 1;
+      break;
+    case Opcode::kBfpMatmul:
+    case Opcode::kVecMul:
+    case Opcode::kVecAdd:
+    case Opcode::kRowSub:
+    case Opcode::kRowMulBcast:
+    case Opcode::kHostDiv:
+    case Opcode::kColAddBcast:
+    case Opcode::kColMulBcast:
+    case Opcode::kConcatCols:
+    case Opcode::kRmsNormM:
     case Opcode::kBiasGelu:
     case Opcode::kBiasSilu:
-      return false;
+      count = 2;
+      break;
+    case Opcode::kLayerNormM:
+    case Opcode::kRope:
+    case Opcode::kBiasResidual:
+      count = 3;
+      break;
   }
-  return false;
+  return Operands{{inst.src_a, inst.src_b, inst.src_c()}, count};
 }
-}  // namespace
 
 std::string to_string(const Instruction& inst) {
   std::ostringstream os;
   os << opcode_name(inst.op) << " r" << static_cast<int>(inst.dst) << ", r"
      << static_cast<int>(inst.src_a) << ", r"
      << static_cast<int>(inst.src_b);
-  if (has_src_c(inst.op)) os << ", r" << static_cast<int>(inst.src_c());
+  if (operands(inst).count == 3) os << ", r" << static_cast<int>(inst.src_c());
   if (inst.op == Opcode::kBfpMatmul && inst.mode_index() != 0) {
     os << ", mode=" << static_cast<int>(inst.mode_index());
   }

@@ -127,6 +127,17 @@ struct TensorShape {
   }
 };
 
+/// The registers an instruction reads, in operand order: src_a, src_b,
+/// then src_c for the three-operand opcodes. Operand j of the operand
+/// contract (check_operands, isa/executor.hpp) is regs[j].
+struct Operands {
+  std::array<std::uint8_t, 3> regs{};
+  int count = 0;
+};
+
+/// What `inst` reads (none for control opcodes and invalid opcode values).
+Operands operands(const Instruction& inst);
+
 /// 128-bit encoded instruction word.
 using InstructionWord = std::array<std::uint8_t, 16>;
 

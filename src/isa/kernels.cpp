@@ -22,21 +22,28 @@ Program softmax(int rows, int cols, bool softermax) {
   return b.build();
 }
 
-Program layernorm(int rows, int cols, float eps) {
+void layernorm(ProgramBuilder& b, int rows, int cols, float eps,
+               const Frame& f) {
   const float invn = 1.0F / static_cast<float>(cols);
+  const int s0 = f.scratch;
+  const int s1 = f.scratch + 1;
+  const int s2 = f.scratch + 2;
+  b.row_sum(s0, f.in, rows, cols)
+      .vec_mul_scalar(s0, s0, invn)                // mean_i
+      .row_sub(s1, f.in, s0, rows, cols)           // centered
+      .vec_mul(s2, s1, s1)                         // squared
+      .row_sum(s2, s2, rows, cols)
+      .vec_mul_scalar(s2, s2, invn)                // var_i
+      .host_rsqrt(s2, s2, eps)                     // 1/sqrt(var+eps) (host)
+      .row_mul_bcast(s1, s1, s2, rows, cols)       // normalized
+      .col_mul_bcast(s1, s1, f.gamma, rows, cols)  // * gamma
+      .col_add_bcast(f.out, s1, f.beta, rows, cols);  // + beta
+}
+
+Program layernorm(int rows, int cols, float eps) {
   ProgramBuilder b;
-  b.row_sum(kS0, kIn, rows, cols)
-      .vec_mul_scalar(kS0, kS0, invn)           // mean_i
-      .row_sub(kS1, kIn, kS0, rows, cols)       // centered
-      .vec_mul(kS2, kS1, kS1)                   // squared
-      .row_sum(kS3, kS2, rows, cols)
-      .vec_mul_scalar(kS3, kS3, invn)           // var_i
-      .host_rsqrt(kS4, kS3, eps)                // 1/sqrt(var+eps)  (host)
-      .row_mul_bcast(kS1, kS1, kS4, rows, cols) // normalized
-      .vec_mul(kS2, kS1, kGamma)                // * gamma (tiled)
-      .vec_add(kOut, kS2, kBeta)                // + beta  (tiled)
-      .halt();
-  return b.build();
+  layernorm(b, rows, cols, eps, Frame{});
+  return b.halt().build();
 }
 
 Program gelu() {

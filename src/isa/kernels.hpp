@@ -13,8 +13,8 @@ namespace bfpsim::kernels {
 /// Register conventions shared by all kernels.
 inline constexpr int kIn = 0;     ///< primary input
 inline constexpr int kOut = 1;    ///< result
-inline constexpr int kGamma = 2;  ///< layernorm scale, tiled to input shape
-inline constexpr int kBeta = 3;   ///< layernorm shift, tiled to input shape
+inline constexpr int kGamma = 2;  ///< norm scale, a (1 x cols) row vector
+inline constexpr int kBeta = 3;   ///< layernorm shift, a (1 x cols) row vector
 inline constexpr int kScratchBase = 8;
 
 /// Row-wise softmax over an (rows x cols) input: max-subtract, vec.exp,
@@ -23,8 +23,25 @@ inline constexpr int kScratchBase = 8;
 /// hardware option; Stevens et al. [8]).
 Program softmax(int rows, int cols, bool softermax = false);
 
-/// Row-wise LayerNorm over (rows x cols); expects kGamma/kBeta tiled to the
-/// full input shape.
+/// The registers a kernel binds. The defaults are the conventions above;
+/// the graph compiler passes its own to emit a kernel in place.
+struct Frame {
+  int in = kIn;
+  int out = kOut;
+  int gamma = kGamma;
+  int beta = kBeta;
+  int scratch = kScratchBase;
+};
+
+/// Row-wise LayerNorm over (rows x cols) with gamma/beta as (1 x cols) row
+/// vectors, applied with column broadcasts: appends the micro-program
+/// (no halt) to `b` over `f`'s registers. This is the compiler's --no-fuse
+/// LayerNorm lowering.
+void layernorm(ProgramBuilder& b, int rows, int cols, float eps,
+               const Frame& f);
+
+/// The same LayerNorm as a standalone program over the conventional
+/// registers.
 Program layernorm(int rows, int cols, float eps = 1e-5F);
 
 /// Elementwise GELU (tanh form) over the kIn tensor.

@@ -5,19 +5,9 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "compiler/spec_graph.hpp"
 
 namespace bfpsim {
-
-namespace {
-
-/// The decoder stack a spec streams per token (embeddings excluded,
-/// matching DecoderConfig::params_per_layer for the degenerate case).
-DecodeShape decode_shape_of(const ModelSpec& spec) {
-  return {spec.d_model, spec.depth, spec.heads, spec.kv_dim(),
-          spec.mlp_hidden, spec.activation == SpecActivation::kSwiGlu};
-}
-
-}  // namespace
 
 SpecDecodeCosts spec_decode_costs(const ModelSpec& spec,
                                   const AcceleratorSystem& sys, int len,
@@ -38,26 +28,14 @@ DecodeServeReport serve_decode(const ModelSpec& spec,
                       "' is not a decoder spec");
   }
   const DecodeShape shape = decode_shape_of(spec);
-  const auto kv_bytes_per_token =
-      static_cast<std::uint64_t>(shape.kv_bytes(1));
+  const KvReservation kv =
+      kv_reservation(shape, spec.context, cfg.page_tokens);
 
   PagedKvConfig kv_cfg;
   kv_cfg.page_tokens = cfg.page_tokens;
-  kv_cfg.bytes_per_token = kv_bytes_per_token;
-  const std::uint64_t page_bytes =
-      static_cast<std::uint64_t>(cfg.page_tokens) * kv_bytes_per_token;
-  // Default arena: one full-context sequence, rounded up to whole pages
-  // (+ the allocator's per-page alignment overhead).
-  const std::uint64_t ctx_pages =
-      (static_cast<std::uint64_t>(spec.context) +
-       static_cast<std::uint64_t>(cfg.page_tokens) - 1) /
-      static_cast<std::uint64_t>(cfg.page_tokens);
-  const std::uint64_t arena =
-      cfg.arena_bytes != 0
-          ? cfg.arena_bytes
-          : ctx_pages * (page_bytes + 2 * DeviceMemory::kAlignment);
-
-  DeviceMemory mem(arena);
+  kv_cfg.bytes_per_token = kv.bytes_per_token;
+  DeviceMemory mem(cfg.arena_bytes != 0 ? cfg.arena_bytes
+                                        : kv.default_arena());
   PagedKvCache cache(mem, kv_cfg);
 
   DecodeServeReport rep;

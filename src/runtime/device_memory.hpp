@@ -26,8 +26,8 @@ struct DeviceBuffer {
 
 class DeviceMemory {
  public:
-  static constexpr std::uint64_t kDefaultCapacity = 8ull << 30;  // 8 GiB
-  static constexpr std::uint64_t kAlignment = 64;
+  static constexpr std::uint64_t kDefaultCapacity = kHbmCapacityBytes;
+  static constexpr std::uint64_t kAlignment = kHbmAlignment;
 
   explicit DeviceMemory(std::uint64_t capacity_bytes = kDefaultCapacity,
                         const HbmConfig& hbm = HbmConfig{});

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "fabric/hbm.hpp"
 #include "fabric/memory_interface.hpp"
 #include "pu/processing_unit.hpp"
 
@@ -53,6 +54,18 @@ constexpr double kBfpBytesPerElem =
 double DecodeShape::kv_bytes(int len) const {
   return static_cast<double>(layers) * 2.0 * static_cast<double>(len) *
          static_cast<double>(kv_dim) * kBfpBytesPerElem;
+}
+
+KvReservation kv_reservation(const DecodeShape& shape, int context,
+                             int page_tokens) {
+  BFP_REQUIRE(page_tokens >= 1, "kv_reservation: page_tokens must be >= 1");
+  const auto pt = static_cast<std::uint64_t>(page_tokens);
+  KvReservation r;
+  r.bytes_per_token = static_cast<std::uint64_t>(shape.kv_bytes(1));
+  // Each page pays the allocator's alignment on both ends.
+  r.page_cost = pt * r.bytes_per_token + 2 * kHbmAlignment;
+  r.context_pages = (static_cast<std::uint64_t>(context) + pt - 1) / pt;
+  return r;
 }
 
 DecodeStepCosts decode_step_costs(const DecodeShape& shape,

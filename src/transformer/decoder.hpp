@@ -62,6 +62,23 @@ struct DecodeShape {
   double kv_bytes(int len) const;
 };
 
+/// The paged-KV reservation of one decode stream: what serve_decode
+/// allocates and verify_model_spec checks against the arena.
+struct KvReservation {
+  std::uint64_t bytes_per_token = 0;  ///< bfp8 K/V bytes, all layers
+  /// Arena bytes one page costs, the allocator's alignment included.
+  std::uint64_t page_cost = 0;
+  std::uint64_t context_pages = 0;  ///< pages of one full-context stream
+
+  /// serve_decode's default arena: exactly one full-context stream.
+  std::uint64_t default_arena() const { return context_pages * page_cost; }
+};
+
+/// The reservation of a `context`-token stream in pages of `page_tokens`
+/// (>= 1) tokens.
+KvReservation kv_reservation(const DecodeShape& shape, int context,
+                             int page_tokens);
+
 /// Per-token cost of one decode step.
 struct DecodeStepCosts {
   std::int64_t params = 0;            ///< weight parameters (decoder stack)

@@ -9,7 +9,8 @@
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "compiler/blocks.hpp"
+#include "compiler/spec_graph.hpp"
+#include "compiler/spec_registry.hpp"
 #include "numerics/nonlinear.hpp"
 #include "transformer/model.hpp"
 
@@ -238,16 +239,16 @@ TEST_F(CompilerTest, SliceAndConcatLowering) {
 }
 
 TEST_F(CompilerTest, FullEncoderMatchesVitModel) {
-  // The whole-model path: build_vit_encoder + compile vs the direct
-  // VitModel mixed forward. Both run the same bfp8 GEMMs and fp32 kernels,
+  // The whole-model path through the micro-kernel (--no-fuse) lowering:
+  // the unfused spec graph + compile vs the direct VitModel mixed forward
+  // on the spec's weights. Both run the same bfp8 GEMMs and fp32 kernels,
   // so the outputs should agree closely (they differ only in the order of
   // per-head GEMM quantization: the graph slices LN-ed activations before
   // quantizing per head, exactly like the model path).
-  const VitConfig cfg = vit_test_tiny();
-  const VitWeights w = random_weights(cfg, 77);
-  const VitModel model(w);
-  const Graph g = build_vit_encoder(w);
-  const CompiledModel compiled = compile(g, system_);
+  const ModelSpec spec = load_model_spec("vit-tiny-test");
+  const VitConfig cfg = vit_config_of(spec);
+  const VitModel model(random_weights(cfg, spec.seed));
+  const CompiledModel compiled = compile(build_spec_graph(spec), system_);
   const auto x = random_embeddings(cfg, 78);
 
   const std::vector<std::vector<float>> inputs = {x};
@@ -265,9 +266,9 @@ TEST_F(CompilerTest, FullEncoderMatchesVitModel) {
   for (const NodePlan& p : compiled.plan()) {
     if (p.op == GraphOp::kMatMul) ++matmuls;
   }
-  // Per block: qkv + (qkT + ctx) * heads + proj + fc1 + fc2.
+  // Per block: q + k + v + (qkT + ctx) * heads + proj + fc1 + fc2.
   EXPECT_EQ(matmuls, static_cast<std::size_t>(cfg.depth) *
-                         (4 + 2 * static_cast<std::size_t>(cfg.num_heads)));
+                         (6 + 2 * static_cast<std::size_t>(cfg.num_heads)));
 }
 
 TEST_F(CompilerTest, ProgramSerializes) {

@@ -235,21 +235,9 @@ TEST_F(ExecutorTest, LayerNormKernelMatchesReference) {
     gamma[static_cast<std::size_t>(c)] = 0.5F + 0.01F * static_cast<float>(c);
     beta[static_cast<std::size_t>(c)] = -0.2F + 0.02F * static_cast<float>(c);
   }
-  // Tile gamma/beta to the input shape (the layout converter's broadcast
-  // duplication in hardware).
-  std::vector<float> g(x.size());
-  std::vector<float> bt(x.size());
-  for (int r = 0; r < rows; ++r) {
-    for (int c = 0; c < cols; ++c) {
-      g[static_cast<std::size_t>(r) * cols + c] =
-          gamma[static_cast<std::size_t>(c)];
-      bt[static_cast<std::size_t>(r) * cols + c] =
-          beta[static_cast<std::size_t>(c)];
-    }
-  }
   ex_.set_tensor(kernels::kIn, rows, cols, x);
-  ex_.set_tensor(kernels::kGamma, rows, cols, g);
-  ex_.set_tensor(kernels::kBeta, rows, cols, bt);
+  ex_.set_tensor(kernels::kGamma, 1, cols, gamma);
+  ex_.set_tensor(kernels::kBeta, 1, cols, beta);
   ex_.run(kernels::layernorm(rows, cols));
   const auto got = ex_.tensor(kernels::kOut).data;
   const auto ref = layernorm_reference(x, rows, cols, gamma, beta);

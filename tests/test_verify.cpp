@@ -1,13 +1,18 @@
 // Tests for the static ISA program verifier (src/compiler/verify.*).
 //
-// Three layers:
+// Four layers:
 //   1. A mutation corpus — one hand-built program per reject class, each
 //      paired with an executor "witness" showing the fault the verifier
 //      predicts (the REJECT side of the soundness contract).
-//   2. A seeded differential fuzz harness pinning the ACCEPT side: any
-//      mutant the verifier passes with zero errors must run contract-clean
-//      on the Executor under the same bindings and memory limit.
-//   3. Spec-level checks: every committed spec verifies clean in every
+//   2. The operand contract — for every opcode and each single-field
+//      perturbation of a valid instance, the verifier reports an error of
+//      the mapped kind exactly when the executor throws.
+//   3. A seeded differential fuzz harness pinning the ACCEPT side on hand
+//      bases and on compiled programs: any mutant the verifier passes with
+//      zero errors must run contract-clean on the Executor under the same
+//      bindings and memory limit (save a NaN/Inf refusal the verifier
+//      warned of, see fuzz_base).
+//   4. Spec-level checks: every committed spec verifies clean in every
 //      registry mode, compilation is byte-deterministic with the verifier
 //      post-pass enabled, and the JSON report keeps bfpsim-lint's shape.
 #include "compiler/verify.hpp"
@@ -32,8 +37,10 @@ namespace {
 
 #if defined(BFPSIM_FAST_TESTS)
 constexpr int kFuzzMutantsPerBase = 80;   // ~320 mutants under sanitizers
+constexpr int kCompiledMutantsPerBase = 3;   // 72 compiled-program mutants
 #else
 constexpr int kFuzzMutantsPerBase = 300;  // 1200 mutants in the tier-1 run
+constexpr int kCompiledMutantsPerBase = 12;  // 288 compiled-program mutants
 #endif
 
 bool has_kind(const VerifyReport& rep, VerifyKind kind) {
@@ -449,18 +456,205 @@ TEST_F(VerifyCorpus, JsonReportKeepsLintShape) {
 }
 
 // ---------------------------------------------------------------------------
+// The operand contract: one rule, so the verifier rejects exactly the
+// operand faults the executor throws on.
+// ---------------------------------------------------------------------------
+
+/// An instruction and the shapes of the operands it reads from r0, r1, r2.
+struct ContractCase {
+  Instruction inst;
+  std::vector<TensorShape> shapes;
+};
+
+/// A valid instance of `op`: m = 4, k = 8, n = 16.
+ContractCase contract_case(Opcode op) {
+  constexpr int m = 4;
+  constexpr int n = 16;
+  const TensorShape mn{m, n};
+  const TensorShape row{1, n};
+  ContractCase c;
+  c.inst.op = op;
+  c.inst.dst = 3;
+  c.inst.src_a = 0;
+  c.inst.src_b = 1;
+  c.inst.m = m;
+  c.inst.n = n;
+  switch (op) {
+    case Opcode::kNop:
+    case Opcode::kSync:
+    case Opcode::kHalt:
+      break;
+    case Opcode::kBfpMatmul:
+      c.inst.k = 8;
+      c.shapes = {{m, 8}, {8, n}};
+      break;
+    case Opcode::kVecMulScalar:
+    case Opcode::kVecAddScalar:
+    case Opcode::kVecExp:
+    case Opcode::kVecTanh:
+    case Opcode::kRowSum:
+    case Opcode::kRowMax:
+    case Opcode::kHostRsqrt:
+    case Opcode::kHostRecip:
+    case Opcode::kTranspose:
+    case Opcode::kSoftmaxM:
+    case Opcode::kGeluM:
+    case Opcode::kSiluM:
+      c.shapes = {mn};
+      break;
+    case Opcode::kVecMul:
+    case Opcode::kVecAdd:
+    case Opcode::kHostDiv:
+      c.shapes = {mn, mn};
+      break;
+    case Opcode::kRowSub:
+    case Opcode::kRowMulBcast:
+      c.shapes = {mn, {m, 1}};
+      break;
+    case Opcode::kColAddBcast:
+    case Opcode::kColMulBcast:
+    case Opcode::kRmsNormM:
+    case Opcode::kBiasGelu:
+    case Opcode::kBiasSilu:
+      c.shapes = {mn, row};
+      break;
+    case Opcode::kLayerNormM:
+      c.shapes = {mn, row, row};
+      break;
+    case Opcode::kBiasResidual:
+      c.shapes = {mn, row, mn};
+      break;
+    case Opcode::kRope:
+      c.shapes = {mn, mn, mn};
+      break;
+    case Opcode::kSliceCols:
+      c.inst.k = 8;  // the window [8, 16) of a 4 x 16 operand
+      c.inst.n = 8;
+      c.shapes = {mn};
+      break;
+    case Opcode::kConcatCols:
+      c.shapes = {mn, {m, 8}};
+      break;
+  }
+  if (c.shapes.size() == 3) c.inst.set_src_c(2);
+  return c;
+}
+
+/// The base case and each single-field perturbation of it: operand rows
+/// and cols by +-1, m/k/n by +-1, an empty window and, for the matmul,
+/// every mode annotation up to one past the registry.
+std::vector<ContractCase> perturbations(const ContractCase& base) {
+  std::vector<ContractCase> out = {base};
+  for (std::size_t j = 0; j < base.shapes.size(); ++j) {
+    for (const auto& [dr, dc] : {std::pair{-1, 0}, {1, 0}, {0, -1}, {0, 1}}) {
+      ContractCase c = base;
+      c.shapes[j].rows += dr;
+      c.shapes[j].cols += dc;
+      if (c.shapes[j].rows >= 1 && c.shapes[j].cols >= 1) out.push_back(c);
+    }
+  }
+  for (std::uint16_t Instruction::*field :
+       {&Instruction::m, &Instruction::k, &Instruction::n}) {
+    for (const int d : {-1, 1}) {
+      ContractCase c = base;
+      if (c.inst.*field + d < 0) continue;
+      c.inst.*field = static_cast<std::uint16_t>(c.inst.*field + d);
+      out.push_back(c);
+    }
+  }
+  ContractCase empty = base;
+  empty.inst.n = 0;
+  out.push_back(empty);
+  if (base.inst.op == Opcode::kBfpMatmul) {
+    for (std::size_t idx = 1; idx <= numeric_modes().size() + 1; ++idx) {
+      ContractCase c = base;
+      c.inst.flags = static_cast<std::uint16_t>(idx);
+      out.push_back(c);
+    }
+  }
+  return out;
+}
+
+VerifyKind kind_of_fault(OperandFault fault) {
+  switch (fault) {
+    case OperandFault::kNone:
+    case OperandFault::kShape:
+      break;
+    case OperandFault::kSliceWindow:
+      return VerifyKind::kMisalignedSplit;
+    case OperandFault::kUnknownMode:
+      return VerifyKind::kUnknownMode;
+  }
+  return VerifyKind::kShapeMismatch;
+}
+
+TEST(OperandContract, VerifierRejectsExactlyWhatExecutorFaults) {
+  SystemConfig unregistered;
+  unregistered.pu.mode = "no-such-mode";
+  std::map<OperandFault, int> faults;
+  int cases = 0;
+  Rng rng(17);
+  for (const SystemConfig& cfg : {SystemConfig{}, unregistered}) {
+    const AcceleratorSystem system(cfg);
+    for (int v = 0; v <= kMaxOpcode; ++v) {
+      const ContractCase base = contract_case(static_cast<Opcode>(v));
+      for (const ContractCase& c : perturbations(base)) {
+        std::vector<Input> inputs;
+        for (std::size_t j = 0; j < c.shapes.size(); ++j) {
+          inputs.push_back(
+              {static_cast<int>(j), c.shapes[j].rows, c.shapes[j].cols});
+        }
+        const OperandCheck check = check_operands(c.inst, c.shapes, system);
+        Instruction halt;
+        halt.op = Opcode::kHalt;
+        const Program p = program_of({c.inst, halt});
+        const VerifyReport rep = verify_program(
+            p, bindings_of(inputs, check.writes ? c.inst.dst : -1), system);
+        Executor ex(system);
+        bind_inputs(ex, inputs, rng);
+        bool threw = false;
+        try {
+          ex.run(p);
+        } catch (const Error&) {
+          threw = true;
+        }
+        const std::string what = to_string(c.inst) + " on " + cfg.pu.mode;
+        ++cases;
+        ++faults[check.fault];
+        EXPECT_EQ(threw, !check.ok()) << what;
+        EXPECT_EQ(!rep.clean(), threw) << what << "\n" << rep.summary();
+        if (threw) {
+          EXPECT_TRUE(has_error_kind(rep, kind_of_fault(check.fault)))
+              << what << "\n" << rep.summary();
+        }
+      }
+    }
+  }
+  EXPECT_GT(cases, 500);
+  EXPECT_GT(faults[OperandFault::kNone], 0);
+  EXPECT_GT(faults[OperandFault::kShape], 0);
+  EXPECT_GT(faults[OperandFault::kSliceWindow], 0);
+  EXPECT_GT(faults[OperandFault::kUnknownMode], 0);
+}
+
+// ---------------------------------------------------------------------------
 // Differential fuzz: verifier-ACCEPT must imply a contract-clean run.
 // ---------------------------------------------------------------------------
 
-/// One fuzz base: a well-formed program over small positive inputs. Bases
-/// deliberately avoid raw host.div/recip/rsqrt and vec.exp — those can
-/// produce NaN/Inf (which never throw) and would add nothing to the
-/// contract being fuzzed.
+/// One fuzz base: a well-formed program over small positive inputs. The
+/// hand-built bases deliberately avoid raw host.div/recip/rsqrt and
+/// vec.exp — those can produce NaN/Inf, which the verifier only warns of
+/// and the fp32 datapath refuses at run time (see fuzz_base). The compiled
+/// bases carry them.
 struct FuzzBase {
-  const char* name;
+  std::string name;
   std::vector<Instruction> insts;
   std::vector<Input> inputs;
   int output_reg = 0;
+  SystemConfig system;  ///< bfp8 unless a compiled base names its mode
+  /// Roomy for the base, tight enough that dimension mutations can
+  /// overflow it.
+  std::uint64_t arena = 1 << 20;
 };
 
 std::vector<FuzzBase> fuzz_bases() {
@@ -536,6 +730,47 @@ std::vector<FuzzBase> fuzz_bases() {
   return bases;
 }
 
+/// The compiled vit-tiny-test and llama-tiny (8 tokens) programs, fused
+/// and --no-fuse, each compiled for and fuzzed on every registry mode.
+/// Their constants and inputs become pre-bound inputs at their declared
+/// magnitudes (run-time inputs at 1.0); the arena is twice the program's
+/// peak.
+std::vector<FuzzBase> compiled_fuzz_bases() {
+  std::vector<FuzzBase> bases;
+  for (const char* name : {"vit-tiny-test", "llama-tiny"}) {
+    const ModelSpec spec = load_model_spec(name);
+    const int tokens = spec.family == SpecFamily::kDecoder ? 8 : 0;
+    for (const NumericMode& mode : numeric_modes()) {
+      for (const bool fuse : {true, false}) {
+        FuzzBase b;
+        b.name = std::string(name) + " " + mode.name +
+                 (fuse ? "" : " no-fuse");
+        b.system.pu.mode = mode.name;
+        b.system.pu.format = mode.spec;
+        const AcceleratorSystem system(b.system);
+        CompileOptions copt;
+        copt.macro_kernels = fuse;
+        const CompiledModel cm =
+            compile(fuse ? build_fused_spec_graph(spec, tokens)
+                         : build_spec_graph(spec, tokens),
+                    system, copt);
+        const VerifyBindings vb = cm.verify_bindings();
+        for (const VerifyValue& v : vb.values) {
+          if (!v.prebound) continue;
+          b.inputs.push_back({v.reg, v.shape.rows, v.shape.cols,
+                              v.magnitude >= 0.0 ? v.magnitude : 1.0});
+        }
+        b.insts = cm.program().instructions();
+        b.output_reg = vb.output_reg;
+        b.arena = 2 * verify_program(cm.program(), vb, system)
+                          .peak_resident_bytes;
+        bases.push_back(std::move(b));
+      }
+    }
+  }
+  return bases;
+}
+
 /// Ops whose flags field carries semantics the fuzzer understands (matmul
 /// mode annotation; third source register in the high byte). Flags on
 /// other ops select hardware variants (e.g. the split-exp softmax) whose
@@ -595,70 +830,167 @@ void mutate(std::vector<Instruction>& insts, Rng& rng) {
   }
 }
 
-TEST(VerifyFuzz, AcceptedMutantsExecuteContractClean) {
-  AcceleratorSystem system;
-  Rng rng(0xB1F5);
-  VerifyOptions opt;
-  opt.arena_bytes = 1 << 20;  // 1 MiB: roomy for the bases, tight enough
-                              // that dimension mutations can overflow it
-  int accepted = 0;
-  int rejected = 0;
-  std::map<std::string, int> reject_kinds;
-  const std::vector<FuzzBase> bases = fuzz_bases();
-  for (const FuzzBase& base : bases) {
-    // The unmutated base must verify clean and run clean.
-    {
-      const Program p = program_of(base.insts);
-      const VerifyReport rep = verify_program(
-          p, bindings_of(base.inputs, base.output_reg), system, opt);
-      ASSERT_TRUE(rep.clean())
-          << base.name << " base rejected: " << rep.summary();
-      Executor ex(system);
-      bind_inputs(ex, base.inputs, rng);
-      ex.set_memory_limit(opt.arena_bytes);
-      ASSERT_NO_THROW(ex.run(p)) << base.name;
-      ASSERT_NO_THROW(ex.tensor(base.output_reg)) << base.name;
-    }
-    for (int it = 0; it < kFuzzMutantsPerBase; ++it) {
-      std::vector<Instruction> insts = base.insts;
-      mutate(insts, rng);
-      const Program p = program_of(insts);
-      const VerifyReport rep = verify_program(
-          p, bindings_of(base.inputs, base.output_reg), system, opt);
-      if (!rep.clean()) {
-        ++rejected;
-        for (const VerifyFinding& f : rep.findings) {
-          if (f.severity == VerifySeverity::kError) {
-            ++reject_kinds[verify_kind_name(f.kind)];
-          }
-        }
-        continue;
-      }
-      ++accepted;
-      Executor ex(system);
-      bind_inputs(ex, base.inputs, rng);
-      ex.set_memory_limit(opt.arena_bytes);
-      try {
-        ex.run(p);
-        ex.tensor(base.output_reg);
-      } catch (const Error& e) {
-        ADD_FAILURE() << "verifier accepted a faulting mutant (" << base.name
-                      << ", iteration " << it << "): " << e.what() << "\n"
-                      << p.disassemble();
-      }
+/// The index of the instruction of `p` that throws when run one
+/// instruction at a time on `ex` (whose register file persists across
+/// run() calls, so this replays a whole-program run), or -1.
+int faulting_instruction(Executor& ex, const Program& p) {
+  const std::vector<Instruction>& insts = p.instructions();
+  for (std::size_t i = 0; i < insts.size(); ++i) {
+    if (insts[i].op == Opcode::kHalt) break;
+    try {
+      ex.run(program_of({insts[i]}));
+    } catch (const Error&) {
+      return static_cast<int>(i);
     }
   }
+  return -1;
+}
+
+/// Whether a domain-error warning sits on instruction `fault` or on an
+/// instruction whose result reaches it through a chain of register
+/// def-use edges (the last write of each read register before the read).
+bool domain_warned_upstream(const Program& p, const VerifyReport& rep,
+                            int fault) {
+  const std::vector<Instruction>& insts = p.instructions();
+  std::vector<bool> upstream(insts.size(), false);
+  std::vector<bool> wanted(256, false);
+  upstream[static_cast<std::size_t>(fault)] = true;
+  const auto want_operands = [&](const Instruction& inst) {
+    const Operands ops = operands(inst);
+    for (int j = 0; j < ops.count; ++j) wanted[ops.regs[j]] = true;
+  };
+  want_operands(insts[static_cast<std::size_t>(fault)]);
+  for (int i = fault - 1; i >= 0; --i) {
+    const Instruction& inst = insts[static_cast<std::size_t>(i)];
+    if (inst.op == Opcode::kNop || inst.op == Opcode::kSync ||
+        !wanted[inst.dst]) {
+      continue;
+    }
+    upstream[static_cast<std::size_t>(i)] = true;
+    wanted[inst.dst] = false;
+    want_operands(inst);
+  }
+  for (const VerifyFinding& f : rep.findings) {
+    if (f.kind == VerifyKind::kDomainError && f.inst >= 0 &&
+        upstream[static_cast<std::size_t>(f.inst)]) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// What a fuzz campaign saw.
+struct FuzzTally {
+  int accepted = 0;
+  int rejected = 0;
+  /// Accepted mutants the fp32 datapath refused at run time for a NaN/Inf
+  /// operand after the verifier warned of a domain escape.
+  int warned_nonfinite = 0;
+  std::map<std::string, int> reject_kinds;
+};
+
+/// Check that `base` verifies and runs clean, then that every one of
+/// `draws` mutants the verifier accepts runs contract-clean.
+void fuzz_base(const FuzzBase& base, int draws, Rng& rng, FuzzTally& tally) {
+  const AcceleratorSystem system(base.system);
+  VerifyOptions opt;
+  opt.arena_bytes = base.arena;
+  const VerifyBindings bindings = bindings_of(base.inputs, base.output_reg);
+  {
+    const Program p = program_of(base.insts);
+    const VerifyReport rep = verify_program(p, bindings, system, opt);
+    ASSERT_TRUE(rep.clean())
+        << base.name << " base rejected: " << rep.summary();
+    Executor ex(system);
+    bind_inputs(ex, base.inputs, rng);
+    ex.set_memory_limit(opt.arena_bytes);
+    ASSERT_NO_THROW(ex.run(p)) << base.name;
+    ASSERT_NO_THROW(ex.tensor(base.output_reg)) << base.name;
+  }
+  for (int it = 0; it < draws; ++it) {
+    std::vector<Instruction> insts = base.insts;
+    mutate(insts, rng);
+    const Program p = program_of(insts);
+    const VerifyReport rep = verify_program(p, bindings, system, opt);
+    if (!rep.clean()) {
+      ++tally.rejected;
+      for (const VerifyFinding& f : rep.findings) {
+        if (f.severity == VerifySeverity::kError) {
+          ++tally.reject_kinds[verify_kind_name(f.kind)];
+        }
+      }
+      continue;
+    }
+    ++tally.accepted;
+    const Rng data_rng = rng;
+    Executor ex(system);
+    bind_inputs(ex, base.inputs, rng);
+    ex.set_memory_limit(opt.arena_bytes);
+    try {
+      ex.run(p);
+      ex.tensor(base.output_reg);
+    } catch (const Error& e) {
+      // A possible NaN/Inf escape is only a domain-error warning, yet the
+      // sliced fp32 datapath refuses NaN/Inf operands: that fault depends
+      // on the data and must have been warned of on the faulting
+      // instruction or upstream of it. Any other fault is a soundness
+      // failure.
+      if (std::string(e.what()).find("NaN/Inf operands") !=
+          std::string::npos) {
+        Rng replay_rng = data_rng;
+        Executor replay(system);
+        bind_inputs(replay, base.inputs, replay_rng);
+        replay.set_memory_limit(opt.arena_bytes);
+        const int fault = faulting_instruction(replay, p);
+        if (fault >= 0 && domain_warned_upstream(p, rep, fault)) {
+          ++tally.warned_nonfinite;
+          continue;
+        }
+      }
+      ADD_FAILURE() << "verifier accepted a faulting mutant (" << base.name
+                    << ", iteration " << it << "): " << e.what() << "\n"
+                    << p.disassemble();
+    }
+  }
+}
+
+TEST(VerifyFuzz, AcceptedMutantsExecuteContractClean) {
+  Rng rng(0xB1F5);
+  FuzzTally tally;
+  const std::vector<FuzzBase> bases = fuzz_bases();
+  for (const FuzzBase& base : bases) {
+    fuzz_base(base, kFuzzMutantsPerBase, rng, tally);
+  }
   const int total = static_cast<int>(bases.size()) * kFuzzMutantsPerBase;
-  EXPECT_EQ(accepted + rejected, total);
+  EXPECT_EQ(tally.accepted + tally.rejected, total);
 #if !defined(BFPSIM_FAST_TESTS)
   EXPECT_GE(total, 1000) << "the differential pin needs >= 1000 mutants";
 #endif
   // The mutation operators must actually exercise both sides.
-  EXPECT_GT(accepted, 0);
-  EXPECT_GT(rejected, 0);
+  EXPECT_GT(tally.accepted, 0);
+  EXPECT_GT(tally.rejected, 0);
+  // The hand bases hold no host division, rsqrt or exp: every accepted
+  // mutant runs clean.
+  EXPECT_EQ(tally.warned_nonfinite, 0);
   // And the reject population must span the structural classes.
-  EXPECT_GT(reject_kinds["use-before-def"], 0);
-  EXPECT_GT(reject_kinds["shape-mismatch"], 0);
+  EXPECT_GT(tally.reject_kinds["use-before-def"], 0);
+  EXPECT_GT(tally.reject_kinds["shape-mismatch"], 0);
+}
+
+TEST(VerifyFuzz, CompiledProgramMutantsExecuteContractClean) {
+  Rng rng(0xC0DE);
+  FuzzTally tally;
+  const std::vector<FuzzBase> bases = compiled_fuzz_bases();
+  ASSERT_EQ(bases.size(), 2 * 2 * numeric_modes().size());
+  for (const FuzzBase& base : bases) {
+    fuzz_base(base, kCompiledMutantsPerBase, rng, tally);
+  }
+  EXPECT_EQ(tally.accepted + tally.rejected,
+            static_cast<int>(bases.size()) * kCompiledMutantsPerBase);
+  EXPECT_GT(tally.accepted, 0);
+  EXPECT_GT(tally.rejected, 0);
+  EXPECT_GT(tally.reject_kinds["shape-mismatch"], 0);
+  RecordProperty("warned_nonfinite", tally.warned_nonfinite);
 }
 
 // ---------------------------------------------------------------------------
@@ -735,6 +1067,22 @@ TEST(VerifySpecs, PagedKvOverCommitRejected) {
       verify_model_spec(spec, system, /*cards=*/1, opt);
   EXPECT_FALSE(rep.clean());
   EXPECT_TRUE(has_error_kind(rep, VerifyKind::kArenaOverflow));
+}
+
+// serve_decode throws on page_tokens < 1 (kv_reservation's requirement), so
+// the verifier must not pass such a reservation.
+TEST(VerifySpecs, ZeroPageTokensRejected) {
+  const ModelSpec spec = load_model_spec("llama-tiny");
+  AcceleratorSystem system;
+  VerifyOptions opt;
+  opt.page_tokens = 0;
+  const VerifyReport rep =
+      verify_model_spec(spec, system, /*cards=*/1, opt);
+  EXPECT_FALSE(rep.clean());
+  EXPECT_TRUE(has_error_kind(rep, VerifyKind::kShapeMismatch));
+  EXPECT_FALSE(has_error_kind(rep, VerifyKind::kArenaOverflow));
+  EXPECT_THROW(kv_reservation(decode_shape_of(spec), spec.context, 0),
+               Error);
 }
 
 }  // namespace
