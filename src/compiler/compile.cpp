@@ -31,9 +31,13 @@ void inline_kernel(ProgramBuilder& out, const Program& kernel, int in_reg,
   };
   for (Instruction inst : kernel.instructions()) {
     if (inst.op == Opcode::kHalt) continue;
+    // Only the fields the instruction uses: an unread src_b keeps the
+    // kernel's 0 rather than naming a register it never reads.
+    const int reads = operands(inst).count;
     inst.dst = remap(inst.dst);
-    inst.src_a = remap(inst.src_a);
-    inst.src_b = remap(inst.src_b);
+    if (reads >= 1) inst.src_a = remap(inst.src_a);
+    if (reads >= 2) inst.src_b = remap(inst.src_b);
+    if (reads >= 3) inst.set_src_c(remap(inst.src_c()));
     out.raw(inst);
   }
 }
@@ -251,8 +255,8 @@ CompiledModel compile(const Graph& graph, const AcceleratorSystem& system,
                          n.imm);
           break;
         }
-        // Emitted over the node's registers rather than remapped by
-        // inline_kernel, which would also rewrite unread register fields.
+        // Emitted over the node's registers: gamma and beta have no slot
+        // in inline_kernel's in/out/scratch remap.
         kernels::layernorm(pb, n.shape.rows, n.shape.cols, n.imm,
                            {.in = reg_of(n.inputs[0]),
                             .out = dst,

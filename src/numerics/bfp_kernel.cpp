@@ -30,16 +30,17 @@ void tile_product_avx2(const std::int16_t* x, const std::int16_t* y,
                        std::int64_t* out);
 /// Vectorized Eqn-3 merge: acc[i] = asr(acc[i], shift_acc) +
 /// asr(prod[i], shift_p), returning whether any sum escapes psu_bits.
-/// Precondition: shifts in [0, 62] (the caller falls back to the scalar
-/// loop for the degenerate huge-skew shifts asr() clamps).
+/// Shifts in [0, 63]; the caller clamps (asr() of a larger shift equals
+/// asr by 63).
 bool psu_merge_avx2(std::int64_t* acc, const std::int64_t* prod,
                     std::size_t n, int shift_acc, int shift_p, int psu_bits);
-/// 8x8 product over pair-interleaved Y (interleave_tile8) fused with the
-/// PSU merge (init = first k-block). Shifts in [0, 62]; returns the
-/// overflow flag.
-bool tile8_fused_avx2(const std::int16_t* x, const std::int16_t* yi,
-                      int rows, std::int64_t* acc, int shift_acc,
-                      int shift_p, int psu_bits, bool init);
+/// One output tile's whole k-reduction over pair-interleaved Y
+/// (interleave_tile8) in a 32-bit PSU carrier: bks k-blocks, A blocks
+/// x[bk], per-merge shifts clamped to 31. Writes the rows x 8 sums and
+/// returns the overflow flag.
+bool tile8_wholek_avx2(const std::int16_t* const* x, int rows,
+                       const std::int16_t* yi, const std::int32_t* shifts,
+                       int bks, std::int64_t* out);
 }  // namespace detail
 #endif
 
@@ -229,8 +230,9 @@ bool int32_safe(int mant_bits_sum, int kk) {
 struct Resolved {
   TileFn fn = tile_product_scalar;
   bool transpose = false;
-  /// AVX2 + 8x8 tiles: the GEMM may use the fused product+merge kernel.
-  bool fused8 = false;
+  /// AVX2 + 8-deep, 8-wide tiles: a GEMM with a 32-bit carrier runs each
+  /// tile's whole k-reduction in tile8_wholek_avx2.
+  bool wholek8 = false;
   KernelTier effective = KernelTier::kScalar;
 };
 
@@ -249,7 +251,7 @@ Resolved resolve_kernel(int mant_bits_sum, int kk, int cols,
       r.fn = detail::tile_product_avx2;
       // The 8x8 fast path is fully vertical over row-major Y.
       r.transpose = !(kk == 8 && cols == 8);
-      r.fused8 = !r.transpose;
+      r.wholek8 = !r.transpose;
       r.effective = KernelTier::kSimd;
       return r;
     }
@@ -284,7 +286,7 @@ void transpose_tile(const std::int16_t* y, int kk, int cols,
 }
 
 #if BFPSIM_KERNEL_AVX2
-/// Stage one 8x8 tile pair-interleaved for the fused AVX2 kernel: row p of
+/// Stage one 8x8 tile pair-interleaved for the whole-k AVX2 kernel: row p of
 /// the 64-int16 output holds, per column j, the adjacent pair
 /// (y[2p][j], y[2p+1][j]) — the layout vpmaddwd consumes directly.
 void interleave_tile8(const std::int16_t* y, std::int16_t* dst) {
@@ -409,51 +411,67 @@ std::vector<float> bfp_gemm_dispatch(const BfpMatrix& a, const BfpMatrix& b,
   const std::size_t y_elems =
       static_cast<std::size_t>(kk) * static_cast<std::size_t>(cols);
 
+  std::vector<float> out(static_cast<std::size_t>(logical_rows) *
+                         static_cast<std::size_t>(logical_cols));
+  if (bks == 0) return out;  // an empty k-reduction: zeros, as the reference
   const Resolved kr =
       resolve_kernel(a.fmt.mant_bits + b.fmt.mant_bits, kk, cols, tier);
+  // Same validation as the reference, hoisted: psu_accumulate checks its
+  // carrier width on the first real accumulation, which every tile of a
+  // multi-k-block GEMM reaches before it can overflow.
+  if (bks > 1) {
+    BFP_REQUIRE(psu_bits >= 8 && psu_bits <= 62,
+                "psu_accumulate: psu_bits must be in [8,62]");
+  }
 #if BFPSIM_KERNEL_AVX2
+  const bool wholek = kr.wholek8 && psu_bits == 32;
   // The PSU merge is tier-independent datapath, but kScalar is kept
   // reference-shaped end to end so the bench baseline stays honest.
   const bool avx2_merge =
       kr.effective != KernelTier::kScalar && avx2_usable();
+#else
+  const bool wholek = false;
 #endif
 
-  // Stage every Y tile (transposed, or pair-interleaved for the fused
-  // kernel), once, on the calling thread; workers only read it. Scratch-
-  // arena lifetime spans the parallel_for below.
+  // Gather A's mantissa pointers and every block exponent once, by
+  // row-block for A and by col-block for B, so a tile walks contiguous
+  // k-ordered arrays. Y tiles are staged transposed (or pair-interleaved
+  // for the whole-k kernel) in the same order, on the calling thread;
+  // workers only read them. Scratch-arena lifetime spans the parallel_for
+  // below.
+  std::vector<const std::int16_t*> a_man(static_cast<std::size_t>(brs) *
+                                         static_cast<std::size_t>(bks));
+  std::vector<std::int32_t> a_exp(a_man.size());
+  std::vector<std::int32_t> b_exp(static_cast<std::size_t>(bcs) *
+                                  static_cast<std::size_t>(bks));
+  for (int br = 0; br < brs; ++br) {
+    for (int bk = 0; bk < bks; ++bk) {
+      const BfpBlock& blk = a.block(br, bk);
+      const std::size_t i = static_cast<std::size_t>(br * bks + bk);
+      a_man[i] = blk.man.data();
+      a_exp[i] = blk.expb;
+    }
+  }
   Arena& arena = scratch_arena();
   ArenaScope scope(&arena);
-  std::int16_t* yt_all = nullptr;
-  if (kr.transpose) {
-    yt_all = arena.alloc_array<std::int16_t>(
-        static_cast<std::size_t>(bks) * static_cast<std::size_t>(bcs) *
-        y_elems);
-    for (int bk = 0; bk < bks; ++bk) {
-      for (int bc = 0; bc < bcs; ++bc) {
-        transpose_tile(
-            b.block(bk, bc).man.data(), kk, cols,
-            yt_all + (static_cast<std::size_t>(bk * bcs + bc)) * y_elems);
-      }
-    }
+  std::int16_t* ys_all = nullptr;
+  if (kr.transpose || wholek) {
+    ys_all = arena.alloc_array<std::int16_t>(b_exp.size() * y_elems);
   }
+  for (int bc = 0; bc < bcs; ++bc) {
+    for (int bk = 0; bk < bks; ++bk) {
+      const BfpBlock& blk = b.block(bk, bc);
+      const std::size_t i = static_cast<std::size_t>(bc * bks + bk);
+      b_exp[i] = blk.expb;
+      if (kr.transpose) {
+        transpose_tile(blk.man.data(), kk, cols, ys_all + i * y_elems);
+      }
 #if BFPSIM_KERNEL_AVX2
-  std::int16_t* yi_all = nullptr;
-  if (kr.fused8) {
-    yi_all = arena.alloc_array<std::int16_t>(
-        static_cast<std::size_t>(bks) * static_cast<std::size_t>(bcs) *
-        y_elems);
-    for (int bk = 0; bk < bks; ++bk) {
-      for (int bc = 0; bc < bcs; ++bc) {
-        interleave_tile8(
-            b.block(bk, bc).man.data(),
-            yi_all + (static_cast<std::size_t>(bk * bcs + bc)) * y_elems);
-      }
+      if (wholek) interleave_tile8(blk.man.data(), ys_all + i * y_elems);
+#endif
     }
   }
-#endif
 
-  std::vector<float> out(static_cast<std::size_t>(logical_rows) *
-                         static_cast<std::size_t>(logical_cols));
   // One task per output tile, exactly like bfp_gemm_reference: tiles write
   // disjoint `out` regions, each tile's k-reduction runs in ascending bk
   // order with the same truncating PSU alignment and overflow contract.
@@ -462,68 +480,65 @@ std::vector<float> bfp_gemm_dispatch(const BfpMatrix& a, const BfpMatrix& b,
   auto compute_tile = [&](std::size_t tile) {
     thread_local std::vector<std::int64_t> acc_buf;
     thread_local std::vector<std::int64_t> prod_buf;
+    thread_local std::vector<std::int32_t> shift_buf;
     if (acc_buf.size() < tile_elems) {
       acc_buf.resize(tile_elems);
       prod_buf.resize(tile_elems);
     }
+    if (shift_buf.size() < 2 * static_cast<std::size_t>(bks)) {
+      shift_buf.resize(2 * static_cast<std::size_t>(bks));
+    }
     std::int64_t* acc = acc_buf.data();
     std::int64_t* prod = prod_buf.data();
-
+    std::int32_t* shifts = shift_buf.data();
     const int br = static_cast<int>(tile) / bcs;
     const int bc = static_cast<int>(tile) % bcs;
-    std::int32_t acc_exp = 0;
-    for (int bk = 0; bk < bks; ++bk) {
-      const BfpBlock& xb = a.block(br, bk);
-      const BfpBlock& yb = b.block(bk, bc);
-      const std::int16_t* yt =
-          kr.transpose
-              ? yt_all + (static_cast<std::size_t>(bk * bcs + bc)) * y_elems
-              : nullptr;
-      const std::int32_t p_exp = xb.expb + yb.expb;
-      if (bk == 0) {
-#if BFPSIM_KERNEL_AVX2
-        if (kr.fused8) {
-          (void)detail::tile8_fused_avx2(
-              xb.man.data(),
-              yi_all + (static_cast<std::size_t>(bk * bcs + bc)) * y_elems,
-              rows, acc, 0, 0, psu_bits, /*init=*/true);
-        } else
-#endif
-        {
-          kr.fn(xb.man.data(), yb.man.data(), yt, rows, kk, cols, acc);
-        }
-        acc_exp = p_exp;
-        continue;
-      }
-      if (bk == 1) {
-        // Same validation point as the reference: psu_accumulate checks
-        // its carrier width on the first real accumulation only.
-        BFP_REQUIRE(psu_bits >= 8 && psu_bits <= 62,
-                    "psu_accumulate: psu_bits must be in [8,62]");
-      }
-      // Eqn 3: align the smaller-exponent operand right with truncation;
-      // the sum keeps the larger exponent and must fit the PSU carrier.
-      // The overflow test is folded to one check per k-block: which
-      // element overflowed is unobservable (the exception carries only
-      // psu_bits, and the partially-updated scratch dies with the throw),
-      // so deferring it is behaviour-identical to the reference.
+    const std::size_t a0 = static_cast<std::size_t>(br * bks);
+    const std::size_t b0 = static_cast<std::size_t>(bc * bks);
+
+    // Eqn 3: merge bk aligns the smaller-exponent operand right with
+    // truncation, and the sum keeps the larger exponent and must fit the
+    // PSU carrier. shifts[2bk] and shifts[2bk+1] are merge bk's
+    // accumulator and product shifts, clamped where the kernels' asr()
+    // saturates.
+    std::int32_t acc_exp = a_exp[a0] + b_exp[b0];
+    const int max_shift = wholek ? 31 : 63;
+    shifts[0] = shifts[1] = 0;
+    for (int bk = 1; bk < bks; ++bk) {
+      const std::int32_t p_exp = a_exp[a0 + static_cast<std::size_t>(bk)] +
+                                 b_exp[b0 + static_cast<std::size_t>(bk)];
       const std::int32_t e = std::max(acc_exp, p_exp);
-      const int shift_acc = static_cast<int>(e - acc_exp);
-      const int shift_p = static_cast<int>(e - p_exp);
-      bool overflow = false;
+      shifts[2 * bk] = std::min(e - acc_exp, max_shift);
+      shifts[2 * bk + 1] = std::min(e - p_exp, max_shift);
+      acc_exp = e;
+    }
+
+    // The overflow is thrown after the reduction: which element overflowed
+    // is unobservable (the exception carries only psu_bits, and the
+    // partially-updated scratch dies with the throw), so deferring it is
+    // behaviour-identical to the reference.
+    bool overflow = false;
 #if BFPSIM_KERNEL_AVX2
-      if (kr.fused8 && shift_acc <= 62 && shift_p <= 62) {
-        // Fused product + merge: the int64 product buffer never exists.
-        overflow = detail::tile8_fused_avx2(
-            xb.man.data(),
-            yi_all + (static_cast<std::size_t>(bk * bcs + bc)) * y_elems,
-            rows, acc, shift_acc, shift_p, psu_bits, /*init=*/false);
-      } else
+    if (wholek) {
+      overflow = detail::tile8_wholek_avx2(a_man.data() + a0, rows,
+                                           ys_all + b0 * y_elems, shifts,
+                                           bks, acc);
+    } else
 #endif
-      {
-        kr.fn(xb.man.data(), yb.man.data(), yt, rows, kk, cols, prod);
+    {
+      for (int bk = 0; bk < bks; ++bk) {
+        const std::int16_t* yt =
+            kr.transpose
+                ? ys_all + (b0 + static_cast<std::size_t>(bk)) * y_elems
+                : nullptr;
+        kr.fn(a_man[a0 + static_cast<std::size_t>(bk)],
+              b.block(bk, bc).man.data(), yt, rows, kk, cols,
+              bk == 0 ? acc : prod);
+        if (bk == 0) continue;
+        const int shift_acc = shifts[2 * bk];
+        const int shift_p = shifts[2 * bk + 1];
 #if BFPSIM_KERNEL_AVX2
-        if (avx2_merge && shift_acc <= 62 && shift_p <= 62) {
+        if (avx2_merge) {
           overflow = detail::psu_merge_avx2(acc, prod, tile_elems, shift_acc,
                                             shift_p, psu_bits);
         } else
@@ -536,13 +551,13 @@ std::vector<float> bfp_gemm_dispatch(const BfpMatrix& a, const BfpMatrix& b,
             acc[idx] = s;
           }
         }
+        if (overflow) break;  // int64 sums may not run on past the carrier
       }
-      if (overflow) {
-        throw HardwareContractError(
-            "psu_accumulate: partial sum overflows " +
-            std::to_string(psu_bits) + "-bit PSU carrier");
-      }
-      acc_exp = e;
+    }
+    if (overflow) {
+      throw HardwareContractError(
+          "psu_accumulate: partial sum overflows " +
+          std::to_string(psu_bits) + "-bit PSU carrier");
     }
     // Dequantizing writeback. int64 -> double conversion rounds exactly as
     // in the reference; after that, multiplying by an exact power of two

@@ -23,6 +23,15 @@
 //             ARM NEON vmlal_s16. Compiled when __SSE2__/__AVX2__/
 //             __ARM_NEON are available; AVX2 additionally gated on a
 //             runtime CPUID check so one binary serves both CPU classes.
+//             On AVX2 with 8-deep, 8-wide blocks (bfp8) and the default
+//             32-bit PSU carrier, the GEMM runs each output tile's whole
+//             k-reduction in one call: products and the Eqn-3 merges stay
+//             in eight int32 registers, shifted arithmetically (a count of
+//             31 or more fills with the sign, which is asr() for
+//             int32-valued sums), with the carrier overflow found by an
+//             int32-add sign test and thrown once at the end of the tile.
+//             Every other carrier width takes the per-k-block product plus
+//             int64 merge (shifts clamped to 63).
 //
 // A tier that cannot legally serve a format (mantissas too wide for the
 // int32 proof, or a block inner dimension the vector width cannot cover)

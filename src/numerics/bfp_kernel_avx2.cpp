@@ -148,85 +148,104 @@ void tile_product_avx2(const std::int16_t* x, const std::int16_t* y,
 
 namespace {
 
-/// 4-lane arithmetic shift right by a uniform count (AVX2 has no
-/// vpsraq): asr(v, s) == ((v >>logical s) ^ m) - m with m = 1 << (63-s).
-/// The xor re-plants the shifted-down sign bit, the subtract extends it.
+/// 4-lane arithmetic shift right by a uniform count s in [0, 63] (AVX2 has
+/// no vpsraq): asr(v, s) == ((v >>logical s) ^ m) - m with m = 1 << (63-s).
+/// The xor re-plants the shifted-down sign bit, the subtract extends it;
+/// s = 63 leaves 0 or -1, which is asr() for every larger shift too.
 inline __m256i asr_epi64(__m256i v, int s, __m256i m) {
   const __m256i u = _mm256_srl_epi64(v, _mm_cvtsi32_si128(s));
   return _mm256_sub_epi64(_mm256_xor_si256(u, m), m);
 }
 
+/// Whole-k tile of at most eight rows (see tile8_wholek_avx2 below). The
+/// only way a merge can escape the 32-bit carrier is an int32 wrap, caught
+/// by the sign test (a ^ s) & (q ^ s).
+bool tile8_wholek(const std::int16_t* const* x, int row0, int rows,
+                  const std::int16_t* yi, const std::int32_t* shifts, int bks,
+                  std::int64_t* out) {
+  __m256i acc[8];
+  __m256i bad = _mm256_setzero_si256();
+  for (int bk = 0; bk < bks; ++bk) {
+    const std::int16_t* yb = yi + static_cast<std::size_t>(bk) * 64;
+    const __m256i yp0 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(yb));
+    const __m256i yp1 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(yb + 16));
+    const __m256i yp2 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(yb + 32));
+    const __m256i yp3 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(yb + 48));
+    const std::int16_t* xb = x[bk] + static_cast<std::size_t>(row0) * 8;
+    const std::size_t sh = 2 * static_cast<std::size_t>(bk);
+    const __m256i sa = _mm256_set1_epi32(shifts[sh]);
+    const __m256i sp = _mm256_set1_epi32(shifts[sh + 1]);
+#pragma GCC unroll 8
+    for (int i = 0; i < 8; ++i) {
+      if (i >= rows) break;
+      // x row as four int32 pair-slots, broadcast per pair from registers.
+      const __m256i xv = _mm256_broadcastsi128_si256(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+              xb + static_cast<std::size_t>(i) * 8)));
+      __m256i p = _mm256_madd_epi16(_mm256_shuffle_epi32(xv, 0x00), yp0);
+      p = _mm256_add_epi32(
+          p, _mm256_madd_epi16(_mm256_shuffle_epi32(xv, 0x55), yp1));
+      p = _mm256_add_epi32(
+          p, _mm256_madd_epi16(_mm256_shuffle_epi32(xv, 0xAA), yp2));
+      p = _mm256_add_epi32(
+          p, _mm256_madd_epi16(_mm256_shuffle_epi32(xv, 0xFF), yp3));
+      if (bk == 0) {  // the first product is taken unchecked, as in Eqn 3
+        acc[i] = p;
+        continue;
+      }
+      const __m256i a = _mm256_srav_epi32(acc[i], sa);
+      const __m256i q = _mm256_srav_epi32(p, sp);
+      const __m256i s = _mm256_add_epi32(a, q);
+      bad = _mm256_or_si256(
+          bad, _mm256_and_si256(_mm256_xor_si256(a, s),
+                                _mm256_xor_si256(q, s)));
+      acc[i] = s;
+    }
+  }
+  for (int i = 0; i < rows && i < 8; ++i) {
+    std::int64_t* orow = out + static_cast<std::size_t>(i) * 8;
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(orow),
+                        _mm256_cvtepi32_epi64(_mm256_castsi256_si128(acc[i])));
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(orow + 4),
+        _mm256_cvtepi32_epi64(_mm256_extracti128_si256(acc[i], 1)));
+  }
+  return _mm256_movemask_ps(_mm256_castsi256_ps(bad)) != 0;
+}
+
 }  // namespace
 
-bool tile8_fused_avx2(const std::int16_t* x, const std::int16_t* yi,
-                      int rows, std::int64_t* acc, int shift_acc,
-                      int shift_p, int psu_bits, bool init);
+bool tile8_wholek_avx2(const std::int16_t* const* x, int rows,
+                       const std::int16_t* yi, const std::int32_t* shifts,
+                       int bks, std::int64_t* out);
 
-/// 8x8 tile product fused with the Eqn-3 PSU merge. `yi` is the tile's
-/// mantissas pre-staged pair-interleaved (see interleave_tile8 in
-/// bfp_kernel.cpp): slot j of 256-bit row p holds the int16 pair
-/// (y[2p][j], y[2p+1][j]), so one vpmaddwd against the broadcast x pair
-/// (x[i][2p], x[i][2p+1]) contributes both k-levels to all eight outputs
-/// at once — exact in int32 by the safety gate. The widened products are
-/// folded straight into `acc`; the intermediate product buffer never
-/// touches memory. `init` = first k-block (acc is overwritten, no
-/// shift/overflow semantics, exactly like the unfused path's bk==0).
-/// Shifts must be in [0, 62]; returns the overflow flag, computed as
-/// "(s + 2^(psu_bits-1)) >> psu_bits != 0 for any element" — |s| < 2^62,
-/// so the bias add cannot wrap and the test is exactly !fits_signed.
-bool tile8_fused_avx2(const std::int16_t* x, const std::int16_t* yi,
-                      int rows, std::int64_t* acc, int shift_acc,
-                      int shift_p, int psu_bits, bool init) {
-  const __m256i yp0 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(yi));
-  const __m256i yp1 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(yi + 16));
-  const __m256i yp2 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(yi + 32));
-  const __m256i yp3 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(yi + 48));
-  const __m256i ma =
-      _mm256_set1_epi64x(std::int64_t{1} << (63 - shift_acc));
-  const __m256i mp = _mm256_set1_epi64x(std::int64_t{1} << (63 - shift_p));
-  const __m256i bias =
-      _mm256_set1_epi64x(std::int64_t{1} << (psu_bits - 1));
-  const __m128i range = _mm_cvtsi32_si128(psu_bits);
-  __m256i bad = _mm256_setzero_si256();
-  for (int i = 0; i < rows; ++i) {
-    // x row as four int32 pair-slots, broadcast per pair from registers.
-    const __m256i xv = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(x + static_cast<std::size_t>(i) * 8)));
-    __m256i s32 = _mm256_madd_epi16(_mm256_shuffle_epi32(xv, 0x00), yp0);
-    s32 = _mm256_add_epi32(
-        s32, _mm256_madd_epi16(_mm256_shuffle_epi32(xv, 0x55), yp1));
-    s32 = _mm256_add_epi32(
-        s32, _mm256_madd_epi16(_mm256_shuffle_epi32(xv, 0xAA), yp2));
-    s32 = _mm256_add_epi32(
-        s32, _mm256_madd_epi16(_mm256_shuffle_epi32(xv, 0xFF), yp3));
-    const __m256i p0 = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(s32));
-    const __m256i p1 = _mm256_cvtepi32_epi64(_mm256_extracti128_si256(s32, 1));
-    std::int64_t* arow = acc + static_cast<std::size_t>(i) * 8;
-    if (init) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(arow), p0);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(arow + 4), p1);
-      continue;
-    }
-    const __m256i a0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(arow));
-    const __m256i a1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(arow + 4));
-    const __m256i s0 = _mm256_add_epi64(asr_epi64(a0, shift_acc, ma),
-                                        asr_epi64(p0, shift_p, mp));
-    const __m256i s1 = _mm256_add_epi64(asr_epi64(a1, shift_acc, ma),
-                                        asr_epi64(p1, shift_p, mp));
-    bad = _mm256_or_si256(
-        bad, _mm256_srl_epi64(_mm256_add_epi64(s0, bias), range));
-    bad = _mm256_or_si256(
-        bad, _mm256_srl_epi64(_mm256_add_epi64(s1, bias), range));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(arow), s0);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(arow + 4), s1);
+/// One output tile's whole k-reduction (Eqn 2 products fused with the
+/// Eqn-3 PSU merge) in a 32-bit PSU carrier, with the partial sums held in
+/// int32 registers. Tile k-block bk reads A block x[bk] (rows x 8,
+/// row-major) and B block yi + 64*bk, pre-staged pair-interleaved
+/// (interleave_tile8 in bfp_kernel.cpp): slot j of 256-bit row p holds the
+/// int16 pair (y[2p][j], y[2p+1][j]), so one vpmaddwd against the
+/// broadcast x pair (x[i][2p], x[i][2p+1]) adds both k-levels to all eight
+/// outputs at once, exact in int32 by the safety gate. shifts[2bk] and
+/// shifts[2bk+1] are merge bk's accumulator and product alignment shifts
+/// (entries 0 and 1 are unused), clamped to 31: an int32 arithmetic shift
+/// fills with the sign from 31 on, which equals asr() for int32-valued
+/// operands. Writes the rows x 8 sums, widened, to `out` and returns
+/// whether any merge overflowed the carrier (which element overflowed is
+/// not observable: the caller throws and the sums die with the throw).
+bool tile8_wholek_avx2(const std::int16_t* const* x, int rows,
+                       const std::int16_t* yi, const std::int32_t* shifts,
+                       int bks, std::int64_t* out) {
+  bool overflow = false;
+  for (int row0 = 0; row0 < rows; row0 += 8) {
+    overflow |= tile8_wholek(x, row0, rows - row0, yi, shifts, bks,
+                             out + static_cast<std::size_t>(row0) * 8);
   }
-  return _mm256_testz_si256(bad, bad) == 0;
+  return overflow;
 }
 
 bool psu_merge_avx2(std::int64_t* acc, const std::int64_t* prod,
@@ -276,8 +295,8 @@ bool psu_merge_avx2(std::int64_t* acc, const std::int64_t* prod,
 // toolchain accepted -mavx2 at configure time but the macro test failed.
 void tile_product_avx2(const std::int16_t*, const std::int16_t*,
                        const std::int16_t*, int, int, int, std::int64_t*) {}
-bool tile8_fused_avx2(const std::int16_t*, const std::int16_t*, int,
-                      std::int64_t*, int, int, int, bool) {
+bool tile8_wholek_avx2(const std::int16_t* const*, int, const std::int16_t*,
+                       const std::int32_t*, int, std::int64_t*) {
   return false;
 }
 bool psu_merge_avx2(std::int64_t*, const std::int64_t*, std::size_t, int,

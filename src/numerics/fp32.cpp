@@ -16,30 +16,6 @@ std::uint32_t float_to_bits(float v) {
 
 float bits_to_float(std::uint32_t b) { return std::bit_cast<float>(b); }
 
-Fp32Parts decompose(float v) {
-  const std::uint32_t bits = float_to_bits(v);
-  Fp32Parts p;
-  p.sign = (bits >> 31) != 0;
-  const std::uint32_t exp_field = (bits >> kFp32FracBits) & 0xFF;
-  const std::uint32_t frac = bits & static_cast<std::uint32_t>(low_mask(kFp32FracBits));
-  if (exp_field == 0xFF) {
-    p.is_nan = frac != 0;
-    p.is_inf = frac == 0;
-    p.biased_exp = 0xFF;
-    p.mantissa = frac;
-    return p;
-  }
-  if (exp_field == 0) {
-    // Subnormal or zero: no hidden bit, effective exponent is 1.
-    p.biased_exp = 1;
-    p.mantissa = frac;
-    return p;
-  }
-  p.biased_exp = static_cast<std::int32_t>(exp_field);
-  p.mantissa = frac | (std::uint32_t{1} << kFp32FracBits);
-  return p;
-}
-
 float compose(bool sign, std::int32_t biased_exp, std::uint32_t mantissa) {
   BFP_REQUIRE(mantissa < (std::uint32_t{1} << kFp32MantBits),
               "compose: mantissa must fit 24 bits");
@@ -69,47 +45,6 @@ float compose(bool sign, std::int32_t biased_exp, std::uint32_t mantissa) {
   return bits_to_float(sign_bit |
                        (static_cast<std::uint32_t>(e) << kFp32FracBits) |
                        frac);
-}
-
-float compose_normalized(bool sign, std::int32_t biased_exp,
-                         std::uint64_t mantissa64, bool round_nearest_even) {
-  if (mantissa64 == 0) {
-    return bits_to_float(sign ? (std::uint32_t{1} << 31) : 0);
-  }
-  // Locate the MSB and compute how far it is from bit 23.
-  const int msb = 63 - std::countl_zero(mantissa64);
-  int shift = msb - kFp32FracBits;  // >0: shift right; <0: shift left
-  std::int64_t e = static_cast<std::int64_t>(biased_exp) + shift;
-
-  // Underflow into the subnormal range: shift so the effective exponent is 1
-  // and let the top bit fall below bit 23.
-  if (e < 1) {
-    shift += static_cast<int>(1 - e);
-    e = 1;
-  }
-
-  std::uint64_t m;
-  if (shift > 0) {
-    if (round_nearest_even) {
-      m = static_cast<std::uint64_t>(
-          asr_rne(static_cast<std::int64_t>(mantissa64), shift));
-    } else {
-      m = shift >= 64 ? 0 : mantissa64 >> shift;
-    }
-    // Rounding may carry out: 0xFFFFFF + ulp -> 0x1000000.
-    if (m >= (std::uint64_t{1} << kFp32MantBits)) {
-      m >>= 1;
-      ++e;
-    }
-  } else {
-    m = mantissa64 << (-shift);
-  }
-  if (e >= 0xFF) {
-    return bits_to_float((sign ? (std::uint32_t{1} << 31) : 0) |
-                         (0xFFu << kFp32FracBits));
-  }
-  return compose(sign, static_cast<std::int32_t>(e),
-                 static_cast<std::uint32_t>(m));
 }
 
 std::int64_t ulp_distance(float a, float b) {

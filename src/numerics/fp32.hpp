@@ -10,6 +10,7 @@
 // queries (ULP distance etc.) needed to validate that path bit-for-bit.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -51,7 +52,27 @@ struct Fp32Parts {
 /// Decompose a float into hardware fields. NaN/Inf are flagged; the
 /// accelerator does not produce them in normal operation but the simulator
 /// must refuse to mangle them silently.
-Fp32Parts decompose(float v);
+inline Fp32Parts decompose(float v) {
+  const auto bits = std::bit_cast<std::uint32_t>(v);
+  const std::uint32_t exp_field = (bits >> kFp32FracBits) & 0xFFU;
+  const std::uint32_t frac = bits & ((std::uint32_t{1} << kFp32FracBits) - 1);
+  Fp32Parts p;
+  p.sign = (bits >> 31) != 0;
+  if (exp_field == 0xFF) {
+    p.is_nan = frac != 0;
+    p.is_inf = frac == 0;
+    p.biased_exp = 0xFF;
+    p.mantissa = frac;
+  } else if (exp_field == 0) {
+    // Subnormal or zero: no hidden bit, effective exponent is 1.
+    p.biased_exp = 1;
+    p.mantissa = frac;
+  } else {
+    p.biased_exp = static_cast<std::int32_t>(exp_field);
+    p.mantissa = frac | (std::uint32_t{1} << kFp32FracBits);
+  }
+  return p;
+}
 
 /// Compose a float from sign / biased exponent / 24-bit mantissa.
 ///
@@ -64,13 +85,52 @@ float compose(bool sign, std::int32_t biased_exp, std::uint32_t mantissa);
 /// Compose from an unnormalized wide mantissa: normalizes `mantissa64`
 /// (a non-negative value up to 2^62) so its MSB lands at bit 23, adjusting
 /// `biased_exp` accordingly, with round-to-nearest-even or truncation on the
-/// bits shifted out.
+/// bits shifted out. A shift of 63 or more drops every bit in both modes.
 ///
-/// `frac_weight_exp` is the power-of-two weight of bit 0 of mantissa64
-/// relative to the would-be fp32 fraction LSB when biased_exp is used
-/// directly (0 means mantissa64 is already in 24-bit position).
-float compose_normalized(bool sign, std::int32_t biased_exp,
-                         std::uint64_t mantissa64, bool round_nearest_even);
+/// Mantissa bit 23 weighs 2^(biased_exp - 127): the value is mantissa64 *
+/// 2^(biased_exp - 150). Results below the normal range land in the
+/// subnormal encoding; exponents past 254 give +/-inf.
+inline float compose_normalized(bool sign, std::int32_t biased_exp,
+                                std::uint64_t mantissa64,
+                                bool round_nearest_even) {
+  const std::uint32_t sign_bit = sign ? (std::uint32_t{1} << 31) : 0;
+  if (mantissa64 == 0) return std::bit_cast<float>(sign_bit);
+  // Shift that brings the MSB to bit 23 (>0: right; <0: left).
+  int shift = 63 - std::countl_zero(mantissa64) - kFp32FracBits;
+  std::int64_t e = std::int64_t{biased_exp} + shift;
+  // Underflow into the subnormal range: shift so the effective exponent is
+  // 1 and let the top bit fall below bit 23.
+  if (e < 1) {
+    shift += static_cast<int>(1 - e);
+    e = 1;
+  }
+  std::uint64_t m = 0;
+  if (shift <= 0) {
+    m = mantissa64 << -shift;
+  } else if (shift < 63) {
+    m = mantissa64 >> shift;
+    if (round_nearest_even) {
+      const std::uint64_t dropped =
+          mantissa64 & ((std::uint64_t{1} << shift) - 1);
+      const std::uint64_t half = std::uint64_t{1} << (shift - 1);
+      if (dropped > half || (dropped == half && (m & 1) != 0)) ++m;
+    }
+    // Rounding may carry out: 0xFFFFFF + ulp -> 0x1000000.
+    if (m >= (std::uint64_t{1} << kFp32MantBits)) {
+      m >>= 1;
+      ++e;
+    }
+  }
+  if (e >= 0xFF) {
+    return std::bit_cast<float>(sign_bit | (0xFFU << kFp32FracBits));
+  }
+  // m is in [2^23, 2^24) (a normal), or below 2^23 with e == 1 (a
+  // subnormal or zero): one add lays the exponent field over both.
+  return std::bit_cast<float>(
+      sign_bit |
+      static_cast<std::uint32_t>(((e - 1) << kFp32FracBits) +
+                                 static_cast<std::int64_t>(m)));
+}
 
 /// Bit-pattern reinterpretations.
 std::uint32_t float_to_bits(float v);

@@ -1,10 +1,7 @@
 #include "numerics/slices.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <utility>
 
-#include "common/bitops.hpp"
 #include "common/error.hpp"
 
 namespace bfpsim {
@@ -67,62 +64,6 @@ fp32_mul_schedule() {
         return t;
       }();
   return kSchedule;
-}
-
-std::uint64_t sliced_mantissa_product(std::uint32_t man_x,
-                                      std::uint32_t man_y) {
-  const MantissaSlices sx = slice_mantissa(man_x);
-  const MantissaSlices sy = slice_mantissa(man_y);
-  std::uint64_t sum = 0;
-  for (const auto& t : fp32_mul_schedule()) {
-    const std::uint64_t px = static_cast<std::uint64_t>(sx[t.xi])
-                             << t.pre_shift_x;
-    const std::uint64_t py = static_cast<std::uint64_t>(sy[t.yj])
-                             << t.pre_shift_y;
-    BFP_ASSERT(t.pre_shift_x + t.pre_shift_y == t.rel_shift);
-    sum += px * py;
-  }
-  return sum;
-}
-
-float fp32_mul_sliced(float x, float y, bool round_nearest_even) {
-  const Fp32Parts px = decompose(x);
-  const Fp32Parts py = decompose(y);
-  BFP_REQUIRE(!px.is_nan && !px.is_inf && !py.is_nan && !py.is_inf,
-              "fp32_mul_sliced: NaN/Inf operands are not supported by the "
-              "accelerator datapath");
-  const bool sign = px.sign != py.sign;  // the XOR gate of Section II-B
-  if (px.is_zero() || py.is_zero()) {
-    return compose(sign, 1, 0);
-  }
-  const std::uint64_t sum = sliced_mantissa_product(px.mantissa, py.mantissa);
-  // Weighting: x = (-1)^sx * man_x * 2^(ex-127-23), likewise for y, and the
-  // schedule drops a factor 2^8, so
-  //   x*y = (-1)^s * sum * 2^(ex+ey-254-46+8).
-  // compose_normalized treats mantissa bit 23 as weight 2^(be-127), i.e.
-  // value = m * 2^(be-150); solve be = ex + ey - 292 + 150.
-  const std::int32_t be = px.biased_exp + py.biased_exp - 142;
-  return compose_normalized(sign, be, sum, round_nearest_even);
-}
-
-float fp32_add_aligned(float x, float y, bool round_nearest_even,
-                       int acc_bits) {
-  const Fp32Parts px = decompose(x);
-  const Fp32Parts py = decompose(y);
-  BFP_REQUIRE(!px.is_nan && !px.is_inf && !py.is_nan && !py.is_inf,
-              "fp32_add_aligned: NaN/Inf operands are not supported by the "
-              "accelerator datapath");
-  // Align the smaller exponent's signed mantissa right (Eqn 6).
-  const std::int32_t e = std::max(px.biased_exp, py.biased_exp);
-  const std::int64_t mx = asr(px.signed_mantissa(), e - px.biased_exp);
-  const std::int64_t my = asr(py.signed_mantissa(), e - py.biased_exp);
-  const std::int64_t s = mx + my;
-  BFP_REQUIRE(fits_signed(s, acc_bits),
-              "fp32_add_aligned: accumulator overflow");
-  const bool sign = s < 0;
-  const std::uint64_t mag = sign ? static_cast<std::uint64_t>(-s)
-                                 : static_cast<std::uint64_t>(s);
-  return compose_normalized(sign, e, mag, round_nearest_even);
 }
 
 }  // namespace bfpsim

@@ -11,13 +11,22 @@
 // chain, inputs are *pre-shifted* (split between the X and Y operand ports)
 // instead of post-shifting products.
 //
-// This header is the single source of truth for that schedule: both the
-// golden software model and the cycle-accurate ProcessingUnit consume it.
+// This header is the single source of truth for that schedule: the
+// cycle-accurate ProcessingUnit and the layout converter walk it term by
+// term. The library's fp32 datapath (fp32_mul_sliced) computes the same sum
+// in closed form, (man_x*man_y - man_x(0)*man_y(0)) >> 8, which equals the
+// schedule's sum exactly: every kept term is a multiple of 2^8 on the
+// full-product grid. tests/test_slices.cpp keeps the term-by-term walk as
+// the oracle that pins the two together.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 
+#include "common/bitops.hpp"
+#include "common/error.hpp"
 #include "numerics/fp32.hpp"
 
 namespace bfpsim {
@@ -63,10 +72,16 @@ fp32_mul_schedule();
 
 /// Exact integer partial-product sum of the schedule:
 ///   sum = (man_x * man_y - man_x(0)*man_y(0)) >> 8
-/// computed term-by-term exactly as the PE column does. Always a
-/// non-negative value below 2^40.
-std::uint64_t sliced_mantissa_product(std::uint32_t man_x,
-                                      std::uint32_t man_y);
+/// — what the PE column accumulates, in closed form. Both mantissas must
+/// be < 2^24. Always a non-negative value below 2^40.
+inline std::uint64_t sliced_mantissa_product(std::uint32_t man_x,
+                                             std::uint32_t man_y) {
+  BFP_REQUIRE((man_x | man_y) < (std::uint32_t{1} << kFp32MantBits),
+              "sliced_mantissa_product: mantissas must fit 24 bits");
+  const std::uint64_t full = std::uint64_t{man_x} * man_y;
+  const std::uint64_t lsb = std::uint64_t{man_x & 0xFFU} * (man_y & 0xFFU);
+  return (full - lsb) >> kDroppedShift;
+}
 
 /// Reference fp32 multiply through the sliced datapath (Eqn 5): sign via
 /// XOR, exponents added in the Exponent Unit, mantissa product from the
@@ -76,7 +91,26 @@ std::uint64_t sliced_mantissa_product(std::uint32_t man_x,
 /// at most the dropped (0,0) partial product plus rounding. NaN/Inf inputs
 /// are rejected (the accelerator never produces them; division & friends run
 /// on the host per Section III-B).
-float fp32_mul_sliced(float x, float y, bool round_nearest_even = true);
+inline float fp32_mul_sliced(float x, float y,
+                             bool round_nearest_even = true) {
+  const Fp32Parts px = decompose(x);
+  const Fp32Parts py = decompose(y);
+  BFP_REQUIRE(!px.is_nan && !px.is_inf && !py.is_nan && !py.is_inf,
+              "fp32_mul_sliced: NaN/Inf operands are not supported by the "
+              "accelerator datapath");
+  const bool sign = px.sign != py.sign;  // the XOR gate of Section II-B
+  if (px.is_zero() || py.is_zero()) {
+    return std::bit_cast<float>(sign ? (std::uint32_t{1} << 31) : 0);
+  }
+  const std::uint64_t sum = sliced_mantissa_product(px.mantissa, py.mantissa);
+  // Weighting: x = (-1)^sx * man_x * 2^(ex-127-23), likewise for y, and the
+  // schedule drops a factor 2^8, so
+  //   x*y = (-1)^s * sum * 2^(ex+ey-254-46+8).
+  // compose_normalized treats mantissa bit 23 as weight 2^(be-127), i.e.
+  // value = m * 2^(be-150); solve be = ex + ey - 292 + 150.
+  const std::int32_t be = px.biased_exp + py.biased_exp - 142;
+  return compose_normalized(sign, be, sum, round_nearest_even);
+}
 
 /// Reference fp32 add through the align-shift-add datapath (Eqn 6): the
 /// smaller-exponent operand's signed mantissa is arithmetic-shifted right by
@@ -84,7 +118,24 @@ float fp32_mul_sliced(float x, float y, bool round_nearest_even = true);
 /// added in the PSU accumulator, and renormalized.
 ///
 /// `acc_bits` models the accumulator carrier width.
-float fp32_add_aligned(float x, float y, bool round_nearest_even = true,
-                       int acc_bits = 32);
+inline float fp32_add_aligned(float x, float y, bool round_nearest_even = true,
+                              int acc_bits = 32) {
+  const Fp32Parts px = decompose(x);
+  const Fp32Parts py = decompose(y);
+  BFP_REQUIRE(!px.is_nan && !px.is_inf && !py.is_nan && !py.is_inf,
+              "fp32_add_aligned: NaN/Inf operands are not supported by the "
+              "accelerator datapath");
+  // Align the smaller exponent's signed mantissa right (Eqn 6).
+  const std::int32_t e = std::max(px.biased_exp, py.biased_exp);
+  const std::int64_t mx = asr(px.signed_mantissa(), e - px.biased_exp);
+  const std::int64_t my = asr(py.signed_mantissa(), e - py.biased_exp);
+  const std::int64_t s = mx + my;
+  BFP_REQUIRE(fits_signed(s, acc_bits),
+              "fp32_add_aligned: accumulator overflow");
+  const bool sign = s < 0;
+  const std::uint64_t mag = sign ? static_cast<std::uint64_t>(-s)
+                                 : static_cast<std::uint64_t>(s);
+  return compose_normalized(sign, e, mag, round_nearest_even);
+}
 
 }  // namespace bfpsim

@@ -16,11 +16,13 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "fp32_boundaries.hpp"
 #include "numerics/bfp.hpp"
 #include "numerics/bfp_kernel.hpp"
 #include "numerics/fp32.hpp"
@@ -266,18 +268,19 @@ std::vector<float> zero_denormal_operand(Rng& rng, int rows, int cols) {
   return v;
 }
 
-/// Max-exponent-skew operand: alternate 8-wide blocks along the chosen
-/// dimension between scales 2^120 and 2^-120, so successive k-tile products
-/// sit ~220+ exponent steps apart and the PSU alignment shift exceeds 62 —
-/// the SIMD merge kernels must take their scalar-asr fallback and still
-/// land on the golden bits.
+/// Exponent-skew operand: alternate 8-wide blocks along the chosen
+/// dimension between scales 2^skew and 2^-skew. At the default skew of 120,
+/// successive k-tile products sit ~220+ exponent steps apart and the PSU
+/// alignment shift exceeds 62, past every kernel's native shift width (the
+/// int64 merge clamps to 63, the whole-k int32 kernel to 31); a skew of 20
+/// lands shifts between 31 and 62, where only the int32 clamp is in play.
 std::vector<float> exponent_skew_operand(Rng& rng, int rows, int cols,
-                                         bool along_cols) {
+                                         bool along_cols, int skew = 120) {
   std::vector<float> v(static_cast<std::size_t>(rows) * cols);
   for (int r = 0; r < rows; ++r) {
     for (int c = 0; c < cols; ++c) {
       const int block = (along_cols ? c : r) / kEdge;
-      const int scale = (block % 2 == 0) ? 120 : -120;
+      const int scale = (block % 2 == 0) ? skew : -skew;
       v[static_cast<std::size_t>(r) * cols + c] =
           std::ldexp(rng.normal(0.0F, 1.0F), scale);
     }
@@ -463,8 +466,8 @@ TEST(GoldenDiff, DispatchTierFuzzBitExactVsGolden) {
   // reference GEMM) against the independent scalar golden model, across the
   // operand families the fast paths special-case: plain mixed scales,
   // zero/denormal-heavy blocks, max-exponent-skew blocks (PSU alignment
-  // shifts > 62, forcing the SIMD kernels onto their scalar-asr fallback),
-  // and exact multiple-of-8 dims (the fused 8x8 path) next to ragged ones.
+  // shifts > 62, past every kernel's native shift width), and exact
+  // multiple-of-8 dims next to ragged ones.
   const BfpFormat fmt = bfp8_format();
   const std::vector<KernelTier> tiers = available_kernel_tiers();
   constexpr int psu_bits = 32;
@@ -593,6 +596,21 @@ TEST(GoldenDiff, KEdgeAndDegenerateDims) {
       }
     }
   }
+  // A hand-built empty k-reduction (no public quantizer makes one) gives
+  // the reference's zeros on every tier.
+  BfpMatrix ak;
+  ak.fmt = fmt;
+  ak.rows = 8;
+  BfpMatrix bk;
+  bk.fmt = fmt;
+  bk.cols = 8;
+  ASSERT_EQ(bfp_gemm_reference(ak, bk, 8, 8, 32),
+            std::vector<float>(64, 0.0F));
+  for (const KernelTier tier : available_kernel_tiers()) {
+    EXPECT_EQ(bfp_gemm_dispatch(ak, bk, 8, 8, 32, tier),
+              std::vector<float>(64, 0.0F))
+        << to_string(tier);
+  }
   // Mismatched inner dims are a contract violation, not a wrong answer.
   Rng rng(17100);
   const BfpMatrix am = quantize_matrix(mixed_scale_operand(rng, 8, 8), 8, 8,
@@ -606,7 +624,7 @@ TEST(GoldenDiff, KEdgeAndDegenerateDims) {
 TEST(GoldenDiff, ThreadSweepBitIdenticalAcrossTiers) {
   // The tiled parallel execution is a pure partition of independent output
   // tiles: every pool size must reproduce the serial bits for every tier,
-  // including on exponent-skewed operands where the merge fallback runs.
+  // including on exponent-skewed operands whose shifts the kernels clamp.
   const BfpFormat fmt = bfp8_format();
   for (int case_id = 0; case_id < 4; ++case_id) {
     Rng rng(static_cast<std::uint64_t>(19000 + case_id));
@@ -712,31 +730,172 @@ TEST(GoldenDiff, TileProductAllFormatsAllTiersMatchReference) {
   }
 }
 
-/// --------- satellite 2: sliced fp32 multiply property test ---------
+/// --------- PSU carrier sweep: every tier vs the reference ---------
 
-/// Operands that sit on representation boundaries: zeros, subnormal
-/// extremes, normal extremes, power-of-two and all-ones mantissas.
-std::vector<float> boundary_operands() {
-  return {
-      0.0F,
-      -0.0F,
-      std::numeric_limits<float>::denorm_min(),
-      -std::numeric_limits<float>::denorm_min(),
-      0.5F * FLT_MIN,                        // mid subnormal
-      FLT_MIN,                               // smallest normal
-      -FLT_MIN,
-      std::nextafterf(FLT_MIN, 0.0F),        // largest subnormal
-      1.0F,
-      1.0F + FLT_EPSILON,                    // LSB-only fraction
-      std::nextafterf(2.0F, 0.0F),           // all-ones mantissa
-      -std::nextafterf(2.0F, 0.0F),
-      3.0F,
-      65536.0F,
-      1.0e30F,
-      -1.0e30F,
-      std::sqrt(FLT_MAX),
-  };
+/// A GEMM's result bits, or the carrier-overflow refusal's message.
+struct GemmOutcome {
+  bool overflow = false;
+  std::string what;
+  std::vector<float> c;
+};
+
+template <typename F>
+GemmOutcome gemm_outcome(F&& f) {
+  GemmOutcome o;
+  try {
+    o.c = f();
+  } catch (const HardwareContractError& e) {
+    o.overflow = true;
+    o.what = e.what();
+  }
+  return o;
 }
+
+void expect_same_outcome(const GemmOutcome& want, const GemmOutcome& got,
+                         const std::string& label) {
+  ASSERT_EQ(got.overflow, want.overflow) << label;
+  ASSERT_EQ(got.what, want.what) << label;
+  ASSERT_EQ(got.c.size(), want.c.size()) << label;
+  for (std::size_t i = 0; i < want.c.size(); ++i) {
+    ASSERT_EQ(float_to_bits(got.c[i]), float_to_bits(want.c[i]))
+        << label << " element " << i;
+  }
+}
+
+TEST(GoldenDiff, PsuCarrierSweepMatchesReference) {
+  // Every tier against bfp_gemm_reference across PSU carriers around the
+  // whole-k kernel's (it serves psu_bits == 32; every other carrier takes
+  // the int64 product + merge path). Families: mixed
+  // scales, zero/denormal blocks, exponent skew with shifts >= 63 and in
+  // [31, 62], exact multiples of 8, and A blocks of 4 and 16 rows (partial
+  // and repeated row groups of the 8-row kernel). Each case lands on the
+  // reference's bits or on its HardwareContractError.
+  constexpr int kCarriers[] = {8, 16, 24, 31, 32, 33, 48, 62};
+  int overflows = 0;
+  int values = 0;
+  for (const int psu_bits : kCarriers) {
+    for (int case_id = 0; case_id < 18; ++case_id) {
+      Rng rng(static_cast<std::uint64_t>(23000 + 100 * psu_bits + case_id));
+      const int family = case_id % 6;
+      int m = static_cast<int>(rng.uniform_int(1, 40));
+      int k = static_cast<int>(rng.uniform_int(1, 48));
+      int n = static_cast<int>(rng.uniform_int(1, 40));
+      if (family == 4) {
+        m = 8 * static_cast<int>(rng.uniform_int(1, 4));
+        k = 8 * static_cast<int>(rng.uniform_int(2, 6));
+        n = 8 * static_cast<int>(rng.uniform_int(1, 4));
+      }
+      BfpFormat afmt = bfp8_format();
+      if (family == 5) afmt.rows = (case_id % 12 == 5) ? 4 : 16;
+      std::vector<float> a, b;
+      switch (family) {
+        case 1:
+          a = zero_denormal_operand(rng, m, k);
+          b = zero_denormal_operand(rng, k, n);
+          break;
+        case 2:
+          a = exponent_skew_operand(rng, m, k, /*along_cols=*/true);
+          b = exponent_skew_operand(rng, k, n, /*along_cols=*/false);
+          break;
+        case 3:
+          a = exponent_skew_operand(rng, m, k, /*along_cols=*/true, 20);
+          b = mixed_scale_operand(rng, k, n);
+          break;
+        default:
+          a = mixed_scale_operand(rng, m, k);
+          b = mixed_scale_operand(rng, k, n);
+          break;
+      }
+      const BfpMatrix am =
+          quantize_matrix(a, m, k, afmt, RoundMode::kNearestEven);
+      const BfpMatrix bm =
+          quantize_matrix(b, k, n, bfp8_format(), RoundMode::kNearestEven);
+      const GemmOutcome want = gemm_outcome(
+          [&] { return bfp_gemm_reference(am, bm, m, n, psu_bits); });
+      (want.overflow ? overflows : values) += 1;
+      for (const KernelTier tier : available_kernel_tiers()) {
+        expect_same_outcome(
+            want,
+            gemm_outcome([&] {
+              return bfp_gemm_dispatch(am, bm, m, n, psu_bits, tier);
+            }),
+            "psu_bits " + std::to_string(psu_bits) + " case " +
+                std::to_string(case_id) + " family " +
+                std::to_string(family) + " tier " + to_string(tier) + " (" +
+                std::to_string(m) + "x" + std::to_string(k) + "x" +
+                std::to_string(n) + ")");
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+  // Both outcomes were exercised.
+  EXPECT_GT(overflows, 0);
+  EXPECT_GT(values, 0);
+}
+
+TEST(GoldenDiff, Int32CarrierWrapIsRefusedLikeTheReference) {
+  // 8 x k x 8 with every mantissa 127 at one exponent: each k-block adds
+  // 8 * 127^2 = 129032 to every partial sum, so they cross 2^31 after
+  // 16643 blocks. At k = 133600 (16700 blocks) a 32-bit carrier must refuse
+  // — in int32 lanes the sum wraps rather than growing — while 33 bits
+  // holds it; at k = 133120 (16640 blocks) 32 bits still fits. 31 bits
+  // refuses both.
+  const struct {
+    int k;
+    int psu_bits;
+    bool overflow;
+  } cases[] = {{133600, 31, true},  {133600, 32, true},
+               {133600, 33, false}, {133120, 31, true},
+               {133120, 32, false}, {133120, 33, false}};
+  for (const auto& c : cases) {
+    const std::vector<float> a(static_cast<std::size_t>(8) * c.k, 127.0F);
+    const std::vector<float> b(static_cast<std::size_t>(c.k) * 8, 127.0F);
+    const BfpMatrix am =
+        quantize_matrix(a, 8, c.k, bfp8_format(), RoundMode::kNearestEven);
+    const BfpMatrix bm =
+        quantize_matrix(b, c.k, 8, bfp8_format(), RoundMode::kNearestEven);
+    ASSERT_EQ(am.block(0, 0).at(0, 0), 127);
+    const GemmOutcome want = gemm_outcome(
+        [&] { return bfp_gemm_reference(am, bm, 8, 8, c.psu_bits); });
+    ASSERT_EQ(want.overflow, c.overflow) << "k " << c.k << " psu_bits "
+                                         << c.psu_bits;
+    for (const KernelTier tier : available_kernel_tiers()) {
+      expect_same_outcome(
+          want,
+          gemm_outcome([&] {
+            return bfp_gemm_dispatch(am, bm, 8, 8, c.psu_bits, tier);
+          }),
+          "k " + std::to_string(c.k) + " psu_bits " +
+              std::to_string(c.psu_bits) + " tier " + to_string(tier));
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(GoldenDiff, FastPathPsuOverflowSurfacesFromPublicApi) {
+  // gemm_bfp8_fast twin of FailureInjection.PsuOverflowSurfacesFromPublicApi
+  // (which drives the cycle-stepped gemm_bfp8): a 16-bit carrier under 64
+  // k-tiles of worst-case sums must refuse through every tier.
+  struct TierGuard {
+    KernelTier prev = active_kernel_tier();
+    ~TierGuard() { set_active_kernel_tier(prev); }
+  } guard;
+  PuConfig cfg;
+  cfg.psu_bits = 16;
+  ProcessingUnit pu(cfg);
+  const int m = 8;
+  const int k = 512;
+  const int n = 8;
+  const std::vector<float> a(static_cast<std::size_t>(m) * k, 1.0F);
+  const std::vector<float> b(static_cast<std::size_t>(k) * n, 1.0F);
+  for (const KernelTier tier : available_kernel_tiers()) {
+    set_active_kernel_tier(tier);
+    EXPECT_THROW(pu.gemm_bfp8_fast(a, m, k, b, n), HardwareContractError)
+        << to_string(tier);
+  }
+}
+
+/// --------- satellite 2: sliced fp32 multiply property test ---------
 
 /// The mathematically derived dropped-LSB bound: the omitted (0,0) partial
 /// product is < 2^16 on the 48-bit product grid, i.e. an absolute error

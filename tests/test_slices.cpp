@@ -5,12 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 
+#include "common/bitops.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "dsp/dsp48e2.hpp"
+#include "fp32_boundaries.hpp"
 #include "numerics/fp32.hpp"
 
 namespace bfpsim {
@@ -189,6 +194,276 @@ TEST(AlignedAdd, LargeExponentGapReturnsLargerOperand) {
   const float small = 1.0e-20F;
   EXPECT_FLOAT_EQ(fp32_add_aligned(big, small), big);
   EXPECT_FLOAT_EQ(fp32_add_aligned(small, big), big);
+}
+
+
+/// ---- closed-form datapath vs the term-by-term oracle ----
+///
+/// The library computes the sliced mantissa product in closed form and
+/// assembles its float in one normalize step. The oracle is the step-by-step
+/// datapath: the 8-term schedule walk, the out-of-line field decomposition,
+/// and compose_normalized handing its mantissa to compose's renormalizing
+/// loops. Both must agree on every bit and on every refusal.
+
+#if defined(BFPSIM_FAST_TESTS)
+constexpr int kOraclePairs = 100000;
+#else
+constexpr int kOraclePairs = 1000000;
+#endif
+
+Fp32Parts oracle_decompose(float v) {
+  const std::uint32_t bits = float_to_bits(v);
+  Fp32Parts p;
+  p.sign = (bits >> 31) != 0;
+  const std::uint32_t exp_field = (bits >> kFp32FracBits) & 0xFF;
+  const std::uint32_t frac =
+      bits & static_cast<std::uint32_t>(low_mask(kFp32FracBits));
+  if (exp_field == 0xFF) {
+    p.is_nan = frac != 0;
+    p.is_inf = frac == 0;
+    p.biased_exp = 0xFF;
+    p.mantissa = frac;
+    return p;
+  }
+  if (exp_field == 0) {
+    p.biased_exp = 1;
+    p.mantissa = frac;
+    return p;
+  }
+  p.biased_exp = static_cast<std::int32_t>(exp_field);
+  p.mantissa = frac | (std::uint32_t{1} << kFp32FracBits);
+  return p;
+}
+
+float oracle_compose(bool sign, std::int32_t biased_exp,
+                     std::uint32_t mantissa) {
+  BFP_REQUIRE(mantissa < (std::uint32_t{1} << kFp32MantBits),
+              "compose: mantissa must fit 24 bits");
+  const std::uint32_t sign_bit = sign ? (std::uint32_t{1} << 31) : 0;
+  if (mantissa == 0) return bits_to_float(sign_bit);
+  std::int64_t e = biased_exp;
+  std::uint64_t m = mantissa;
+  while (m < (std::uint64_t{1} << kFp32FracBits) && e > 1) {
+    m <<= 1;
+    --e;
+  }
+  while (m >= (std::uint64_t{1} << kFp32MantBits)) {
+    m >>= 1;
+    ++e;
+  }
+  if (e >= 0xFF) return bits_to_float(sign_bit | (0xFFU << kFp32FracBits));
+  if (m < (std::uint64_t{1} << kFp32FracBits)) {
+    return bits_to_float(sign_bit | static_cast<std::uint32_t>(m));
+  }
+  const std::uint32_t frac =
+      static_cast<std::uint32_t>(m) &
+      static_cast<std::uint32_t>(low_mask(kFp32FracBits));
+  return bits_to_float(sign_bit |
+                       (static_cast<std::uint32_t>(e) << kFp32FracBits) |
+                       frac);
+}
+
+float oracle_compose_normalized(bool sign, std::int32_t biased_exp,
+                                std::uint64_t mantissa64,
+                                bool round_nearest_even) {
+  if (mantissa64 == 0) {
+    return bits_to_float(sign ? (std::uint32_t{1} << 31) : 0);
+  }
+  const int msb = 63 - std::countl_zero(mantissa64);
+  int shift = msb - kFp32FracBits;
+  std::int64_t e = static_cast<std::int64_t>(biased_exp) + shift;
+  if (e < 1) {
+    shift += static_cast<int>(1 - e);
+    e = 1;
+  }
+  std::uint64_t m;
+  if (shift > 0) {
+    if (round_nearest_even) {
+      m = static_cast<std::uint64_t>(
+          asr_rne(static_cast<std::int64_t>(mantissa64), shift));
+    } else {
+      m = shift >= 64 ? 0 : mantissa64 >> shift;
+    }
+    if (m >= (std::uint64_t{1} << kFp32MantBits)) {
+      m >>= 1;
+      ++e;
+    }
+  } else {
+    m = mantissa64 << (-shift);
+  }
+  if (e >= 0xFF) {
+    return bits_to_float((sign ? (std::uint32_t{1} << 31) : 0) |
+                         (0xFFU << kFp32FracBits));
+  }
+  return oracle_compose(sign, static_cast<std::int32_t>(e),
+                        static_cast<std::uint32_t>(m));
+}
+
+/// The PE column's sum, one schedule term per row.
+std::uint64_t oracle_schedule_sum(std::uint32_t man_x, std::uint32_t man_y) {
+  const MantissaSlices sx = slice_mantissa(man_x);
+  const MantissaSlices sy = slice_mantissa(man_y);
+  std::uint64_t sum = 0;
+  for (const auto& t : fp32_mul_schedule()) {
+    sum += (static_cast<std::uint64_t>(sx[t.xi]) << t.pre_shift_x) *
+           (static_cast<std::uint64_t>(sy[t.yj]) << t.pre_shift_y);
+  }
+  return sum;
+}
+
+float oracle_mul(float x, float y, bool round_nearest_even) {
+  const Fp32Parts px = oracle_decompose(x);
+  const Fp32Parts py = oracle_decompose(y);
+  BFP_REQUIRE(!px.is_nan && !px.is_inf && !py.is_nan && !py.is_inf,
+              "fp32_mul_sliced: NaN/Inf operands are not supported by the "
+              "accelerator datapath");
+  const bool sign = px.sign != py.sign;
+  if (px.is_zero() || py.is_zero()) return oracle_compose(sign, 1, 0);
+  const std::uint64_t sum = oracle_schedule_sum(px.mantissa, py.mantissa);
+  return oracle_compose_normalized(
+      sign, px.biased_exp + py.biased_exp - 142, sum, round_nearest_even);
+}
+
+float oracle_add(float x, float y, bool round_nearest_even, int acc_bits) {
+  const Fp32Parts px = oracle_decompose(x);
+  const Fp32Parts py = oracle_decompose(y);
+  BFP_REQUIRE(!px.is_nan && !px.is_inf && !py.is_nan && !py.is_inf,
+              "fp32_add_aligned: NaN/Inf operands are not supported by the "
+              "accelerator datapath");
+  const std::int32_t e = std::max(px.biased_exp, py.biased_exp);
+  const std::int64_t s = asr(px.signed_mantissa(), e - px.biased_exp) +
+                         asr(py.signed_mantissa(), e - py.biased_exp);
+  BFP_REQUIRE(fits_signed(s, acc_bits),
+              "fp32_add_aligned: accumulator overflow");
+  const bool sign = s < 0;
+  const std::uint64_t mag = sign ? static_cast<std::uint64_t>(-s)
+                                 : static_cast<std::uint64_t>(s);
+  return oracle_compose_normalized(sign, e, mag, round_nearest_even);
+}
+
+/// A result bit pattern, or the refusal's message without the
+/// "(requirement ... failed at file:line)" suffix that names the source.
+struct Outcome {
+  bool threw = false;
+  std::uint32_t bits = 0;
+  std::string what;
+
+  bool operator==(const Outcome&) const = default;
+};
+
+template <typename F>
+Outcome outcome_of(F&& f) {
+  Outcome o;
+  try {
+    o.bits = float_to_bits(f());
+  } catch (const Error& e) {
+    const std::string w = e.what();
+    o.threw = true;
+    o.what = w.substr(0, w.find(" (requirement"));
+  }
+  return o;
+}
+
+/// Compares both operations in both rounding modes; the aligned add at the
+/// default 32-bit carrier always and at `narrow_acc` too when it is set.
+void expect_oracle_match(float x, float y, bool narrow_acc, int* throws) {
+  for (const bool rne : {true, false}) {
+    const Outcome mul = outcome_of([&] { return fp32_mul_sliced(x, y, rne); });
+    ASSERT_EQ(mul, outcome_of([&] { return oracle_mul(x, y, rne); }))
+        << fp32_fields(x) << " * " << fp32_fields(y) << " rne=" << rne;
+    *throws += mul.threw ? 1 : 0;
+    for (const int acc_bits : {32, 26, 24}) {
+      if (acc_bits != 32 && !narrow_acc) continue;
+      const Outcome add =
+          outcome_of([&] { return fp32_add_aligned(x, y, rne, acc_bits); });
+      ASSERT_EQ(add, outcome_of([&] {
+                  return oracle_add(x, y, rne, acc_bits);
+                }))
+          << fp32_fields(x) << " + " << fp32_fields(y) << " rne=" << rne
+          << " acc_bits=" << acc_bits;
+      *throws += add.threw ? 1 : 0;
+    }
+  }
+}
+
+/// An fp32 with the given exponent field and random sign and fraction.
+float with_exponent(Rng& rng, std::uint32_t exp_field) {
+  const std::uint32_t r = rng.bits32();
+  return bits_to_float((r & 0x80000000U) | (exp_field << kFp32FracBits) |
+                       (r & static_cast<std::uint32_t>(low_mask(23))));
+}
+
+TEST(SlicedOracle, ClosedFormMatchesScheduleWalkBitForBit) {
+  // Operand families: (0) uniformly random finite bit patterns, subnormals
+  // included; (1) exponents within 3 of each other, where the aligned add
+  // cancels, carries and overflows narrow carriers; (2) subnormals and
+  // signed zeros; (3) one NaN/Inf operand (every path must refuse it);
+  // (4) mantissa products just under 2^47, where the multiply's rounding
+  // carries out of the mantissa.
+  // Narrow carriers (acc_bits 26 and 24) run on 2 pairs in 128: at 24 bits
+  // almost every normal sum is refused, and refusals are slow.
+  Rng rng(2605);
+  int throws = 0;
+  for (int i = 0; i < kOraclePairs; ++i) {
+    float x = random_finite_fp32(rng);
+    float y = random_finite_fp32(rng);
+    switch (i % 8) {
+      case 1:
+      case 2:
+      case 3: {
+        const auto ex = static_cast<std::uint32_t>(rng.uniform_int(1, 254));
+        const auto ey = static_cast<std::uint32_t>(std::clamp<std::int64_t>(
+            ex + rng.uniform_int(-3, 3), 0, 254));
+        x = with_exponent(rng, ex);
+        y = with_exponent(rng, ey);
+        break;
+      }
+      case 4:
+        x = with_exponent(rng,
+                          static_cast<std::uint32_t>(rng.uniform_int(0, 1)));
+        y = (i % 64 == 4) ? ((i % 128 == 4) ? 0.0F : -0.0F)
+                          : with_exponent(rng, 0);
+        break;
+      case 5:
+        if (i % 512 == 5) {  // a quiet or signalling NaN, or -inf
+          const std::uint32_t payload = rng.bits32() & 0x7FFFFFU;
+          const float special =
+              (i % 1024 == 5 && payload != 0)
+                  ? bits_to_float(0x7F800000U | payload)
+                  : -std::numeric_limits<float>::infinity();
+          ((i / 1024) % 2 == 0 ? x : y) = special;
+        }
+        break;
+      case 6: {
+        // Mantissa products just under 2^47: the normalized sum's top 24
+        // bits are often all ones, so rounding carries out of the mantissa.
+        const auto mx = static_cast<std::uint32_t>(rng.uniform_int(
+            std::int64_t{1} << 23, (std::int64_t{1} << 24) - 1));
+        const auto my = static_cast<std::uint32_t>(
+            ((std::uint64_t{1} << 47) - 1) / mx);
+        const auto ex = static_cast<std::uint32_t>(rng.uniform_int(1, 254));
+        const auto ey = static_cast<std::uint32_t>(rng.uniform_int(1, 254));
+        x = bits_to_float((rng.bits32() & 0x80000000U) | (ex << 23) |
+                          (mx & 0x7FFFFFU));
+        y = bits_to_float((rng.bits32() & 0x80000000U) | (ey << 23) |
+                          (my & 0x7FFFFFU));
+        break;
+      }
+      default:
+        break;
+    }
+    expect_oracle_match(x, y, /*narrow_acc=*/i % 128 <= 1, &throws);
+    if (HasFatalFailure()) return;
+  }
+  const std::vector<float> bounds = boundary_operands();
+  for (const float x : bounds) {
+    for (const float y : bounds) {
+      expect_oracle_match(x, y, /*narrow_acc=*/true, &throws);
+      if (HasFatalFailure()) return;
+    }
+  }
+  // The refusal paths were exercised, not only the value paths.
+  EXPECT_GT(throws, 0);
 }
 
 }  // namespace

@@ -228,6 +228,34 @@ TEST(ProgramPrice, DeitSmallEqualsExecutorFusedAndUnfused) {
   }
 }
 
+TEST(SpecCompile, UnfusedProgramLeavesUnreadRegisterFieldsZero) {
+  // The --no-fuse lowering inlines the softmax/GELU/SiLU micro-kernels;
+  // only the registers an instruction reads are remapped onto the node's,
+  // so every register field past operands(inst).count stays 0.
+  const ModelSpec spec = load_model_spec("vit-tiny-test");
+  const AcceleratorSystem sys;
+  CompileOptions opt;
+  opt.macro_kernels = false;
+  const CompiledModel cm = compile(build_spec_graph(spec), sys, opt);
+  const auto& prog = cm.program().instructions();
+  ASSERT_FALSE(prog.empty());
+  for (std::size_t pc = 0; pc < prog.size(); ++pc) {
+    const Instruction& inst = prog[pc];
+    const int reads = operands(inst).count;
+    const std::string at = "pc " + std::to_string(pc) + " opcode " +
+                           std::to_string(static_cast<int>(inst.op));
+    if (reads < 1) {
+      EXPECT_EQ(inst.src_a, 0) << at;
+    }
+    if (reads < 2) {
+      EXPECT_EQ(inst.src_b, 0) << at;
+    }
+    if (reads < 3) {
+      EXPECT_EQ(inst.src_c(), 0) << at;
+    }
+  }
+}
+
 TEST(SpecDecode, LlmDecodeDegenerateParityWithAnalyzeDecode) {
   const ModelSpec spec = load_model_spec("llm-decode");
   ASSERT_EQ(spec.kv_heads, spec.heads);  // degenerate: plain MHA
