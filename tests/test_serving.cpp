@@ -3,16 +3,24 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <sstream>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "fabric/scheduler.hpp"
+#include "runtime/session.hpp"
 #include "transformer/checkpoint.hpp"
 
 namespace bfpsim {
 namespace {
+
+std::string hex(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
 
 TEST(Scheduler, EmptyAndSingle) {
   const ScheduleResult empty = schedule_lpt({}, 4);
@@ -73,6 +81,148 @@ TEST(BatchServing, PartialBatchWastesUnits) {
       batch_transformer_throughput(deit_small(), sys, 20);
   // 20 images on 15 units: two rounds, 10 units idle in round 2.
   EXPECT_NEAR(b20.utilization, 20.0 / 30.0, 1e-9);
+}
+
+// Absolute pins of the whole-image-per-unit batch numbers: the analytic
+// batch (bfpsim batch, bench_batch_serving) and Session::infer_batch.
+// Doubles are pinned by bit pattern, so any change in how the makespan,
+// images/s or utilization is computed shows up here.
+
+struct BatchNumbers {
+  std::uint64_t per_image_cycles = 0;
+  std::uint64_t makespan_cycles = 0;
+  std::uint64_t images_per_second_bits = 0;
+  std::uint64_t utilization_bits = 0;
+};
+
+BatchNumbers analytic_batch(const VitConfig& cfg, int batch) {
+  const BatchResult r =
+      batch_transformer_throughput(cfg, AcceleratorSystem{}, batch);
+  return {r.per_image_cycles, r.makespan_cycles,
+          std::bit_cast<std::uint64_t>(r.images_per_second),
+          std::bit_cast<std::uint64_t>(r.utilization)};
+}
+
+struct AnalyticPin {
+  const char* model;
+  int batch;
+  BatchNumbers want;
+};
+
+TEST(BatchPins, AnalyticBatch) {
+  const AnalyticPin pins[] = {
+      {"deit-tiny", 1,
+       {93998652u, 93998652u, 0x4009884391efe110u, 0x3fb1111111111111u}},
+      {"deit-tiny", 4,
+       {93998652u, 93998652u, 0x4029884391efe110u, 0x3fd1111111111111u}},
+      {"deit-tiny", 8,
+       {93998652u, 93998652u, 0x4039884391efe110u, 0x3fe1111111111111u}},
+      {"deit-tiny", 15,
+       {93998652u, 93998652u, 0x4047efbf58d0e2ffu, 0x3ff0000000000000u}},
+      {"deit-tiny", 16,
+       {93998652u, 187997304u, 0x4039884391efe110u, 0x3fe1111111111111u}},
+      {"deit-tiny", 20,
+       {93998652u, 187997304u, 0x403fea54766bd954u, 0x3fe5555555555555u}},
+      {"deit-tiny", 30,
+       {93998652u, 187997304u, 0x4047efbf58d0e2ffu, 0x3ff0000000000000u}},
+      {"deit-tiny", 60,
+       {93998652u, 375994608u, 0x4047efbf58d0e2ffu, 0x3ff0000000000000u}},
+      {"deit-small", 1,
+       {197768856u, 197768856u, 0x3ff8455061b9786au, 0x3fb1111111111111u}},
+      {"deit-small", 4,
+       {197768856u, 197768856u, 0x4018455061b9786au, 0x3fd1111111111111u}},
+      {"deit-small", 8,
+       {197768856u, 197768856u, 0x4028455061b9786au, 0x3fe1111111111111u}},
+      {"deit-small", 15,
+       {197768856u, 197768856u, 0x4036c0fb5b9de0e4u, 0x3ff0000000000000u}},
+      {"deit-small", 16,
+       {197768856u, 395537712u, 0x4028455061b9786au, 0x3fe1111111111111u}},
+      {"deit-small", 20,
+       {197768856u, 395537712u, 0x402e56a47a27d685u, 0x3fe5555555555555u}},
+      {"deit-small", 30,
+       {197768856u, 395537712u, 0x4036c0fb5b9de0e4u, 0x3ff0000000000000u}},
+      {"deit-small", 60,
+       {197768856u, 791075424u, 0x4036c0fb5b9de0e4u, 0x3ff0000000000000u}},
+  };
+  for (const AnalyticPin& p : pins) {
+    const VitConfig cfg =
+        std::string(p.model) == "deit-tiny" ? deit_tiny() : deit_small();
+    const BatchNumbers got = analytic_batch(cfg, p.batch);
+    const std::string row = std::string("{\"") + p.model + "\", " +
+                            std::to_string(p.batch) + ", {" +
+                            std::to_string(got.per_image_cycles) + "u, " +
+                            std::to_string(got.makespan_cycles) + "u, 0x" +
+                            hex(got.images_per_second_bits) + "u, 0x" +
+                            hex(got.utilization_bits) + "u}},";
+    EXPECT_EQ(got.per_image_cycles, p.want.per_image_cycles) << row;
+    EXPECT_EQ(got.makespan_cycles, p.want.makespan_cycles) << row;
+    EXPECT_EQ(got.images_per_second_bits, p.want.images_per_second_bits)
+        << row;
+    EXPECT_EQ(got.utilization_bits, p.want.utilization_bits) << row;
+  }
+}
+
+struct SessionPin {
+  int batch;
+  BatchNumbers want;  ///< per_image_cycles = results[0].total_cycles
+  std::uint64_t features_digest;
+};
+
+TEST(BatchPins, SessionInferBatch) {
+  const VitConfig cfg = vit_test_tiny();
+  const VitWeights w = random_weights(cfg, 50);
+  const SessionPin pins[] = {
+      {1,
+       {261412u, 261172u, 0x4091f2ac59990c47u, 0x3fb1111111111111u},
+       0xd0f0a69deecdb276u},
+      {4,
+       {261412u, 261172u, 0x40b1f2ac59990c47u, 0x3fd1111111111111u},
+       0x71163814c51027f6u},
+      {15,
+       {261412u, 261172u, 0x40d0d38193ff7b82u, 0x3ff0000000000000u},
+       0x64e3f74adf967f1au},
+      {16,
+       {261412u, 522344u, 0x40c1f2ac59990c47u, 0x3fe1111111111111u},
+       0xf57958b5e616cc4bu},
+      {30,
+       {261412u, 522344u, 0x40d0d38193ff7b82u, 0x3ff0000000000000u},
+       0x88235b79fb970901u},
+  };
+  for (const SessionPin& p : pins) {
+    std::vector<std::vector<float>> images;
+    for (int i = 0; i < p.batch; ++i) {
+      images.push_back(
+          random_embeddings(cfg, 60 + static_cast<std::uint64_t>(i)));
+    }
+    Session session;
+    const ModelId id = session.deploy(w);
+    const Session::BatchInference b = session.infer_batch(id, images);
+    ASSERT_EQ(b.results.size(), images.size());
+    std::uint64_t digest = 14695981039346656037ULL;
+    for (const InferenceResult& r : b.results) {
+      for (const float f : r.features) {
+        digest ^= std::bit_cast<std::uint32_t>(f);
+        digest *= 1099511628211ULL;
+      }
+      EXPECT_EQ(r.total_cycles, b.results[0].total_cycles);
+    }
+    const std::string row =
+        "{" + std::to_string(p.batch) + ", {" +
+        std::to_string(b.results[0].total_cycles) + "u, " +
+        std::to_string(b.makespan_cycles) + "u, 0x" +
+        hex(std::bit_cast<std::uint64_t>(b.images_per_second)) + "u, 0x" +
+        hex(std::bit_cast<std::uint64_t>(b.utilization)) + "u}, 0x" +
+        hex(digest) + "u},";
+    EXPECT_EQ(b.results[0].total_cycles, p.want.per_image_cycles) << row;
+    EXPECT_EQ(b.makespan_cycles, p.want.makespan_cycles) << row;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(b.images_per_second),
+              p.want.images_per_second_bits)
+        << row;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(b.utilization),
+              p.want.utilization_bits)
+        << row;
+    EXPECT_EQ(digest, p.features_digest) << row;
+  }
 }
 
 TEST(Checkpoint, WeightsRoundTrip) {
