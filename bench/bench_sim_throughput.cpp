@@ -168,52 +168,75 @@ int main(int argc, char** argv) {
     const std::vector<float> golden =
         bfp_gemm_reference(am, bm, s.m, s.n, psu_bits, &pool);
 
-    double ref_wall_per_rep = 0.0;
-    for (const Variant& v : variants) {
-      auto run_once = [&]() {
-        return v.is_reference
-                   ? bfp_gemm_reference(am, bm, s.m, s.n, psu_bits, &pool)
-                   : bfp_gemm_dispatch(am, bm, s.m, s.n, psu_bits, v.tier,
-                                       &pool);
-      };
-      const std::vector<float> probe = run_once();  // warm + exactness
-      const bool exact =
-          probe.size() == golden.size() &&
-          std::memcmp(probe.data(), golden.data(),
-                      probe.size() * sizeof(float)) == 0;
-      if (!exact) {
-        std::fprintf(stderr, "BIT-EXACTNESS FAILURE: %s %s\n", s.str().c_str(),
-                     v.name.c_str());
+    auto run_once = [&](const Variant& v) {
+      return v.is_reference
+                 ? bfp_gemm_reference(am, bm, s.m, s.n, psu_bits, &pool)
+                 : bfp_gemm_dispatch(am, bm, s.m, s.n, psu_bits, v.tier,
+                                     &pool);
+    };
+    // Per variant: the exactness probe, then the rep count and the fastest
+    // chunk's wall time per rep.
+    struct Timing {
+      bool exact = false;
+      int reps = 0;
+      int chunk_reps = 0;
+      int done = 0;
+      double wall_per_rep = 0.0;
+    };
+    std::vector<Timing> timings(variants.size());
+    for (std::size_t vi = 0; vi < variants.size(); ++vi) {
+      const Variant& v = variants[vi];
+      Timing& t = timings[vi];
+      const std::vector<float> probe = run_once(v);  // warm + exactness
+      t.exact = probe.size() == golden.size() &&
+                std::memcmp(probe.data(), golden.data(),
+                            probe.size() * sizeof(float)) == 0;
+      if (!t.exact) {
+        std::fprintf(stderr, "BIT-EXACTNESS FAILURE: %s %s\n",
+                     s.str().c_str(), v.name.c_str());
         gate_failed = true;
       }
       // Self-scale reps: aim for ~0.3s (0.05s smoke) per point based on a
       // single probe of this variant.
       const Clock::time_point p0 = Clock::now();
-      (void)run_once();
+      (void)run_once(v);
       const double probe_s = seconds_since(p0);
       // Smoke still spends 0.2s per point: any shorter and the minimum's
       // chunks are ~1ms, where scheduler noise swamps the 20% gate.
       const double target_s = smoke ? 0.2 : 0.3;
-      int reps = static_cast<int>(target_s / (probe_s > 1e-9 ? probe_s : 1e-9));
-      if (reps < 3) reps = 3;
-      if (reps > 2000) reps = 2000;
-
-      // Take the fastest of several timing chunks rather than one mean:
-      // scheduler/frequency noise only ever adds time, so the minimum is
-      // the stable estimator — this is what keeps the 20% regression gate
-      // from tripping on host jitter.
+      t.reps = static_cast<int>(target_s / (probe_s > 1e-9 ? probe_s : 1e-9));
+      if (t.reps < 3) t.reps = 3;
+      if (t.reps > 2000) t.reps = 2000;
       constexpr int kChunks = 5;
-      const int chunk_reps = reps < kChunks ? 1 : reps / kChunks;
-      double wall_per_rep = 0.0;
-      int total_reps = 0;
-      while (total_reps < reps) {
+      t.chunk_reps = t.reps < kChunks ? 1 : t.reps / kChunks;
+    }
+
+    // Take the fastest of several timing chunks rather than one mean:
+    // scheduler/frequency noise only ever adds time, so the minimum is
+    // the stable estimator. The chunks of all variants interleave — one
+    // chunk of each in turn — so a slow stretch of the host hits the
+    // reference and the tiers alike instead of skewing their ratio.
+    for (bool pending = true; pending;) {
+      pending = false;
+      for (std::size_t vi = 0; vi < variants.size(); ++vi) {
+        Timing& t = timings[vi];
+        if (t.done >= t.reps) continue;
         const Clock::time_point t0 = Clock::now();
-        for (int r = 0; r < chunk_reps; ++r) (void)run_once();
-        const double chunk = seconds_since(t0) / chunk_reps;
-        if (wall_per_rep == 0.0 || chunk < wall_per_rep) wall_per_rep = chunk;
-        total_reps += chunk_reps;
+        for (int r = 0; r < t.chunk_reps; ++r) (void)run_once(variants[vi]);
+        const double chunk = seconds_since(t0) / t.chunk_reps;
+        if (t.wall_per_rep == 0.0 || chunk < t.wall_per_rep) {
+          t.wall_per_rep = chunk;
+        }
+        t.done += t.chunk_reps;
+        pending = pending || t.done < t.reps;
       }
-      if (v.is_reference) ref_wall_per_rep = wall_per_rep;
+    }
+
+    const double ref_wall_per_rep = timings.front().wall_per_rep;
+    for (std::size_t vi = 0; vi < variants.size(); ++vi) {
+      const Variant& v = variants[vi];
+      const Timing& t = timings[vi];
+      const double wall_per_rep = t.wall_per_rep;
       const double speedup =
           v.is_reference ? 1.0 : ref_wall_per_rep / wall_per_rep;
       const double cps = static_cast<double>(sim_cycles) / wall_per_rep;
@@ -227,10 +250,10 @@ int main(int argc, char** argv) {
       const std::string anchor =
           "\"shape\":\"" + s.str() + "\",\"variant\":\"" + v.name + "\"";
       json << "{" << anchor << ",\"sim_cycles_per_rep\":" << sim_cycles
-           << ",\"reps\":" << reps << ",\"wall_ms_per_rep\":"
+           << ",\"reps\":" << t.reps << ",\"wall_ms_per_rep\":"
            << 1e3 * wall_per_rep << ",\"cycles_per_wall_sec\":" << cps
            << ",\"speedup_vs_reference\":" << speedup
-           << ",\"bit_exact\":" << (exact ? "true" : "false") << "}";
+           << ",\"bit_exact\":" << (t.exact ? "true" : "false") << "}";
       std::fprintf(stderr,
                    "  gemm %-12s %-9s %8.3f ms/rep  %.3e sim-cycles/s  "
                    "speedup %5.2fx\n",

@@ -13,12 +13,6 @@ ClusterExecutor::ClusterExecutor(const VitWeights& weights,
     : topo_(std::move(topology)),
       plan_(partition_model(weights, strategy, topo_.num_cards())) {
   topo_.validate();
-  if (plan_.strategy == PartitionStrategy::kPipeline) {
-    stage_models_.reserve(plan_.stages.size());
-    for (const PipelineStage& stage : plan_.stages) {
-      stage_models_.emplace_back(stage.weights);
-    }
-  }
 }
 
 std::vector<float> ClusterExecutor::forward(std::vector<float> x,
@@ -32,16 +26,20 @@ std::vector<float> ClusterExecutor::forward(std::vector<float> x,
 std::vector<float> ClusterExecutor::forward_pipeline(std::vector<float> x,
                                                      ClusterStats* stats,
                                                      ThreadPool* pool) const {
-  // Chaining the stage sub-models block-by-block is the single-card loop
-  // with the same state tensor carried across — bit-identical output.
+  // Each stage runs forward_sharded over its blocks as the one shard:
+  // chaining the stages is the single-card walk with the same state tensor
+  // carried across — bit-identical output.
   AcceleratorSystem sys(topo_.card_config());
   sys.set_thread_pool(pool);
   ClusterStats local;
   local.card_compute_cycles.resize(plan_.cards, 0);
   for (int c = 0; c < plan_.cards; ++c) {
+    const PipelineStage& stage = plan_.stages[static_cast<std::size_t>(c)];
+    const std::span<const TensorBlockShard> shard(stage.weights.blocks);
     ForwardStats fstats;
-    x = stage_models_[static_cast<std::size_t>(c)].forward_mixed(
-        std::move(x), sys, &fstats);
+    x = forward_sharded(std::move(x), stage.weights.cfg, std::span(&shard, 1),
+                        sys, PrecisionPolicy::all_bfp8(),
+                        std::span(&fstats, 1));
     local.card_compute_cycles[static_cast<std::size_t>(c)] =
         fstats.total_cycles();
     local.compute_cycles += fstats.total_cycles();

@@ -8,9 +8,9 @@
 //    the one encoder walk, forward_sharded (transformer/model.hpp), with
 //    one shard per card; the executor only builds the shard list, prices
 //    each all-gather on the topology and folds the per-card stats.
-//    Pipeline parallelism chains the stages' forward_mixed. The
-//    partitioner's column-split / all-gather discipline keeps the bits;
-//    tests pin them;
+//    Pipeline parallelism chains the same walk over each stage's blocks
+//    as one shard. The partitioner's column-split / all-gather discipline
+//    keeps the bits; tests pin them;
 //
 //  * timing — per-card compute cycles come from each card's
 //    AcceleratorSystem latency model applied to that card's slice shapes,
@@ -111,7 +111,6 @@ class ClusterExecutor {
 
   ClusterTopology topo_;
   PartitionPlan plan_;
-  std::vector<VitModel> stage_models_;  ///< pipeline strategy only
 };
 
 }  // namespace bfpsim

@@ -11,35 +11,15 @@ namespace bfpsim {
 
 namespace {
 
-/// Scratch registers reserved for inlined kernels (above the node window).
+/// Scratch registers reserved for micro-kernels (above the node window).
 constexpr int kScratchWindow = 240;
 constexpr int kMaxGraphNodes = kScratchWindow;
 
-/// Inline a kernel program, remapping its conventional registers
-/// (kernels::kIn/kOut and the scratch base) into the caller's frame.
-void inline_kernel(ProgramBuilder& out, const Program& kernel, int in_reg,
-                   int out_reg) {
-  auto remap = [&](std::uint8_t r) -> std::uint8_t {
-    if (r == kernels::kIn) return static_cast<std::uint8_t>(in_reg);
-    if (r == kernels::kOut) return static_cast<std::uint8_t>(out_reg);
-    if (r >= kernels::kScratchBase) {
-      const int s = kScratchWindow + (r - kernels::kScratchBase);
-      BFP_ASSERT(s < kNumTensorRegs);
-      return static_cast<std::uint8_t>(s);
-    }
-    return r;
-  };
-  for (Instruction inst : kernel.instructions()) {
-    if (inst.op == Opcode::kHalt) continue;
-    // Only the fields the instruction uses: an unread src_b keeps the
-    // kernel's 0 rather than naming a register it never reads.
-    const int reads = operands(inst).count;
-    inst.dst = remap(inst.dst);
-    if (reads >= 1) inst.src_a = remap(inst.src_a);
-    if (reads >= 2) inst.src_b = remap(inst.src_b);
-    if (reads >= 3) inst.set_src_c(remap(inst.src_c()));
-    out.raw(inst);
-  }
+/// The frame of a one-input micro-kernel emitted over a node's registers
+/// (gamma and beta are not read).
+kernels::Frame unary_frame(int in, int out) {
+  return {.in = in, .out = out, .gamma = 0, .beta = 0,
+          .scratch = kScratchWindow};
 }
 
 /// 1-based index into numeric_modes() for an annotated matmul (0 = the
@@ -255,8 +235,6 @@ CompiledModel compile(const Graph& graph, const AcceleratorSystem& system,
                          n.imm);
           break;
         }
-        // Emitted over the node's registers: gamma and beta have no slot
-        // in inline_kernel's in/out/scratch remap.
         kernels::layernorm(pb, n.shape.rows, n.shape.cols, n.imm,
                            {.in = reg_of(n.inputs[0]),
                             .out = dst,
@@ -271,8 +249,8 @@ CompiledModel compile(const Graph& graph, const AcceleratorSystem& system,
                        n.shape.cols);
           break;
         }
-        Program kernel = kernels::softmax(n.shape.rows, n.shape.cols);
-        inline_kernel(pb, kernel, reg_of(n.inputs[0]), dst);
+        kernels::softmax(pb, n.shape.rows, n.shape.cols, false,
+                         unary_frame(reg_of(n.inputs[0]), dst));
         break;
       }
       case GraphOp::kGelu: {
@@ -280,8 +258,7 @@ CompiledModel compile(const Graph& graph, const AcceleratorSystem& system,
           pb.gelu_m(dst, reg_of(n.inputs[0]));
           break;
         }
-        Program kernel = kernels::gelu();
-        inline_kernel(pb, kernel, reg_of(n.inputs[0]), dst);
+        kernels::gelu(pb, unary_frame(reg_of(n.inputs[0]), dst));
         break;
       }
       case GraphOp::kSilu: {
@@ -289,8 +266,7 @@ CompiledModel compile(const Graph& graph, const AcceleratorSystem& system,
           pb.silu_m(dst, reg_of(n.inputs[0]));
           break;
         }
-        Program kernel = kernels::silu();
-        inline_kernel(pb, kernel, reg_of(n.inputs[0]), dst);
+        kernels::silu(pb, unary_frame(reg_of(n.inputs[0]), dst));
         break;
       }
       // The Llama-family and fused ops lower through their macro opcodes

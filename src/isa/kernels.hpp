@@ -17,21 +17,28 @@ inline constexpr int kGamma = 2;  ///< norm scale, a (1 x cols) row vector
 inline constexpr int kBeta = 3;   ///< layernorm shift, a (1 x cols) row vector
 inline constexpr int kScratchBase = 8;
 
+/// The registers a kernel binds. The standalone programs below bind the
+/// conventions above; the graph compiler passes its own registers to emit
+/// a kernel in place.
+struct Frame {
+  int in;
+  int out;
+  int gamma;  ///< read by layernorm only
+  int beta;   ///< read by layernorm only
+  int scratch;  ///< first of the kernel's consecutive scratch registers
+};
+
 /// Row-wise softmax over an (rows x cols) input: max-subtract, vec.exp,
 /// ACC row-sum, host reciprocal (the Section III-B division), broadcast
 /// scale. `softermax` selects the fast split-exp (needs the exp2-unit
-/// hardware option; Stevens et al. [8]).
-Program softmax(int rows, int cols, bool softermax = false);
+/// hardware option; Stevens et al. [8]). Appends the micro-program (no
+/// halt) to `b` over `f`'s registers; the compiler's --no-fuse softmax.
+void softmax(ProgramBuilder& b, int rows, int cols, bool softermax,
+             const Frame& f);
 
-/// The registers a kernel binds. The defaults are the conventions above;
-/// the graph compiler passes its own to emit a kernel in place.
-struct Frame {
-  int in = kIn;
-  int out = kOut;
-  int gamma = kGamma;
-  int beta = kBeta;
-  int scratch = kScratchBase;
-};
+/// The same softmax as a standalone program over the conventional
+/// registers.
+Program softmax(int rows, int cols, bool softermax = false);
 
 /// Row-wise LayerNorm over (rows x cols) with gamma/beta as (1 x cols) row
 /// vectors, applied with column broadcasts: appends the micro-program
@@ -40,16 +47,20 @@ struct Frame {
 void layernorm(ProgramBuilder& b, int rows, int cols, float eps,
                const Frame& f);
 
-/// The same LayerNorm as a standalone program over the conventional
-/// registers.
-Program layernorm(int rows, int cols, float eps = 1e-5F);
+/// Elementwise GELU (tanh form): appends the micro-program (no halt) to
+/// `b` over `f`'s registers; the compiler's --no-fuse GELU.
+void gelu(ProgramBuilder& b, const Frame& f);
 
-/// Elementwise GELU (tanh form) over the kIn tensor.
+/// The same GELU as a standalone program over the conventional registers.
 Program gelu();
 
 /// Elementwise SiLU x*sigmoid(x) — an activation the paper's hardware did
 /// not ship with, expressible in the same ISA (the run-time
-/// programmability argument of Section I).
+/// programmability argument of Section I). Appends the micro-program (no
+/// halt) to `b` over `f`'s registers; the compiler's --no-fuse SiLU.
+void silu(ProgramBuilder& b, const Frame& f);
+
+/// The same SiLU as a standalone program over the conventional registers.
 Program silu();
 
 /// Row-wise RMSNorm (Llama-family: x * gamma / rms(x)); expects kGamma as

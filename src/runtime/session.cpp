@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "transformer/checkpoint.hpp"
-#include "transformer/serving.hpp"
 
 namespace bfpsim {
 
@@ -162,22 +161,50 @@ Session::BatchInference Session::infer_batch(
     ModelId model, std::span<const std::vector<float>> embeddings,
     ThreadPool* pool) {
   Deployed& dep = checked(model);
-  BatchExecution exec =
-      execute_transformer_batch(dep.model, system_, embeddings, pool);
+  BFP_REQUIRE(!embeddings.empty(), "Session::infer_batch: empty batch");
+  const std::size_t n = embeddings.size();
+
+  // Parallel phase: each image runs whole on one unit, so its forward sees
+  // a single-unit system. Image i owns slot i and builds its own system
+  // (hence its own PU); the model is shared read-only, so any worker
+  // interleaving produces the serial loop's bits.
+  SystemConfig one = cfg_;
+  one.num_units = 1;
+  std::vector<std::vector<float>> features(n);
+  std::vector<ForwardStats> stats(n);
+  auto run_image = [&](std::size_t i) {
+    const AcceleratorSystem unit(one);
+    features[i] = dep.model.forward_mixed(embeddings[i], unit, &stats[i]);
+  };
+  if (pool != nullptr) {
+    pool->parallel_for(n, run_image);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) run_image(i);
+  }
 
   // Serial phase, fixed image order: classifier head, DMA modelling and
   // the command log.
   BatchInference out;
-  out.results.reserve(embeddings.size());
-  for (std::size_t i = 0; i < embeddings.size(); ++i) {
-    std::vector<float> logits = dep.model.classify(exec.features[i]);
+  out.results.reserve(n);
+  BackendSpec units;
+  units.executors = cfg_.num_units;
+  units.freq_hz = cfg_.pu.freq_hz;
+  units.passes.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<float> logits = dep.model.classify(features[i]);
     out.results.push_back(account_inference(
-        embeddings[i], std::move(exec.features[i]), std::move(logits),
-        exec.image_stats[i]));
+        embeddings[i], std::move(features[i]), std::move(logits), stats[i]));
+    units.passes.push_back({0, stats[i].total_cycles(), 0});
   }
-  out.makespan_cycles = exec.timing.makespan_cycles;
-  out.images_per_second = exec.timing.images_per_second;
-  out.utilization = exec.timing.utilization;
+
+  // The batch arrives at once and each image is served alone on the lowest
+  // free unit: makespan, images/s and utilization are the loop's.
+  const ServeReport rep =
+      serve_events(units, batch_trace(static_cast<int>(n), units.freq_hz),
+                   {.queue_capacity = n, .max_batch = 1});
+  out.makespan_cycles = rep.makespan_cycles;
+  out.images_per_second = rep.completed_rps;
+  out.utilization = rep.utilization;
   return out;
 }
 

@@ -76,10 +76,12 @@ class Session {
   /// Run one image (tokens x d embeddings) through a deployed model.
   InferenceResult infer(ModelId model, std::span<const float> embeddings);
 
-  /// Serve a batch of images through execute_transformer_batch
-  /// (transformer/serving.hpp): each image runs whole on one unit, LPT-
-  /// placed, so the forwards, makespan, images/s and utilization are that
-  /// engine's. Per image the session adds the classifier head, the DMA
+  /// Serve a batch of images, each whole on one unit (Section III-A's
+  /// independent units): every image's forward runs on a single-unit
+  /// system, then the images arrive together at cycle 0 (batch_trace) and
+  /// serve_events places each alone on the lowest free unit, so makespan,
+  /// images/s and utilization are the serving loop's, over compute-only
+  /// passes. Per image the session adds the classifier head, the DMA
   /// in/out and the command log, serially in image order.
   ///
   /// `pool` (optional) runs the per-image forwards on the parallel

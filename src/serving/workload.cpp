@@ -169,6 +169,17 @@ ArrivalTrace mmpp_trace(int num_requests, double low_rps, double high_rps,
   return t;
 }
 
+ArrivalTrace batch_trace(int num_requests, double freq_hz) {
+  BFP_REQUIRE(num_requests >= 1, "batch_trace: needs >= 1 request");
+  BFP_REQUIRE(freq_hz > 0.0, "batch_trace: frequency must be positive");
+  ArrivalTrace t;
+  t.total_requests = num_requests;
+  t.freq_hz = freq_hz;
+  t.arrivals.reserve(static_cast<std::size_t>(num_requests));
+  for (int i = 0; i < num_requests; ++i) t.arrivals.push_back({i, 0});
+  return t;
+}
+
 ArrivalTrace closed_loop_trace(int clients, int total_requests,
                                double think_ms, std::uint64_t seed,
                                double freq_hz) {

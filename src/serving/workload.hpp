@@ -71,6 +71,12 @@ ArrivalTrace closed_loop_trace(int clients, int total_requests,
                                double think_ms, std::uint64_t seed,
                                double freq_hz = kDefaultFreqHz);
 
+/// Cycle-0 burst: `num_requests` arrivals, every one at cycle 0 (ids in
+/// order) — a batch handed over at once. Served with max_batch 1 and a
+/// queue that holds the whole burst, each request runs alone on the
+/// lowest free executor: the whole-image-per-unit batch placement.
+ArrivalTrace batch_trace(int num_requests, double freq_hz = kDefaultFreqHz);
+
 /// Open-loop diurnal trace: a nonhomogeneous Poisson process whose rate
 /// swings sinusoidally between `base_rps` (trough) and `peak_rps` (peak)
 /// with period `period_s` seconds of virtual time, starting at the trough.

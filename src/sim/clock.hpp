@@ -1,66 +1,11 @@
-// Cycle bookkeeping for the synchronous hardware models.
-//
-// The simulator is cycle-driven: components advance one clock edge at a
-// time under a shared SimClock. The clock also converts cycle counts into
-// wall-clock time at the modelled fabric frequency (300 MHz on the paper's
-// Alveo U280 build) so benches can report latency and throughput in the
-// paper's units.
+// The modelled fabric clock. Cycle counts are converted to wall-clock
+// time at this frequency (300 MHz on the paper's Alveo U280 build) so
+// benches can report latency and throughput in the paper's units.
 #pragma once
-
-#include <cstdint>
-#include <map>
-#include <string>
-
-#include "common/contract.hpp"
 
 namespace bfpsim {
 
 /// Default fabric frequency of the paper's implementation.
 inline constexpr double kDefaultFreqHz = 300.0e6;
-
-class SimClock {
- public:
-  explicit SimClock(double freq_hz = kDefaultFreqHz);
-
-  /// Advance `n` cycles (default 1).
-  void tick(std::uint64_t n = 1) {
-    BFPSIM_INVARIANT(cycle_ + n >= cycle_,
-                     "SimClock: cycle counter wrapped 64 bits");
-    cycle_ += n;
-  }
-
-  std::uint64_t cycle() const { return cycle_; }
-  double freq_hz() const { return freq_hz_; }
-
-  /// Seconds elapsed at the modelled frequency.
-  double seconds() const {
-    return static_cast<double>(cycle_) / freq_hz_;
-  }
-
-  /// Attribute cycles to a named phase (preload / stream / drain / io ...)
-  /// for utilization reporting.
-  void charge(const std::string& phase, std::uint64_t cycles);
-  std::uint64_t charged(const std::string& phase) const;
-  /// Phase ledger, deterministically ordered by phase name: anything that
-  /// walks it (reports, serialized output) produces the same bytes on
-  /// every run and platform. (An unordered_map here was the repo's first
-  /// real bfpsim-lint finding — hash iteration order on a timing path.)
-  const std::map<std::string, std::uint64_t>& phases() const {
-    return phase_cycles_;
-  }
-
-  void reset();
-
- private:
-  double freq_hz_;
-  std::uint64_t cycle_ = 0;
-  std::map<std::string, std::uint64_t> phase_cycles_;
-};
-
-/// Throughput helpers.
-double ops_per_second(std::uint64_t ops, std::uint64_t cycles,
-                      double freq_hz);
-double to_gops(double ops_per_sec);
-double to_tops(double ops_per_sec);
 
 }  // namespace bfpsim

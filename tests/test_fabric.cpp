@@ -12,7 +12,6 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
-#include "fabric/scheduler.hpp"
 
 namespace bfpsim {
 namespace {
@@ -182,73 +181,6 @@ TEST(System, GemmAccuracyAndMacs) {
     }
   }
   EXPECT_GT(compute_error_stats(run.c, ref).snr_db, 25.0);
-}
-
-TEST(Scheduler, ZeroOrNegativeUnitsReturnsEmptySchedule) {
-  // The documented degenerate contract: no units -> no placements, zero
-  // makespan, zero utilization. No division by zero, no throw.
-  for (const int units : {0, -1, -15}) {
-    const ScheduleResult r =
-        schedule_lpt({{"a", 100}, {"b", 50}}, units);
-    EXPECT_TRUE(r.units.empty()) << "units=" << units;
-    EXPECT_EQ(r.makespan, 0u) << "units=" << units;
-    EXPECT_DOUBLE_EQ(r.utilization, 0.0) << "units=" << units;
-    EXPECT_TRUE(std::isfinite(r.utilization)) << "units=" << units;
-  }
-}
-
-TEST(Scheduler, EmptyItemsOnRealUnitsIsWellDefined) {
-  const ScheduleResult r = schedule_lpt({}, 4);
-  ASSERT_EQ(r.units.size(), 4u);
-  for (const UnitAssignment& u : r.units) {
-    EXPECT_TRUE(u.items.empty());
-    EXPECT_EQ(u.cycles, 0u);
-  }
-  EXPECT_EQ(r.makespan, 0u);
-  EXPECT_DOUBLE_EQ(r.utilization, 0.0);
-  EXPECT_TRUE(std::isfinite(r.utilization));
-}
-
-TEST(Scheduler, ZeroCycleItemsDoNotDivideByZero) {
-  // All-zero work: makespan 0 must yield utilization 0, not NaN.
-  const std::vector<WorkItem> items(8, WorkItem{"noop", 0});
-  const ScheduleResult r = schedule_lpt(items, 3);
-  EXPECT_EQ(r.makespan, 0u);
-  EXPECT_DOUBLE_EQ(r.utilization, 0.0);
-  std::size_t placed = 0;
-  for (const auto& u : r.units) placed += u.items.size();
-  EXPECT_EQ(placed, items.size());
-}
-
-TEST(Scheduler, EqualCycleItemsPlaceByIndexDeterministically) {
-  // Equal-cycle items are the common case (a batch of identical images).
-  // The LPT sort tie-breaks on the input index, so placement is a pure
-  // function of the input — identical on every platform and standard
-  // library, which the serving determinism contract relies on.
-  const std::vector<WorkItem> items(8, WorkItem{"img", 1000});
-  const ScheduleResult r = schedule_lpt(items, 3);
-  // Index order onto the first least-loaded unit: item i -> unit i % 3.
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const auto& unit = r.units[i % 3];
-    EXPECT_NE(std::find(unit.items.begin(), unit.items.end(), i),
-              unit.items.end())
-        << "item " << i;
-  }
-  ASSERT_EQ(r.units[0].items, (std::vector<std::size_t>{0, 3, 6}));
-  ASSERT_EQ(r.units[1].items, (std::vector<std::size_t>{1, 4, 7}));
-  ASSERT_EQ(r.units[2].items, (std::vector<std::size_t>{2, 5}));
-}
-
-TEST(Scheduler, MixedTiesResolveByIndexToo) {
-  // Two 5s tie at the top, three 3s tie below; expected exact placement
-  // with (cycles desc, index asc) ordering and first-min unit selection:
-  //   order = [0,1,2,3,4]; u0: 5(+3+3)=11, u1: 5(+3)=8.
-  const std::vector<WorkItem> items = {
-      {"a", 5}, {"b", 5}, {"c", 3}, {"d", 3}, {"e", 3}};
-  const ScheduleResult r = schedule_lpt(items, 2);
-  ASSERT_EQ(r.units[0].items, (std::vector<std::size_t>{0, 2, 4}));
-  ASSERT_EQ(r.units[1].items, (std::vector<std::size_t>{1, 3}));
-  EXPECT_EQ(r.makespan, 11u);
 }
 
 TEST(System, GemmWithThreadPoolIsBitIdentical) {

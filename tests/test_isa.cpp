@@ -238,7 +238,14 @@ TEST_F(ExecutorTest, LayerNormKernelMatchesReference) {
   ex_.set_tensor(kernels::kIn, rows, cols, x);
   ex_.set_tensor(kernels::kGamma, 1, cols, gamma);
   ex_.set_tensor(kernels::kBeta, 1, cols, beta);
-  ex_.run(kernels::layernorm(rows, cols));
+  ProgramBuilder b;
+  kernels::layernorm(b, rows, cols, 1e-5F,
+                     {.in = kernels::kIn,
+                      .out = kernels::kOut,
+                      .gamma = kernels::kGamma,
+                      .beta = kernels::kBeta,
+                      .scratch = kernels::kScratchBase});
+  ex_.run(b.halt().build());
   const auto got = ex_.tensor(kernels::kOut).data;
   const auto ref = layernorm_reference(x, rows, cols, gamma, beta);
   const ErrorStats s = compute_error_stats(got, ref);

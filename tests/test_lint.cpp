@@ -395,6 +395,22 @@ TEST(Lint, ExhaustiveOpcodeSwitchIsClean) {
   EXPECT_EQ(field_num(run.report, "files_scanned"), 1);
 }
 
+TEST(Lint, FlagsHeaderReachedOnlyByItsOwnCpp) {
+  // A fixture tree: src/gadget/orphan.hpp has no includer but its own
+  // .cpp; its twin wired.hpp is included by a tool. Exactly one finding,
+  // on the orphan.
+  const LintRun run = run_lint({"--root", fixture("test_only_tree")});
+  EXPECT_EQ(run.exit_code, 1);
+  const JsonArray& f = findings_of(run.report);
+  ASSERT_EQ(f.size(), 1u) << serialize(run.report.obj().at("findings"));
+  const JsonObject& finding = f[0].obj();
+  EXPECT_EQ(finding.at("rule").str(), "test-only-header");
+  EXPECT_EQ(finding.at("file").str(), "src/gadget/orphan.hpp");
+  EXPECT_EQ(finding.at("line").num(), 1.0);
+  EXPECT_FALSE(finding.at("snippet").str().empty());
+  EXPECT_EQ(field_num(run.report, "files_scanned"), 5);
+}
+
 TEST(Lint, AllowSuppressionsSilenceEveryRule) {
   const LintRun run =
       run_lint({"--root", BFPSIM_SOURCE_ROOT, fixture("suppressed.cpp")});
@@ -426,7 +442,8 @@ TEST(Lint, AllFixturesTogetherFlagEachRuleExactlyOnce) {
 }
 
 TEST(Lint, RepositoryTreeIsClean) {
-  // The gate itself: src/ bench/ tools/ must lint clean.
+  // The gate itself: src/ bench/ tools/ must lint clean, test-only-header
+  // included (every src/ header is reached from outside tests/).
   const LintRun run = run_lint({"--root", BFPSIM_SOURCE_ROOT});
   EXPECT_EQ(run.exit_code, 0);
   EXPECT_TRUE(findings_of(run.report).empty())

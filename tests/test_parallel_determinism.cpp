@@ -14,7 +14,8 @@
 #include "common/thread_pool.hpp"
 #include "pu/processing_unit.hpp"
 #include "runtime/session.hpp"
-#include "transformer/serving.hpp"
+#include "serving/event_loop.hpp"
+#include "transformer/latency.hpp"
 
 namespace bfpsim {
 namespace {
@@ -98,90 +99,96 @@ TEST(ParallelDeterminism, LargeGemmBitIdenticalAcrossThreadCounts) {
   }
 }
 
+/// Serve `passes` the way Session::infer_batch serves a batch: every image
+/// arrives at cycle 0 and runs alone on the lowest free unit.
+ServeReport serve_burst(const SystemConfig& sys,
+                        std::vector<PassSpec> passes) {
+  const std::size_t n = passes.size();
+  BackendSpec units;
+  units.executors = sys.num_units;
+  units.freq_hz = sys.pu.freq_hz;
+  units.passes = std::move(passes);
+  return serve_events(units, batch_trace(static_cast<int>(n), units.freq_hz),
+                      {.queue_capacity = n, .max_batch = 1});
+}
+
+/// The analytic batch of bfpsim batch: one image priced on one unit.
+ServeReport analytic_batch(const VitConfig& cfg, int batch) {
+  SystemConfig one;
+  one.num_units = 1;
+  const auto cycles = static_cast<std::uint64_t>(
+      analyze_workload(cfg, AcceleratorSystem(one)).total_latency_ms * 1e-3 *
+      one.pu.freq_hz);
+  return serve_burst(SystemConfig{},
+                     std::vector<PassSpec>(static_cast<std::size_t>(batch),
+                                           {0, cycles, 0}));
+}
+
 TEST(ParallelDeterminism, BatchExecutionInvariantUnderThreadCount) {
-  // The full functional batch path: features, per-image cycles, schedule,
-  // pipeline timelines, and counter totals must not depend on the worker
-  // count (including serial == 1-thread pool == 8-thread pool).
+  // The full functional batch path: features, per-image cycles and the
+  // served batch numbers must not depend on the worker count (including
+  // serial == 1-thread pool == 8-thread pool).
   const VitConfig cfg = vit_test_tiny();
-  const VitModel model{random_weights(cfg, 17)};
-  const AcceleratorSystem sys;
+  const VitWeights w = random_weights(cfg, 17);
   std::vector<std::vector<float>> images;
   for (int i = 0; i < 7; ++i) {
     images.push_back(random_embeddings(cfg, 100 + i));
   }
+  auto run = [&](ThreadPool* pool) {
+    Session s;
+    return s.infer_batch(s.deploy(w), images, pool);
+  };
 
-  const BatchExecution want = execute_transformer_batch(model, sys, images);
-  ASSERT_EQ(want.features.size(), images.size());
-  EXPECT_EQ(want.timing.batch, static_cast<int>(images.size()));
-  EXPECT_GT(want.timing.makespan_cycles, 0u);
-  EXPECT_GE(want.io_makespan_cycles, want.timing.makespan_cycles);
+  const Session::BatchInference want = run(nullptr);
+  ASSERT_EQ(want.results.size(), images.size());
+  EXPECT_GT(want.makespan_cycles, 0u);
 
   for (int threads : {1, 2, 8}) {
     ThreadPool pool(threads);
-    const BatchExecution got =
-        execute_transformer_batch(model, sys, images, &pool);
+    const Session::BatchInference got = run(&pool);
 
-    // Functional outputs: exact bits, every image.
-    ASSERT_EQ(got.features.size(), want.features.size());
-    for (std::size_t i = 0; i < want.features.size(); ++i) {
-      ASSERT_EQ(got.features[i], want.features[i])
+    // Functional outputs and modelled per-image cycles: exact, every image.
+    ASSERT_EQ(got.results.size(), want.results.size());
+    for (std::size_t i = 0; i < want.results.size(); ++i) {
+      ASSERT_EQ(got.results[i].features, want.results[i].features)
+          << "threads=" << threads << " image " << i;
+      EXPECT_EQ(got.results[i].stats, want.results[i].stats)
           << "threads=" << threads << " image " << i;
     }
 
-    // Modelled time: exact cycle counts.
-    EXPECT_EQ(got.image_stats, want.image_stats) << "threads=" << threads;
-    EXPECT_EQ(got.timing.makespan_cycles, want.timing.makespan_cycles);
-    EXPECT_EQ(got.timing.per_image_cycles, want.timing.per_image_cycles);
-    EXPECT_DOUBLE_EQ(got.timing.images_per_second,
-                     want.timing.images_per_second);
-    EXPECT_DOUBLE_EQ(got.timing.utilization, want.timing.utilization);
-    EXPECT_EQ(got.io_makespan_cycles, want.io_makespan_cycles);
-
-    // Schedule: identical placement.
-    ASSERT_EQ(got.schedule.units.size(), want.schedule.units.size());
-    for (std::size_t u = 0; u < want.schedule.units.size(); ++u) {
-      EXPECT_EQ(got.schedule.units[u].cycles, want.schedule.units[u].cycles);
-      ASSERT_EQ(got.schedule.units[u].items, want.schedule.units[u].items)
-          << "threads=" << threads << " unit " << u;
-    }
-
-    // Per-unit pipeline timelines.
-    ASSERT_EQ(got.unit_timelines.size(), want.unit_timelines.size());
-    for (std::size_t u = 0; u < want.unit_timelines.size(); ++u) {
-      EXPECT_EQ(got.unit_timelines[u].total_cycles,
-                want.unit_timelines[u].total_cycles)
-          << "threads=" << threads << " unit " << u;
-    }
-
-    // Counter totals, via the deterministic snapshot.
-    EXPECT_EQ(got.counters.snapshot(), want.counters.snapshot())
-        << "threads=" << threads;
+    // Served batch: exact cycle counts and rates.
+    EXPECT_EQ(got.makespan_cycles, want.makespan_cycles);
+    EXPECT_DOUBLE_EQ(got.images_per_second, want.images_per_second);
+    EXPECT_DOUBLE_EQ(got.utilization, want.utilization);
   }
 }
 
 TEST(ParallelDeterminism, AnalyticThroughputUnaffectedByEngine) {
-  // batch_transformer_throughput is closed-form; re-running it while a
-  // pool-backed functional batch executes in between must not change it
-  // (guards against hidden shared state in the system model).
+  // The analytic batch is closed-form; re-running it while a pool-backed
+  // functional batch executes in between must not change it (guards
+  // against hidden shared state in the system model).
   const VitConfig cfg = vit_test_tiny();
-  const AcceleratorSystem sys;
-  const BatchResult before = batch_transformer_throughput(cfg, sys, 30);
-  const VitModel model{random_weights(cfg, 3)};
+  const ServeReport before = analytic_batch(cfg, 30);
+  Session s;
+  const ModelId id = s.deploy(random_weights(cfg, 3));
   std::vector<std::vector<float>> images{random_embeddings(cfg, 1),
                                          random_embeddings(cfg, 2)};
   ThreadPool pool(8);
-  (void)execute_transformer_batch(model, sys, images, &pool);
-  const BatchResult after = batch_transformer_throughput(cfg, sys, 30);
-  EXPECT_EQ(before.per_image_cycles, after.per_image_cycles);
+  (void)s.infer_batch(id, images, &pool);
+  const ServeReport after = analytic_batch(cfg, 30);
+  ASSERT_EQ(before.records.size(), after.records.size());
+  EXPECT_EQ(before.records.front().service_cycles(),
+            after.records.front().service_cycles());
   EXPECT_EQ(before.makespan_cycles, after.makespan_cycles);
-  EXPECT_DOUBLE_EQ(before.images_per_second, after.images_per_second);
+  EXPECT_DOUBLE_EQ(before.completed_rps, after.completed_rps);
   EXPECT_DOUBLE_EQ(before.utilization, after.utilization);
 }
 
 TEST(ParallelDeterminism, SessionBatchInferenceInvariant) {
   // Session::infer_batch: results, per-image DMA/compute accounting, the
   // command log, and the batch schedule must be identical for serial and
-  // pooled execution.
+  // pooled execution, and the batch numbers must be serve_events' over
+  // the images' compute-only passes.
   const VitConfig cfg = vit_test_tiny();
   const VitWeights w = random_weights(cfg, 23);
   std::vector<std::vector<float>> images;
@@ -202,16 +209,22 @@ TEST(ParallelDeterminism, SessionBatchInferenceInvariant) {
     ThreadPool pool(threads);
     const auto [got, got_log] = run(&pool);
     ASSERT_EQ(got.results.size(), want.results.size());
+    std::vector<PassSpec> passes;
     for (std::size_t i = 0; i < want.results.size(); ++i) {
       ASSERT_EQ(got.results[i].features, want.results[i].features)
           << "threads=" << threads << " image " << i;
       ASSERT_EQ(got.results[i].logits, want.results[i].logits);
       EXPECT_EQ(got.results[i].dma_cycles, want.results[i].dma_cycles);
       EXPECT_EQ(got.results[i].total_cycles, want.results[i].total_cycles);
+      passes.push_back({0, got.results[i].stats.total_cycles(), 0});
     }
     EXPECT_EQ(got.makespan_cycles, want.makespan_cycles);
     EXPECT_DOUBLE_EQ(got.images_per_second, want.images_per_second);
     EXPECT_DOUBLE_EQ(got.utilization, want.utilization);
+    const ServeReport direct = serve_burst(SystemConfig{}, passes);
+    EXPECT_EQ(got.makespan_cycles, direct.makespan_cycles);
+    EXPECT_EQ(got.images_per_second, direct.completed_rps);
+    EXPECT_EQ(got.utilization, direct.utilization);
     ASSERT_EQ(got_log.size(), want_log.size()) << "threads=" << threads;
     for (std::size_t i = 0; i < want_log.size(); ++i) {
       EXPECT_EQ(static_cast<int>(got_log[i].kind),

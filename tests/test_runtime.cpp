@@ -7,7 +7,6 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "transformer/serving.hpp"
 
 namespace bfpsim {
 namespace {
@@ -150,12 +149,15 @@ TEST(Session, BatchInferenceSchedulesAcrossUnits) {
   }
   const Session::BatchInference b = session.infer_batch(id, batch);
   ASSERT_EQ(b.results.size(), 4u);
-  // 4 images on 15 units: one round; the makespan is the batch engine's
-  // (one single-unit image).
-  const BatchExecution exec = execute_transformer_batch(
-      VitModel(random_weights(cfg, 50)), AcceleratorSystem{}, batch);
-  EXPECT_EQ(b.makespan_cycles, exec.timing.makespan_cycles);
-  EXPECT_EQ(b.makespan_cycles, exec.image_stats[0].total_cycles());
+  // 4 images on 15 units: one round; the makespan is one image's forward
+  // on a single-unit system.
+  SystemConfig one;
+  one.num_units = 1;
+  ForwardStats stats;
+  (void)VitModel(random_weights(cfg, 50))
+      .forward_mixed(batch[0], AcceleratorSystem(one), &stats);
+  EXPECT_EQ(b.makespan_cycles, stats.total_cycles());
+  EXPECT_EQ(b.makespan_cycles, b.results[0].stats.total_cycles());
   EXPECT_NEAR(b.utilization, 4.0 / 15.0, 1e-9);
   EXPECT_GT(b.images_per_second, 0.0);
   // Each image's functional result matches a solo inference.

@@ -1,6 +1,4 @@
-// Tests for the LPT scheduler, batch serving model, and checkpointing.
-#include "transformer/serving.hpp"
-
+// Tests for the batch serving model and checkpointing.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -9,9 +7,10 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "fabric/scheduler.hpp"
 #include "runtime/session.hpp"
+#include "serving/event_loop.hpp"
 #include "transformer/checkpoint.hpp"
+#include "transformer/latency.hpp"
 
 namespace bfpsim {
 namespace {
@@ -20,67 +19,6 @@ std::string hex(std::uint64_t v) {
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
   return buf;
-}
-
-TEST(Scheduler, EmptyAndSingle) {
-  const ScheduleResult empty = schedule_lpt({}, 4);
-  EXPECT_EQ(empty.makespan, 0u);
-  const ScheduleResult one = schedule_lpt({{"a", 100}}, 4);
-  EXPECT_EQ(one.makespan, 100u);
-  EXPECT_NEAR(one.utilization, 0.25, 1e-9);
-}
-
-TEST(Scheduler, BalancesUnequalItems) {
-  // Items 9,7,6,5,4 on 2 units: LPT places 9+5=14 / 7+6+4=17 ->
-  // makespan 17 (optimal 16; LPT stays within its 4/3 bound).
-  const std::vector<WorkItem> items = {
-      {"a", 9}, {"b", 7}, {"c", 6}, {"d", 5}, {"e", 4}};
-  const ScheduleResult s = schedule_lpt(items, 2);
-  EXPECT_EQ(s.makespan, 17u);
-  EXPECT_LE(s.makespan, (31u * 4u) / (3u * 2u) + 1u);  // 4/3 bound-ish
-  // All items placed exactly once.
-  std::size_t placed = 0;
-  for (const auto& u : s.units) placed += u.items.size();
-  EXPECT_EQ(placed, items.size());
-}
-
-TEST(Scheduler, PerfectBalanceForIdenticalItems) {
-  const std::vector<WorkItem> items(30, {"img", 1000});
-  const ScheduleResult s = schedule_lpt(items, 15);
-  EXPECT_EQ(s.makespan, 2000u);
-  EXPECT_DOUBLE_EQ(s.utilization, 1.0);
-}
-
-TEST(Scheduler, DegenerateUnitCountIsWellDefined) {
-  // num_units <= 0 is a well-defined empty schedule, not a throw (and not
-  // a division by zero) — sweeps and config-driven callers can probe the
-  // edge without wrapping every call. Full coverage in test_fabric.cpp.
-  const ScheduleResult none = schedule_lpt({{"a", 10}}, 0);
-  EXPECT_TRUE(none.units.empty());
-  EXPECT_EQ(none.makespan, 0u);
-  EXPECT_DOUBLE_EQ(none.utilization, 0.0);
-}
-
-TEST(BatchServing, ThroughputScalesUpToUnitCount) {
-  const AcceleratorSystem sys;
-  const VitConfig cfg = deit_small();
-  const BatchResult b1 = batch_transformer_throughput(cfg, sys, 1);
-  const BatchResult b15 = batch_transformer_throughput(cfg, sys, 15);
-  const BatchResult b30 = batch_transformer_throughput(cfg, sys, 30);
-  // Per-image latency is batch-independent (each image owns one unit).
-  EXPECT_EQ(b1.per_image_cycles, b15.per_image_cycles);
-  // Throughput scales linearly to 15 images, then holds (two rounds).
-  EXPECT_NEAR(b15.images_per_second / b1.images_per_second, 15.0, 0.01);
-  EXPECT_NEAR(b30.images_per_second, b15.images_per_second, 1e-6);
-  EXPECT_DOUBLE_EQ(b15.utilization, 1.0);
-}
-
-TEST(BatchServing, PartialBatchWastesUnits) {
-  const AcceleratorSystem sys;
-  const BatchResult b20 =
-      batch_transformer_throughput(deit_small(), sys, 20);
-  // 20 images on 15 units: two rounds, 10 units idle in round 2.
-  EXPECT_NEAR(b20.utilization, 20.0 / 30.0, 1e-9);
 }
 
 // Absolute pins of the whole-image-per-unit batch numbers: the analytic
@@ -95,11 +33,34 @@ struct BatchNumbers {
   std::uint64_t utilization_bits = 0;
 };
 
+/// One image of `cfg` priced on a one-unit system, as bfpsim batch and
+/// bench_batch_serving price it.
+std::uint64_t image_cycles(const VitConfig& cfg) {
+  SystemConfig one;
+  one.num_units = 1;
+  return static_cast<std::uint64_t>(
+      analyze_workload(cfg, AcceleratorSystem(one)).total_latency_ms * 1e-3 *
+      one.pu.freq_hz);
+}
+
+/// `batch` such images served as a cycle-0 burst on the default system,
+/// each alone on the lowest free unit.
+ServeReport serve_batch(const VitConfig& cfg, int batch) {
+  const SystemConfig sys;
+  BackendSpec units;
+  units.executors = sys.num_units;
+  units.freq_hz = sys.pu.freq_hz;
+  units.passes.assign(static_cast<std::size_t>(batch),
+                      {0, image_cycles(cfg), 0});
+  return serve_events(
+      units, batch_trace(batch, units.freq_hz),
+      {.queue_capacity = static_cast<std::size_t>(batch), .max_batch = 1});
+}
+
 BatchNumbers analytic_batch(const VitConfig& cfg, int batch) {
-  const BatchResult r =
-      batch_transformer_throughput(cfg, AcceleratorSystem{}, batch);
-  return {r.per_image_cycles, r.makespan_cycles,
-          std::bit_cast<std::uint64_t>(r.images_per_second),
+  const ServeReport r = serve_batch(cfg, batch);
+  return {image_cycles(cfg), r.makespan_cycles,
+          std::bit_cast<std::uint64_t>(r.completed_rps),
           std::bit_cast<std::uint64_t>(r.utilization)};
 }
 
@@ -160,6 +121,29 @@ TEST(BatchPins, AnalyticBatch) {
         << row;
     EXPECT_EQ(got.utilization_bits, p.want.utilization_bits) << row;
   }
+}
+
+TEST(BatchServing, ThroughputScalesUpToUnitCount) {
+  const VitConfig cfg = deit_small();
+  const ServeReport b1 = serve_batch(cfg, 1);
+  const ServeReport b15 = serve_batch(cfg, 15);
+  const ServeReport b30 = serve_batch(cfg, 30);
+  // Per-image latency is batch-independent (each image owns one unit).
+  for (const ServeReport* r : {&b1, &b15}) {
+    for (const LatencyRecord& rec : r->records) {
+      EXPECT_EQ(rec.service_cycles(), image_cycles(cfg));
+    }
+  }
+  // Throughput scales linearly to 15 images, then holds (two rounds).
+  EXPECT_NEAR(b15.completed_rps / b1.completed_rps, 15.0, 0.01);
+  EXPECT_NEAR(b30.completed_rps, b15.completed_rps, 1e-6);
+  EXPECT_DOUBLE_EQ(b15.utilization, 1.0);
+}
+
+TEST(BatchServing, PartialBatchWastesUnits) {
+  const ServeReport b20 = serve_batch(deit_small(), 20);
+  // 20 images on 15 units: two rounds, 10 units idle in round 2.
+  EXPECT_NEAR(b20.utilization, 20.0 / 30.0, 1e-9);
 }
 
 struct SessionPin {

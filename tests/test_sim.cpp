@@ -1,7 +1,5 @@
-// Tests for the simulation bookkeeping substrate (clock, counters, trace)
-// and the table formatter the benches rely on.
-#include "sim/clock.hpp"
-
+// Tests for the simulation bookkeeping substrate (counters, trace) and the
+// table formatter the benches rely on.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,71 +14,6 @@
 
 namespace bfpsim {
 namespace {
-
-TEST(SimClock, TickAndSeconds) {
-  SimClock clk(100e6);
-  EXPECT_EQ(clk.cycle(), 0u);
-  clk.tick();
-  clk.tick(99);
-  EXPECT_EQ(clk.cycle(), 100u);
-  EXPECT_DOUBLE_EQ(clk.seconds(), 1e-6);
-}
-
-TEST(SimClock, PhaseCharging) {
-  SimClock clk;
-  clk.charge("preload", 8);
-  clk.charge("stream", 512);
-  clk.charge("preload", 8);
-  EXPECT_EQ(clk.charged("preload"), 16u);
-  EXPECT_EQ(clk.charged("stream"), 512u);
-  EXPECT_EQ(clk.charged("unknown"), 0u);
-  clk.reset();
-  EXPECT_EQ(clk.charged("preload"), 0u);
-  EXPECT_EQ(clk.cycle(), 0u);
-}
-
-TEST(SimClock, RejectsBadFrequency) {
-  EXPECT_THROW(SimClock(-1.0), Error);
-}
-
-// Regression pin for the unordered_map -> std::map container swap: the
-// charged() totals are byte-identical to the seed behaviour, and walking
-// phases() now yields a deterministic (name-sorted) serialization no
-// matter what order the phases were charged in.
-TEST(SimClock, PhaseLedgerIsDeterministicallyOrdered) {
-  auto serialize = [](const SimClock& clk) {
-    std::string out;
-    for (const auto& [name, cycles] : clk.phases()) {
-      out += name + "=" + std::to_string(cycles) + ";";
-    }
-    return out;
-  };
-
-  SimClock a;
-  a.charge("stream", 512);
-  a.charge("preload", 8);
-  a.charge("drain", 3);
-  a.charge("preload", 8);
-
-  SimClock b;  // same charges, reversed arrival order
-  b.charge("preload", 16);
-  b.charge("drain", 3);
-  b.charge("stream", 512);
-
-  // Pinned bytes: sorted by phase name, independent of charge order.
-  EXPECT_EQ(serialize(a), "drain=3;preload=16;stream=512;");
-  EXPECT_EQ(serialize(a), serialize(b));
-  EXPECT_EQ(a.charged("preload"), 16u);
-  EXPECT_EQ(a.charged("stream"), 512u);
-  EXPECT_EQ(a.charged("drain"), 3u);
-}
-
-TEST(SimClock, ThroughputHelpers) {
-  EXPECT_DOUBLE_EQ(ops_per_second(1000, 100, 300e6), 3e9);
-  EXPECT_DOUBLE_EQ(ops_per_second(1, 0, 300e6), 0.0);
-  EXPECT_DOUBLE_EQ(to_gops(2.052e12), 2052.0);
-  EXPECT_DOUBLE_EQ(to_tops(2.052e12), 2.052);
-}
 
 TEST(Counters, AddGetMergeReport) {
   Counters a;

@@ -50,7 +50,6 @@
 #include "resource/designs.hpp"
 #include "serving/event_loop.hpp"
 #include "transformer/latency.hpp"
-#include "transformer/serving.hpp"
 
 namespace {
 
@@ -313,12 +312,29 @@ int cmd_throughput() {
 
 int cmd_batch(const std::string& which, int batch) {
   const AcceleratorSystem sys;
-  const BatchResult r =
-      batch_transformer_throughput(pick_config(which), sys, batch);
+  const double freq = sys.config().pu.freq_hz;
+  // One image on ONE unit: a single-unit system, so the workload analysis
+  // does not spread the image across units.
+  SystemConfig one = sys.config();
+  one.num_units = 1;
+  const auto image_cycles = static_cast<std::uint64_t>(
+      analyze_workload(pick_config(which), AcceleratorSystem(one))
+          .total_latency_ms *
+      1e-3 * freq);
+  // The batch arrives at once; each image runs alone on the lowest free
+  // unit.
+  BackendSpec units;
+  units.executors = sys.config().num_units;
+  units.freq_hz = freq;
+  units.passes.assign(static_cast<std::size_t>(batch), {0, image_cycles, 0});
+  const ServeReport r = serve_events(
+      units, batch_trace(batch, freq),
+      {.queue_capacity = static_cast<std::size_t>(batch), .max_batch = 1});
   std::printf("%s, batch %d on %d units:\n", which.c_str(), batch,
               sys.config().num_units);
-  std::printf("  per-image latency : %.2f ms\n", r.latency_ms_per_image);
-  std::printf("  throughput        : %.1f images/s\n", r.images_per_second);
+  std::printf("  per-image latency : %.2f ms\n",
+              static_cast<double>(image_cycles) / freq * 1e3);
+  std::printf("  throughput        : %.1f images/s\n", r.completed_rps);
   std::printf("  utilization       : %.1f%%\n", 100.0 * r.utilization);
   return 0;
 }

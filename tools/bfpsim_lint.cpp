@@ -47,6 +47,11 @@
 //                        mirroring src/CMakeLists.txt link order. The
 //                        format layer (src/numerics/format/) ranks above
 //                        the golden numerics it wraps.
+//   test-only-header     a src/ header whose only includers are its own
+//                        .cpp (and tests/, which is not counted): code
+//                        that nothing but its tests reaches. Includers
+//                        count from src/, bench/, tools/, examples/ and
+//                        perfbench/ (the last two are read, not linted).
 //
 // Directives (in comments, anywhere on a line):
 //   // bfpsim-lint: allow(<rule>)        suppress findings on this line
@@ -325,6 +330,20 @@ std::string module_of_include(const std::string& target) {
   return target.substr(0, slash);
 }
 
+/// The quoted #include targets of `lines`, one per include line.
+std::vector<std::string> quoted_includes(
+    const std::vector<std::string>& lines) {
+  std::vector<std::string> out;
+  for (const std::string& raw : lines) {
+    const std::size_t inc = raw.find("#include \"");
+    if (inc == std::string::npos) continue;
+    const std::size_t b = inc + 10;
+    const std::size_t e = raw.find('"', b);
+    if (e != std::string::npos) out.push_back(raw.substr(b, e - b));
+  }
+  return out;
+}
+
 void apply_path_tags(FileReport& fr) {
   const std::string& rel = fr.rel;
   auto under = [&](const char* prefix) { return rel.rfind(prefix, 0) == 0; };
@@ -373,6 +392,20 @@ class Linter {
     check_nodiscard(fr);
     check_exhaustive_switch(fr);
     check_layering(fr);
+  }
+
+  /// test-only-header, once the whole include graph is known: `includers`
+  /// holds the files that include this src/ header.
+  void check_test_only(FileReport& fr,
+                       const std::set<std::string>& includers) {
+    const std::string own_cpp =
+        fr.rel.substr(0, fr.rel.rfind('.')) + ".cpp";
+    for (const std::string& by : includers) {
+      if (by != own_cpp && by != fr.rel) return;
+    }
+    report(fr, "test-only-header", 1,
+           "no includer outside its own .cpp and tests/: wire `" +
+               fr.rel.substr(4) + "` into the program or delete it");
   }
 
   const std::vector<Finding>& findings() const { return findings_; }
@@ -739,9 +772,11 @@ bool has_ext(const fs::path& p, std::string_view ext) {
   return p.extension() == ext;
 }
 
-std::vector<fs::path> collect_files(const fs::path& root) {
+std::vector<fs::path> collect_files(
+    const fs::path& root, std::initializer_list<const char*> dirs = {
+                              "src", "bench", "tools"}) {
   std::vector<fs::path> files;
-  for (const char* dir : {"src", "bench", "tools"}) {
+  for (const char* dir : dirs) {
     const fs::path base = root / dir;
     if (!fs::exists(base)) continue;
     for (const auto& ent : fs::recursive_directory_iterator(base)) {
@@ -754,6 +789,18 @@ std::vector<fs::path> collect_files(const fs::path& root) {
   }
   std::sort(files.begin(), files.end());
   return files;
+}
+
+bool read_lines(const fs::path& p, std::vector<std::string>* lines) {
+  std::ifstream in(p);
+  if (!in) {
+    std::cerr << "bfpsim-lint: cannot read " << p << "\n";
+    return false;
+  }
+  for (std::string line; std::getline(in, line);) {
+    lines->push_back(std::move(line));
+  }
+  return true;
 }
 
 std::string relative_to(const fs::path& p, const fs::path& root) {
@@ -808,24 +855,47 @@ int main(int argc, char** argv) {
 
   Linter linter;
   std::uint64_t scanned = 0;
-  for (const fs::path& p : files) {
-    std::ifstream in(p);
-    if (!in) {
-      std::cerr << "bfpsim-lint: cannot read " << p << "\n";
-      return 2;
+  // The include graph for test-only-header: include target -> includers.
+  // It always covers the whole tree under the root, whatever was linted.
+  std::map<std::string, std::set<std::string>> includers;
+  std::set<std::string> seen;
+  auto add_includes = [&](const std::string& rel,
+                          const std::vector<std::string>& lines) {
+    if (!seen.insert(rel).second) return;
+    for (std::string& target : quoted_includes(lines)) {
+      includers[std::move(target)].insert(rel);
     }
+  };
+  std::vector<FileReport> src_headers;
+  for (const fs::path& p : files) {
+    std::vector<std::string> lines;
+    if (!read_lines(p, &lines)) return 2;
     FileReport fr;
     fr.path = p.generic_string();
     fr.rel = relative_to(p, root);
-    for (std::string line; std::getline(in, line);) {
-      fr.lines.push_back(std::move(line));
-    }
+    fr.lines = std::move(lines);
     ScrubResult sr = scrub(fr.lines);
     fr.scrubbed = std::move(sr.code);
     apply_path_tags(fr);
     parse_directives(fr, sr.comments);
     linter.check(fr);
     ++scanned;
+    add_includes(fr.rel, fr.lines);
+    if (fr.rel.rfind("src/", 0) == 0 &&
+        (has_ext(p, ".hpp") || has_ext(p, ".h"))) {
+      src_headers.push_back(std::move(fr));
+    }
+  }
+  for (const fs::path& p : collect_files(
+           root, {"src", "bench", "tools", "examples", "perfbench"})) {
+    const std::string rel = relative_to(p, root);
+    if (seen.count(rel) != 0) continue;
+    std::vector<std::string> lines;
+    if (!read_lines(p, &lines)) return 2;
+    add_includes(rel, lines);
+  }
+  for (FileReport& fr : src_headers) {
+    linter.check_test_only(fr, includers[fr.rel.substr(4)]);
   }
 
   for (const Finding& f : linter.findings()) {
