@@ -16,6 +16,11 @@
 //   --check-speedup X   fail unless the best tier reaches X times the
 //       reference on the largest GEMM shape (the issue's >= 5x bar).
 //
+// The GEMM points run single-threaded, so a ratio measures the kernel and
+// not worker wake-ups: a smoke-sized simd rep lasts about 0.1 ms, where
+// handing tiles to a pool's workers swung the ratio ~2x between runs.
+// --threads sizes the pool of the golden GEMM and the serving slice.
+//
 // Usage: bench_sim_throughput [--smoke] [--threads N] [--json-out FILE]
 //                             [--baseline FILE] [--tolerance T]
 //                             [--check-speedup X] [--seed S]
@@ -170,9 +175,8 @@ int main(int argc, char** argv) {
 
     auto run_once = [&](const Variant& v) {
       return v.is_reference
-                 ? bfp_gemm_reference(am, bm, s.m, s.n, psu_bits, &pool)
-                 : bfp_gemm_dispatch(am, bm, s.m, s.n, psu_bits, v.tier,
-                                     &pool);
+                 ? bfp_gemm_reference(am, bm, s.m, s.n, psu_bits)
+                 : bfp_gemm_dispatch(am, bm, s.m, s.n, psu_bits, v.tier);
     };
     // Per variant: the exactness probe, then the rep count and the fastest
     // chunk's wall time per rep.
@@ -196,18 +200,18 @@ int main(int argc, char** argv) {
                      s.str().c_str(), v.name.c_str());
         gate_failed = true;
       }
-      // Self-scale reps: aim for ~0.3s (0.05s smoke) per point based on a
-      // single probe of this variant.
+      // Self-scale reps: aim for ~0.5s per point (smoke too) based on a
+      // single probe of this variant, in 20 chunks. Fewer or shorter
+      // chunks (5 over 0.2s) let a slow stretch of the host move the
+      // minimum, and with it a ratio, by more than the 20% gate.
       const Clock::time_point p0 = Clock::now();
       (void)run_once(v);
       const double probe_s = seconds_since(p0);
-      // Smoke still spends 0.2s per point: any shorter and the minimum's
-      // chunks are ~1ms, where scheduler noise swamps the 20% gate.
-      const double target_s = smoke ? 0.2 : 0.3;
-      t.reps = static_cast<int>(target_s / (probe_s > 1e-9 ? probe_s : 1e-9));
+      constexpr double kTargetS = 0.5;
+      t.reps = static_cast<int>(kTargetS / (probe_s > 1e-9 ? probe_s : 1e-9));
       if (t.reps < 3) t.reps = 3;
       if (t.reps > 2000) t.reps = 2000;
-      constexpr int kChunks = 5;
+      constexpr int kChunks = 20;
       t.chunk_reps = t.reps < kChunks ? 1 : t.reps / kChunks;
     }
 

@@ -15,6 +15,27 @@ ClusterExecutor::ClusterExecutor(const VitWeights& weights,
   topo_.validate();
 }
 
+std::vector<std::span<const BfpBlockWeights>> ClusterExecutor::bind() const {
+  std::vector<std::span<const BfpBlockWeights>> bound(
+      static_cast<std::size_t>(plan_.cards));
+  const PuConfig& pu = topo_.card_config().pu;
+  if (pu.mode != "bfp8") return bound;
+  std::call_once(resident_->once, [&] {
+    for (const PipelineStage& stage : plan_.stages) {
+      resident_->cards.push_back(
+          quantize_block_weights(stage.weights.blocks, stage.weights.cfg, pu));
+    }
+    for (const TensorShard& shard : plan_.shards) {
+      resident_->cards.push_back(
+          quantize_block_weights(shard.blocks, plan_.cfg, pu));
+    }
+  });
+  for (std::size_t c = 0; c < bound.size(); ++c) {
+    bound[c] = resident_->cards[c];
+  }
+  return bound;
+}
+
 std::vector<float> ClusterExecutor::forward(std::vector<float> x,
                                             ClusterStats* stats,
                                             ThreadPool* pool) const {
@@ -31,15 +52,18 @@ std::vector<float> ClusterExecutor::forward_pipeline(std::vector<float> x,
   // carried across — bit-identical output.
   AcceleratorSystem sys(topo_.card_config());
   sys.set_thread_pool(pool);
+  const std::vector<std::span<const BfpBlockWeights>> bound = bind();
   ClusterStats local;
   local.card_compute_cycles.resize(plan_.cards, 0);
   for (int c = 0; c < plan_.cards; ++c) {
     const PipelineStage& stage = plan_.stages[static_cast<std::size_t>(c)];
     const std::span<const TensorBlockShard> shard(stage.weights.blocks);
+    const std::span<const BfpBlockWeights> resident =
+        bound[static_cast<std::size_t>(c)];
     ForwardStats fstats;
     x = forward_sharded(std::move(x), stage.weights.cfg, std::span(&shard, 1),
-                        sys, PrecisionPolicy::all_bfp8(),
-                        std::span(&fstats, 1));
+                        std::span(&resident, 1), sys,
+                        PrecisionPolicy::all_bfp8(), std::span(&fstats, 1));
     local.card_compute_cycles[static_cast<std::size_t>(c)] =
         fstats.total_cycles();
     local.compute_cycles += fstats.total_cycles();
@@ -67,7 +91,7 @@ std::vector<float> ClusterExecutor::forward_tensor(std::vector<float> x,
   }
   std::vector<ForwardStats> card_stats(shards.size());
   std::vector<std::uint64_t> gathers;
-  x = forward_sharded(std::move(x), plan_.cfg, shards, sys,
+  x = forward_sharded(std::move(x), plan_.cfg, shards, bind(), sys,
                       PrecisionPolicy::all_bfp8(), card_stats, &gathers);
 
   ClusterStats local;

@@ -30,6 +30,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
+#include <span>
 #include <vector>
 
 #include "cluster/partitioner.hpp"
@@ -90,7 +93,9 @@ class ClusterExecutor {
   /// One sharded forward: x is (tokens x d) row-major; returns the final
   /// block output, bit-identical to VitModel::forward_mixed on one card.
   /// `pool` (optional) spreads GEMM tiles across workers — bit-identical
-  /// for any worker count.
+  /// for any worker count. On a bfp8 card config, the first forward
+  /// quantizes every card's weight slices once and every forward reads
+  /// them. Safe to call concurrently.
   std::vector<float> forward(std::vector<float> x,
                              ClusterStats* stats = nullptr,
                              ThreadPool* pool = nullptr) const;
@@ -109,8 +114,21 @@ class ClusterExecutor {
                                     ClusterStats* stats,
                                     ThreadPool* pool) const;
 
+  /// Each card's quantized weight slices, in card order (empty spans on a
+  /// non-bfp8 card config); builds them on the first call.
+  std::vector<std::span<const BfpBlockWeights>> bind() const;
+
+  /// Per card (stage or shard, in card order), its blocks through
+  /// quantize_block_weights for the card config, built once under `once`.
+  /// Heap-held so the executor stays movable.
+  struct Resident {
+    std::once_flag once;
+    std::vector<std::vector<BfpBlockWeights>> cards;
+  };
+
   ClusterTopology topo_;
   PartitionPlan plan_;
+  std::shared_ptr<Resident> resident_ = std::make_shared<Resident>();
 };
 
 }  // namespace bfpsim

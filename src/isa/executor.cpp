@@ -155,6 +155,16 @@ RegTensor like(const RegTensor& a) {
   return t;
 }
 
+/// out = a + v broadcast down the rows (v is 1 x a.cols), one aligned-add
+/// span per row.
+void add_bias_rows(const RegTensor& a, const RegTensor& v, RegTensor& out) {
+  const auto cols = static_cast<std::size_t>(a.cols);
+  for (std::size_t r = 0; r < static_cast<std::size_t>(a.rows); ++r) {
+    fp32_add_aligned(std::span(a.data).subspan(r * cols, cols), v.data,
+                     std::span(out.data).subspan(r * cols, cols));
+  }
+}
+
 std::string shape_str(TensorShape s) {
   return std::to_string(s.rows) + "x" + std::to_string(s.cols);
 }
@@ -364,15 +374,18 @@ RegTensor Executor::compute(const Instruction& inst,
       return RegTensor{inst.m, inst.n, run.c};
     }
 
-    case Opcode::kVecMul:
-    case Opcode::kVecAdd: {
-      const bool is_mul = inst.op == Opcode::kVecMul;
+    case Opcode::kVecMul: {
       const RegTensor& b = *in[1]->t;
       RegTensor c = like(a);
       for (std::size_t i = 0; i < a.size(); ++i) {
-        c.data[i] = is_mul ? fp32_mul_sliced(a.data[i], b.data[i])
-                           : fp32_add_aligned(a.data[i], b.data[i]);
+        c.data[i] = fp32_mul_sliced(a.data[i], b.data[i]);
       }
+      return c;
+    }
+
+    case Opcode::kVecAdd: {
+      RegTensor c = like(a);
+      fp32_add_aligned(a.data, in[1]->t->data, c.data);
       return c;
     }
 
@@ -446,19 +459,20 @@ RegTensor Executor::compute(const Instruction& inst,
       return c;
     }
 
-    case Opcode::kColAddBcast:
+    case Opcode::kColAddBcast: {
+      RegTensor c = like(a);
+      add_bias_rows(a, *in[1]->t, c);
+      return c;
+    }
+
     case Opcode::kColMulBcast: {
-      const bool is_add = inst.op == Opcode::kColAddBcast;
       const RegTensor& v = *in[1]->t;
       RegTensor c = like(a);
       for (int r = 0; r < a.rows; ++r) {
         for (int j = 0; j < a.cols; ++j) {
           const std::size_t i = static_cast<std::size_t>(r) * a.cols + j;
-          c.data[i] = is_add
-                          ? fp32_add_aligned(
-                                a.data[i], v.data[static_cast<std::size_t>(j)])
-                          : fp32_mul_sliced(
-                                a.data[i], v.data[static_cast<std::size_t>(j)]);
+          c.data[i] =
+              fp32_mul_sliced(a.data[i], v.data[static_cast<std::size_t>(j)]);
         }
       }
       return c;
@@ -589,34 +603,19 @@ RegTensor Executor::compute(const Instruction& inst,
 
     case Opcode::kBiasGelu:
     case Opcode::kBiasSilu: {
-      const RegTensor& bias = *in[1]->t;
       RegTensor c = like(a);
-      for (int r = 0; r < a.rows; ++r) {
-        for (int j = 0; j < a.cols; ++j) {
-          const std::size_t i = static_cast<std::size_t>(r) * a.cols + j;
-          c.data[i] =
-              fp32_add_aligned(a.data[i], bias.data[static_cast<std::size_t>(j)]);
-        }
-      }
+      add_bias_rows(a, *in[1]->t, c);
       c.data = inst.op == Opcode::kBiasGelu ? approx_gelu(std::span(c.data))
                                             : approx_silu(std::span(c.data));
       return c;
     }
 
     case Opcode::kBiasResidual: {
-      const RegTensor& bias = *in[1]->t;
-      const RegTensor& res = *in[2]->t;
       RegTensor c = like(a);
       // out = residual + (a + bias): the same aligned-add order as the
-      // legacy model's add_bias_mixed / add_residual_mixed pair.
-      for (int r = 0; r < a.rows; ++r) {
-        for (int j = 0; j < a.cols; ++j) {
-          const std::size_t i = static_cast<std::size_t>(r) * a.cols + j;
-          const float biased = fp32_add_aligned(
-              a.data[i], bias.data[static_cast<std::size_t>(j)]);
-          c.data[i] = fp32_add_aligned(res.data[i], biased);
-        }
-      }
+      // legacy forward's add_bias / add_residual pair.
+      add_bias_rows(a, *in[1]->t, c);
+      fp32_add_aligned(in[2]->t->data, c.data, c.data);
       return c;
     }
   }

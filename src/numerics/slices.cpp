@@ -1,10 +1,24 @@
 #include "numerics/slices.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/error.hpp"
+#include "numerics/bfp_kernel.hpp"
 
 namespace bfpsim {
+
+#if BFPSIM_KERNEL_AVX2
+namespace detail {
+// bfp_kernel_avx2.cpp: the runtime CPUID check.
+bool avx2_runtime_supported();
+// slices_avx2.cpp: the 8-lane aligned add over the leading whole groups of
+// n; returns how many elements it wrote, stopping before the first group
+// that holds a NaN or Inf.
+std::size_t fp32_add_aligned_avx2(const float* x, const float* y, float* out,
+                                  std::size_t n);
+}  // namespace detail
+#endif
 
 MantissaSlices slice_mantissa(std::uint32_t man24) {
   BFP_REQUIRE(man24 < (std::uint32_t{1} << kFp32MantBits),
@@ -64,6 +78,28 @@ fp32_mul_schedule() {
         return t;
       }();
   return kSchedule;
+}
+
+void fp32_add_aligned(std::span<const float> x, std::span<const float> y,
+                      std::span<float> out) {
+  BFP_REQUIRE(x.size() == y.size() && out.size() == x.size(),
+              "fp32_add_aligned: spans must have equal length");
+  const std::size_t n = x.size();
+#if BFPSIM_KERNEL_AVX2
+  static const bool avx2 = detail::avx2_runtime_supported();
+  if (avx2 && active_kernel_tier() == KernelTier::kSimd) {
+    for (std::size_t i = 0; i < n;) {
+      i += detail::fp32_add_aligned_avx2(x.data() + i, y.data() + i,
+                                         out.data() + i, n - i);
+      // The group the vector body refused, or the tail.
+      for (const std::size_t stop = std::min(n, i + 8); i < stop; ++i) {
+        out[i] = fp32_add_aligned(x[i], y[i]);
+      }
+    }
+    return;
+  }
+#endif
+  for (std::size_t i = 0; i < n; ++i) out[i] = fp32_add_aligned(x[i], y[i]);
 }
 
 }  // namespace bfpsim

@@ -18,12 +18,19 @@
 // schedule's sum exactly: every kept term is a multiple of 2^8 on the
 // full-product grid. tests/test_slices.cpp keeps the term-by-term walk as
 // the oracle that pins the two together.
+//
+// The aligned add has two forms. The span kernel fp32_add_aligned(x, y,
+// out) is the fast path every elementwise bias/residual add runs through
+// (an AVX2 8-lane body at the simd kernel tier); the scalar
+// fp32_add_aligned(x, y) is its oracle, which it must match bit for bit
+// and refusal for refusal, and the form serial accumulation chains use.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <span>
 
 #include "common/bitops.hpp"
 #include "common/error.hpp"
@@ -137,5 +144,13 @@ inline float fp32_add_aligned(float x, float y, bool round_nearest_even = true,
                                  : static_cast<std::uint64_t>(s);
   return compose_normalized(sign, e, mag, round_nearest_even);
 }
+
+/// Elementwise out[i] = fp32_add_aligned(x[i], y[i]) (RNE, 32-bit
+/// carrier), bit for bit. `out` may alias `x` or `y`. At the simd kernel
+/// tier on an AVX2 CPU, eight lanes at a time; an 8-lane group holding a
+/// NaN or Inf, the tail and every other tier run the scalar function, so
+/// a refusal names the same element with the same text.
+void fp32_add_aligned(std::span<const float> x, std::span<const float> y,
+                      std::span<float> out);
 
 }  // namespace bfpsim

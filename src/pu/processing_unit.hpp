@@ -90,6 +90,12 @@ class ProcessingUnit {
   /// per-array output-tile partitioning. Bit-identical to the serial path
   /// for any worker count (tiles share no state; each tile's k-reduction
   /// order is unchanged), and the analytic cycle model is unaffected.
+  ///
+  /// B is quantized on every call, so this overload is for a B that
+  /// changes per call: the activation x activation GEMMs (attention
+  /// scores and context). Weights are quantized once and passed through
+  /// the BfpMatrix overload — CompiledModel's resident constants,
+  /// VitModel::forward_mixed's and ClusterExecutor's resident weights.
   GemmRun gemm_bfp8_fast(std::span<const float> a, int m, int k,
                          std::span<const float> b, int n,
                          ThreadPool* pool = nullptr) const;

@@ -217,9 +217,28 @@ std::vector<float> VitModel::forward_reference(std::vector<float> x) const {
   return x;
 }
 
+std::vector<BfpBlockWeights> quantize_block_weights(
+    std::span<const TensorBlockShard> blocks, const VitConfig& cfg,
+    const PuConfig& pu) {
+  const BfpFormat fmt = pu.bfp_format();
+  auto quantize = [&](const std::vector<float>& w, int k) {
+    return quantize_matrix(w, k, static_cast<int>(w.size()) / k, fmt,
+                           pu.quant_round);
+  };
+  const int d = cfg.embed_dim;
+  std::vector<BfpBlockWeights> out;
+  out.reserve(blocks.size());
+  for (const TensorBlockShard& b : blocks) {
+    out.push_back({quantize(b.qkv_w, d), quantize(b.proj_w, d),
+                   quantize(b.fc1_w, d), quantize(b.fc2_w, cfg.mlp_hidden())});
+  }
+  return out;
+}
+
 std::vector<float> forward_sharded(
     std::vector<float> x, const VitConfig& cfg,
     std::span<const std::span<const TensorBlockShard>> shards,
+    std::span<const std::span<const BfpBlockWeights>> resident,
     const AcceleratorSystem& system, const PrecisionPolicy& policy,
     std::span<ForwardStats> card_stats,
     std::vector<std::uint64_t>* gather_bytes) {
@@ -238,6 +257,17 @@ std::vector<float> forward_sharded(
     BFP_REQUIRE(shard.size() == static_cast<std::size_t>(cfg.depth),
                 "forward_sharded: every shard needs one slice per block");
   }
+  const bool bfp8_system = system.config().pu.mode == "bfp8";
+  if (bfp8_system) {
+    BFP_REQUIRE(resident.size() == shards.size(),
+                "forward_sharded: a bfp8 system needs every shard's "
+                "quantized weights");
+    for (const auto& r : resident) {
+      BFP_REQUIRE(r.size() == static_cast<std::size_t>(cfg.depth),
+                  "forward_sharded: every shard needs one quantized slice "
+                  "per block");
+    }
+  }
   const int dc = d / cards;
   const int mc = m / cards;
   const int local_heads = cfg.num_heads / cards;
@@ -251,31 +281,39 @@ std::vector<float> forward_sharded(
     stats_of(c).vector_cycles +=
         system.vector_latency(ops.fp_mul, ops.fp_add).cycles;
   };
+  // `b_resident` is the weight's quantized operand on a bfp8 system and
+  // null for an activation B, which the system quantizes per call.
   auto gemm_on = [&](int c, const std::vector<float>& a, int rows, int k,
-                     const std::vector<float>& b, int n, bool bfp8) {
+                     const std::vector<float>& b, const BfpMatrix* b_resident,
+                     int n, bool bfp8) {
     if (!bfp8) {
       // Policy keeps this layer group in fp32: exact matmul, no bfp stats.
       return matmul_ref(a, rows, k, b, n);
     }
-    GemmRun run = system.gemm(a, rows, k, b, n);
+    GemmRun run = b_resident != nullptr
+                      ? system.gemm(a, rows, k, *b_resident, n)
+                      : system.gemm(a, rows, k, b, n);
     stats_of(c).bfp_macs += run.macs;
     stats_of(c).linear_cycles += run.compute_cycles;
     return std::move(run.c);
+  };
+  // Card c's quantized copy of one weight of block `blk` on a bfp8 system.
+  auto resident_of = [&](int c, std::size_t blk,
+                         BfpMatrix BfpBlockWeights::*w) -> const BfpMatrix* {
+    return bfp8_system ? &(resident[static_cast<std::size_t>(c)][blk].*w)
+                       : nullptr;
   };
   // Bias and residual adds go through the fp32 aligned-add datapath.
   auto add_bias = [&](int c, std::vector<float>& v,
                       const std::vector<float>& bias) {
     for (std::size_t r = 0; r < v.size(); r += bias.size()) {
-      for (std::size_t cc = 0; cc < bias.size(); ++cc) {
-        v[r + cc] = fp32_add_aligned(v[r + cc], bias[cc]);
-      }
+      const std::span<float> row(v.data() + r, bias.size());
+      fp32_add_aligned(row, bias, row);
     }
     charge_ops(c, OpCounter{.fp_add = v.size()});
   };
   auto add_residual = [&](const std::vector<float>& y) {
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      x[i] = fp32_add_aligned(x[i], y[i]);
-    }
+    fp32_add_aligned(x, y, x);
     for (int c = 0; c < cards; ++c) {
       charge_ops(c, OpCounter{.fp_add = x.size()});
     }
@@ -316,7 +354,9 @@ std::vector<float> forward_sharded(
                                slice(0, blk).ln1_beta);
     for (int c = 0; c < cards; ++c) {
       const TensorBlockShard& s = slice(c, blk);
-      auto qkv = gemm_on(c, ln1, t, d, s.qkv_w, 3 * dc, policy.qkv);
+      auto qkv = gemm_on(c, ln1, t, d, s.qkv_w,
+                         resident_of(c, blk, &BfpBlockWeights::qkv_w), 3 * dc,
+                         policy.qkv);
       add_bias(c, qkv, s.qkv_b);
       // Per-head attention stays card-local: the card owns every Q/K/V
       // column its heads need.
@@ -326,7 +366,7 @@ std::vector<float> forward_sharded(
         const auto q = slice_cols(qkv, t, 3 * dc, head * hd, hd);
         const auto kk = slice_cols(qkv, t, 3 * dc, dc + head * hd, hd);
         const auto v = slice_cols(qkv, t, 3 * dc, 2 * dc + head * hd, hd);
-        auto scores = gemm_on(c, q, t, hd, transpose(kk, t, hd), t,
+        auto scores = gemm_on(c, q, t, hd, transpose(kk, t, hd), nullptr, t,
                               policy.attention);
         // 1/sqrt(head_dim) scaling on the fp32 multiply path.
         for (auto& sc : scores) sc = fp32_mul_sliced(sc, scale);
@@ -334,7 +374,8 @@ std::vector<float> forward_sharded(
         OpCounter sm_ops;
         const auto probs = approx_softmax(scores, t, t, &sm_ops);
         charge_ops(c, sm_ops);
-        const auto ctx = gemm_on(c, probs, t, t, v, hd, policy.attention);
+        const auto ctx =
+            gemm_on(c, probs, t, t, v, nullptr, hd, policy.attention);
         put_cols(attn, dc, head * hd, ctx, hd);
       }
     }
@@ -342,7 +383,9 @@ std::vector<float> forward_sharded(
     for (int c = 0; c < cards; ++c) {
       const TensorBlockShard& s = slice(c, blk);
       auto& proj = parts[static_cast<std::size_t>(c)];
-      proj = gemm_on(c, attn_out, t, d, s.proj_w, dc, policy.proj);
+      proj = gemm_on(c, attn_out, t, d, s.proj_w,
+                     resident_of(c, blk, &BfpBlockWeights::proj_w), dc,
+                     policy.proj);
       add_bias(c, proj, s.proj_b);
     }
     add_residual(gather(parts, dc));
@@ -352,7 +395,9 @@ std::vector<float> forward_sharded(
                                slice(0, blk).ln2_beta);
     for (int c = 0; c < cards; ++c) {
       const TensorBlockShard& s = slice(c, blk);
-      auto hdn = gemm_on(c, ln2, t, d, s.fc1_w, mc, policy.mlp);
+      auto hdn = gemm_on(c, ln2, t, d, s.fc1_w,
+                         resident_of(c, blk, &BfpBlockWeights::fc1_w), mc,
+                         policy.mlp);
       add_bias(c, hdn, s.fc1_b);
       OpCounter gelu_ops;
       parts[static_cast<std::size_t>(c)] =
@@ -363,7 +408,9 @@ std::vector<float> forward_sharded(
     for (int c = 0; c < cards; ++c) {
       const TensorBlockShard& s = slice(c, blk);
       auto& out = parts[static_cast<std::size_t>(c)];
-      out = gemm_on(c, act, t, m, s.fc2_w, dc, policy.mlp);
+      out = gemm_on(c, act, t, m, s.fc2_w,
+                    resident_of(c, blk, &BfpBlockWeights::fc2_w), dc,
+                    policy.mlp);
       add_bias(c, out, s.fc2_b);
     }
     add_residual(gather(parts, dc));
@@ -376,8 +423,25 @@ std::vector<float> VitModel::forward_mixed(
     ForwardStats* stats, const PrecisionPolicy& policy) const {
   ForwardStats local;
   const std::span<const TensorBlockShard> shard(w_.blocks);
-  return forward_sharded(std::move(x), w_.cfg, std::span(&shard, 1), system,
-                         policy, std::span(stats != nullptr ? stats : &local, 1));
+  const std::span<const BfpBlockWeights> resident =
+      system.config().pu.mode == "bfp8" ? resident_weights(system.config().pu)
+                                        : std::span<const BfpBlockWeights>();
+  return forward_sharded(std::move(x), w_.cfg, std::span(&shard, 1),
+                         std::span(&resident, 1), system, policy,
+                         std::span(stats != nullptr ? stats : &local, 1));
+}
+
+std::span<const BfpBlockWeights> VitModel::resident_weights(
+    const PuConfig& pu) const {
+  const BfpFormat fmt = pu.bfp_format();
+  const std::lock_guard lock(resident_->mu);
+  for (const Resident::Slot& slot : resident_->slots) {
+    if (slot.fmt == fmt && slot.round == pu.quant_round) return slot.blocks;
+  }
+  return resident_->slots
+      .emplace_back(fmt, pu.quant_round,
+                    quantize_block_weights(w_.blocks, w_.cfg, pu))
+      .blocks;
 }
 
 std::vector<float> VitModel::forward_int8(std::vector<float> x) const {

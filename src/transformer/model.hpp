@@ -21,6 +21,9 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -129,6 +132,20 @@ struct ForwardStats {
 /// replicated. A model's own blocks are its one-card shard.
 using TensorBlockShard = BlockWeights;
 
+/// One block's (or shard's) four weight matrices quantized as bfp8 B
+/// operands — quantize_matrix(w, k, n, pu.bfp_format(), pu.quant_round) —
+/// the operands forward_sharded's weight GEMMs read on a bfp8 system.
+struct BfpBlockWeights {
+  BfpMatrix qkv_w, proj_w, fc1_w, fc2_w;
+};
+
+/// Quantize every block of `blocks` for `pu`. Each matrix's k is
+/// cfg.embed_dim (qkv, proj, fc1) or cfg.mlp_hidden() (fc2) and its n
+/// follows from its size, so column shards quantize like whole blocks.
+std::vector<BfpBlockWeights> quantize_block_weights(
+    std::span<const TensorBlockShard> blocks, const VitConfig& cfg,
+    const PuConfig& pu);
+
 /// The mixed-precision encoder walk over a column-sharded model: `shards`
 /// holds each card's slice of every block, in card order, and card c owns
 /// heads [c·H/C, (c+1)·H/C). Per block:
@@ -141,6 +158,12 @@ using TensorBlockShard = BlockWeights;
 /// and k-reduction as the un-split GEMM had them, so the result is the
 /// same bits for any card count.
 ///
+/// On a bfp8 system every weight GEMM reads its quantized operand from
+/// `resident`: each shard's blocks through quantize_block_weights for
+/// system.config().pu, in the layout of `shards`. Only the
+/// activation x activation GEMMs (scores, context) quantize B per call.
+/// Other systems ignore `resident` (it may be empty).
+///
 /// `card_stats[c]` accumulates card c's work (replicated ops are charged
 /// to every card); `gather_bytes`, when non-null, receives the size of
 /// each all-gather in order. A one-shard gather moves the tensor. `policy`
@@ -148,6 +171,7 @@ using TensorBlockShard = BlockWeights;
 std::vector<float> forward_sharded(
     std::vector<float> x, const VitConfig& cfg,
     std::span<const std::span<const TensorBlockShard>> shards,
+    std::span<const std::span<const BfpBlockWeights>> resident,
     const AcceleratorSystem& system, const PrecisionPolicy& policy,
     std::span<ForwardStats> card_stats,
     std::vector<std::uint64_t>* gather_bytes = nullptr);
@@ -169,11 +193,18 @@ class VitModel {
   /// Mixed-precision forward on the accelerator system: forward_sharded
   /// with the model's blocks as the one shard. Optionally accumulates
   /// statistics. `policy` selects which linear-layer groups quantize to
-  /// bfp8 (default: all, the paper's deployment).
+  /// bfp8 (default: all, the paper's deployment). On a bfp8 system the
+  /// weights are quantized once per model and PU format, by the first
+  /// forward that needs them; safe to call concurrently.
   std::vector<float> forward_mixed(
       std::vector<float> x, const AcceleratorSystem& system,
       ForwardStats* stats = nullptr,
       const PrecisionPolicy& policy = PrecisionPolicy::all_bfp8()) const;
+
+  /// The blocks' weights quantized for `pu` (quantize_block_weights): what
+  /// forward_mixed binds on a bfp8 system. Built by the first call under
+  /// each (bfp format, rounding) and kept for the model's lifetime.
+  std::span<const BfpBlockWeights> resident_weights(const PuConfig& pu) const;
 
   /// Conventional-baseline forward: every matrix multiply through
   /// per-tensor symmetric int8 (the fixed-point deployment the paper
@@ -187,7 +218,21 @@ class VitModel {
   std::vector<float> classify(const std::vector<float>& features) const;
 
  private:
+  /// One set of quantized weights per (format, rounding) a forward has
+  /// used. Heap-held so the model stays movable; a deque never moves its
+  /// slots, so a set stays valid after the lock is released.
+  struct Resident {
+    struct Slot {
+      BfpFormat fmt;
+      RoundMode round;
+      std::vector<BfpBlockWeights> blocks;
+    };
+    std::mutex mu;
+    std::deque<Slot> slots;
+  };
+
   VitWeights w_;
+  std::shared_ptr<Resident> resident_ = std::make_shared<Resident>();
 };
 
 /// Top-1 agreement between two logit sets over a batch of runs (utility

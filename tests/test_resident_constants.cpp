@@ -5,6 +5,10 @@
 // ExecutionStats, the same resident bytes and memory-limit fault point,
 // and the same results when runs on one model race from 1, 2 or 8
 // ThreadPool workers (the first of which build the quantized weights).
+//
+// VitModel::forward_mixed likewise quantizes its weights once per model
+// and PU format: the ResidentWeights tests pin racing first forwards,
+// one model alternated between formats, and the resident bytes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +27,8 @@
 #include "isa/executor.hpp"
 #include "isa/program.hpp"
 #include "numerics/bfp.hpp"
+#include "numerics/format/format_spec.hpp"
+#include "transformer/model.hpp"
 
 namespace bfpsim {
 namespace {
@@ -293,6 +299,148 @@ TEST(ExecutorBind, QuantizedOperandFollowsTheValueNotTheRegister) {
   second.vec_add(1, 1, 1).bfp_matmul(3, 0, 1, m, k, n);
   ex.run(second.build());
   EXPECT_EQ(ex.tensor(3).data, sys.gemm(a, m, k, ex.tensor(1).data, n).c);
+}
+
+// ---- VitModel::forward_mixed's resident bfp8 weights ----
+
+VitModel tiny_model() {
+  const ModelSpec spec = load_model_spec("vit-tiny-test");
+  return VitModel(random_weights(vit_config_of(spec), spec.seed));
+}
+
+struct Forward {
+  std::vector<float> features;
+  ForwardStats stats;
+};
+
+Forward forward_of(const VitModel& model, const std::vector<float>& x,
+                   const AcceleratorSystem& sys) {
+  Forward f;
+  f.features = model.forward_mixed(x, sys, &f.stats);
+  return f;
+}
+
+void expect_same_forward(const Forward& want, const Forward& got,
+                         const std::string& where) {
+  ASSERT_EQ(want.features.size(), got.features.size()) << where;
+  EXPECT_EQ(std::memcmp(want.features.data(), got.features.data(),
+                        want.features.size() * sizeof(float)),
+            0)
+      << where;
+  EXPECT_TRUE(want.stats == got.stats) << where;
+}
+
+TEST(ResidentWeights, FreshModelForwardsFromAPoolMatchASerialRun) {
+  const AcceleratorSystem sys;
+  const VitConfig cfg = tiny_model().config();
+  constexpr int kInputs = 3;
+  constexpr std::size_t kRuns = 12;
+  std::vector<std::vector<float>> in;
+  std::vector<Forward> want;
+  {
+    const VitModel serial = tiny_model();
+    for (int i = 0; i < kInputs; ++i) {
+      in.push_back(random_embeddings(cfg, 40 + static_cast<std::uint64_t>(i)));
+      want.push_back(forward_of(serial, in.back(), sys));
+    }
+  }
+  for (const int workers : {1, 2, 8}) {
+    ThreadPool pool(workers);
+    // A fresh model per pool, so the first forwards race to quantize its
+    // weights.
+    const VitModel model = tiny_model();
+    std::vector<Forward> got(kRuns);
+    pool.parallel_for(kRuns, [&](std::size_t i) {
+      got[i] = forward_of(model, in[i % kInputs], sys);
+    });
+    for (std::size_t i = 0; i < kRuns; ++i) {
+      expect_same_forward(want[i % kInputs], got[i],
+                          std::to_string(workers) + " workers, forward " +
+                              std::to_string(i));
+    }
+  }
+}
+
+TEST(ResidentWeights, AlternatingFormatsMatchAFreshModelPerFormat) {
+  // Two bfp8-mode systems whose PUs quantize differently: the paper's
+  // 8-bit mantissas and a 6-bit-mantissa block format; and the 8-bit
+  // format under truncation.
+  SystemConfig narrow;
+  narrow.pu.format = FormatSpec::bfp_block(8, 6, 64);
+  SystemConfig truncating;
+  truncating.pu.quant_round = RoundMode::kTruncate;
+  const std::vector<AcceleratorSystem> systems{
+      AcceleratorSystem{}, AcceleratorSystem(narrow),
+      AcceleratorSystem(truncating)};
+  ASSERT_NE(systems[0].config().pu.bfp_format(),
+            systems[1].config().pu.bfp_format());
+
+  const VitModel shared = tiny_model();
+  const std::vector<float> x = random_embeddings(shared.config(), 9);
+  std::vector<Forward> want;
+  for (const AcceleratorSystem& sys : systems) {
+    want.push_back(forward_of(tiny_model(), x, sys));
+  }
+  EXPECT_NE(want[0].features, want[1].features);
+  EXPECT_NE(want[0].features, want[2].features);
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t s = 0; s < systems.size(); ++s) {
+      expect_same_forward(want[s], forward_of(shared, x, systems[s]),
+                          "round " + std::to_string(round) + ", system " +
+                              std::to_string(s));
+    }
+  }
+  // One quantized set per (format, rounding), reused by later forwards.
+  for (const AcceleratorSystem& sys : systems) {
+    EXPECT_EQ(shared.resident_weights(sys.config().pu).data(),
+              shared.resident_weights(sys.config().pu).data());
+  }
+  EXPECT_NE(shared.resident_weights(systems[0].config().pu).data(),
+            shared.resident_weights(systems[1].config().pu).data());
+}
+
+void expect_same_matrix(const BfpMatrix& want, const BfpMatrix& got,
+                        const std::string& where) {
+  ASSERT_EQ(want.fmt, got.fmt) << where;
+  ASSERT_EQ(want.rows, got.rows) << where;
+  ASSERT_EQ(want.cols, got.cols) << where;
+  ASSERT_EQ(want.blocks.size(), got.blocks.size()) << where;
+  for (std::size_t i = 0; i < want.blocks.size(); ++i) {
+    const std::string at = where + " block " + std::to_string(i);
+    ASSERT_EQ(want.blocks[i].fmt, got.blocks[i].fmt) << at;
+    ASSERT_EQ(want.blocks[i].expb, got.blocks[i].expb) << at;
+    ASSERT_EQ(want.blocks[i].man, got.blocks[i].man) << at;
+  }
+}
+
+TEST(ResidentWeights, ResidentCopyIsQuantizeMatrixOfEachWeight) {
+  const VitModel model = tiny_model();
+  const VitConfig& cfg = model.config();
+  const int d = cfg.embed_dim;
+  const int m = cfg.mlp_hidden();
+  SystemConfig narrow;
+  narrow.pu.format = FormatSpec::bfp_block(8, 6, 64);
+  narrow.pu.quant_round = RoundMode::kTruncate;
+  for (const PuConfig& pu : {PuConfig{}, narrow.pu}) {
+    const std::span<const BfpBlockWeights> resident =
+        model.resident_weights(pu);
+    ASSERT_EQ(resident.size(), model.weights().blocks.size());
+    for (std::size_t b = 0; b < resident.size(); ++b) {
+      const BlockWeights& w = model.weights().blocks[b];
+      auto quantized = [&](const std::vector<float>& v, int k, int n) {
+        return quantize_matrix(v, k, n, pu.bfp_format(), pu.quant_round);
+      };
+      const std::string where = "block " + std::to_string(b);
+      expect_same_matrix(quantized(w.qkv_w, d, 3 * d), resident[b].qkv_w,
+                         where + " qkv_w");
+      expect_same_matrix(quantized(w.proj_w, d, d), resident[b].proj_w,
+                         where + " proj_w");
+      expect_same_matrix(quantized(w.fc1_w, d, m), resident[b].fc1_w,
+                         where + " fc1_w");
+      expect_same_matrix(quantized(w.fc2_w, m, d), resident[b].fc2_w,
+                         where + " fc2_w");
+    }
+  }
 }
 
 TEST(ExecutorBind, PreQuantizedOperandNeedsABfp8System) {

@@ -8,14 +8,20 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <span>
 #include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/bitops.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "dsp/dsp48e2.hpp"
 #include "fp32_boundaries.hpp"
+#include "numerics/bfp_kernel.hpp"
 #include "numerics/fp32.hpp"
 
 namespace bfpsim {
@@ -464,6 +470,214 @@ TEST(SlicedOracle, ClosedFormMatchesScheduleWalkBitForBit) {
   }
   // The refusal paths were exercised, not only the value paths.
   EXPECT_GT(throws, 0);
+}
+
+/// ---- the span aligned add vs its scalar oracle ----
+///
+/// fp32_add_aligned over spans is the fast path (8 lanes at a time at the
+/// simd tier on AVX2); the scalar fp32_add_aligned is its oracle. Every
+/// element must carry the oracle's bits, and a vector holding a NaN/Inf
+/// must refuse with the oracle's text after writing exactly the elements
+/// before it.
+
+#if defined(BFPSIM_FAST_TESTS)
+constexpr int kSpanVectors = 2000;
+#else
+constexpr int kSpanVectors = 20000;
+#endif
+
+/// One operand pair from family `f`: (0) random finite bits, subnormals
+/// included; (1) exponents within 3 of each other; (2) subnormals, the
+/// smallest normals and signed zeros, where a sum underflows; (3) y close
+/// to -x, so the sum cancels to a few bits and normalizes far left (into
+/// the subnormal range when the exponent is small); (4) equal exponents
+/// and signs with large mantissas, so the sum carries out of 24 bits
+/// (at exponent 254, into inf), and odd sums round a tie; (5) zeros.
+std::pair<float, float> span_pair(Rng& rng, int f) {
+  switch (f) {
+    case 1: {
+      const auto ex = static_cast<std::uint32_t>(rng.uniform_int(1, 254));
+      const auto ey = static_cast<std::uint32_t>(std::clamp<std::int64_t>(
+          ex + rng.uniform_int(-3, 3), 0, 254));
+      return {with_exponent(rng, ex), with_exponent(rng, ey)};
+    }
+    case 2:
+      return {with_exponent(rng,
+                            static_cast<std::uint32_t>(rng.uniform_int(0, 2))),
+              with_exponent(rng,
+                            static_cast<std::uint32_t>(rng.uniform_int(0, 1)))};
+    case 3: {
+      const float x = with_exponent(
+          rng, static_cast<std::uint32_t>(rng.uniform_int(0, 254)));
+      const std::uint32_t low = rng.bits32() & 0xFFU;
+      return {x, bits_to_float((float_to_bits(x) ^ 0x80000000U) ^ low)};
+    }
+    case 4: {
+      const auto e = static_cast<std::uint32_t>(
+          rng.bernoulli(0.1) ? 254 : rng.uniform_int(1, 254));
+      const std::uint32_t sign = rng.bits32() & 0x80000000U;
+      const std::uint32_t fx = 0x400000U | (rng.bits32() & 0x3FFFFFU);
+      const std::uint32_t fy = 0x400000U | (rng.bits32() & 0x3FFFFFU);
+      return {bits_to_float(sign | (e << 23) | fx),
+              bits_to_float(sign | (e << 23) | fy)};
+    }
+    case 5:
+      return {rng.bernoulli(0.5) ? 0.0F : -0.0F,
+              rng.bernoulli(0.5) ? 0.0F : random_finite_fp32(rng)};
+    default:
+      return {random_finite_fp32(rng), random_finite_fp32(rng)};
+  }
+}
+
+/// The scalar loop's outcome: the elements written before the first
+/// refusal, and that refusal's text (empty when none).
+struct SpanOutcome {
+  std::vector<std::uint32_t> written;
+  std::string refusal;
+};
+
+SpanOutcome run_span(const std::function<void(std::vector<float>&)>& add,
+                     std::vector<float> out, std::size_t n) {
+  SpanOutcome o;
+  try {
+    add(out);
+  } catch (const Error& e) {
+    const std::string w = e.what();
+    o.refusal = w.substr(0, w.find(" (requirement"));
+  }
+  // Elements past a refusal are unspecified: keep only those before it.
+  for (std::size_t i = 0; i < n; ++i) {
+    o.written.push_back(float_to_bits(out[i]));
+  }
+  return o;
+}
+
+/// Checks the span kernel on (x, y) into a fresh output, in place over x
+/// and in place over y against the scalar oracle.
+void expect_span_matches_scalar(const std::vector<float>& x,
+                                const std::vector<float>& y,
+                                const std::string& where) {
+  SpanOutcome want;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    try {
+      want.written.push_back(float_to_bits(fp32_add_aligned(x[i], y[i])));
+    } catch (const Error& e) {
+      const std::string w = e.what();
+      want.refusal = w.substr(0, w.find(" (requirement"));
+      break;
+    }
+  }
+  const std::size_t n = want.written.size();
+  // The first element where `got` departs from the oracle, spelled out.
+  auto first_difference = [&](const SpanOutcome& got) -> std::string {
+    if (got.refusal != want.refusal) {
+      return "refusal '" + got.refusal + "', want '" + want.refusal + "'";
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      if (got.written[i] != want.written[i]) {
+        return "element " + std::to_string(i) + ": " + fp32_fields(x[i]) +
+               " + " + fp32_fields(y[i]) + " gave " +
+               fp32_fields(bits_to_float(got.written[i])) + ", want " +
+               fp32_fields(bits_to_float(want.written[i]));
+      }
+    }
+    return "";
+  };
+  const SpanOutcome fresh = run_span(
+      [&](std::vector<float>& out) { fp32_add_aligned(x, y, out); },
+      std::vector<float>(x.size(), 0.0F), n);
+  EXPECT_EQ(first_difference(fresh), "") << where << " (separate output)";
+  const SpanOutcome over_x = run_span(
+      [&](std::vector<float>& out) { fp32_add_aligned(out, y, out); }, x, n);
+  EXPECT_EQ(first_difference(over_x), "") << where << " (out == x)";
+  const SpanOutcome over_y = run_span(
+      [&](std::vector<float>& out) { fp32_add_aligned(x, out, out); }, y, n);
+  EXPECT_EQ(first_difference(over_y), "") << where << " (out == y)";
+}
+
+/// Restores the process-wide kernel tier when a test ends.
+struct TierGuard {
+  KernelTier saved = active_kernel_tier();
+  ~TierGuard() { set_active_kernel_tier(saved); }
+};
+
+TEST(SpanAlignedAdd, MatchesScalarOracleOnEveryTier) {
+  const TierGuard guard;
+  for (const KernelTier tier : available_kernel_tiers()) {
+    set_active_kernel_tier(tier);
+    Rng rng(2207);
+    int refusals = 0;
+    for (int v = 0; v < kSpanVectors; ++v) {
+      // Lengths 0..17 cover empty spans, a partial group, one group plus
+      // every tail; every 16th vector is long (whole groups in bulk).
+      const std::size_t len = v % 16 == 15
+                                  ? static_cast<std::size_t>(
+                                        rng.uniform_int(64, 200))
+                                  : static_cast<std::size_t>(v % 18);
+      std::vector<float> x(len);
+      std::vector<float> y(len);
+      // One family per vector, or per element in a third of the vectors.
+      const int family = v % 6;
+      const bool mixed = v % 3 == 0;
+      for (std::size_t i = 0; i < len; ++i) {
+        std::tie(x[i], y[i]) = span_pair(
+            rng, mixed ? static_cast<int>(rng.uniform_int(0, 5)) : family);
+      }
+      // A NaN or Inf at a random position in every 32nd non-empty vector.
+      if (len > 0 && v % 32 == 7) {
+        const auto at = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(len) - 1));
+        const std::uint32_t payload = rng.bits32() & 0x7FFFFFU;
+        (rng.bernoulli(0.5) ? x : y)[at] = bits_to_float(
+            (rng.bits32() & 0x80000000U) | 0x7F800000U | payload);
+        ++refusals;
+      }
+      expect_span_matches_scalar(x, y,
+                                 std::string(to_string(tier)) + " vector " +
+                                     std::to_string(v));
+      if (HasFailure()) return;
+    }
+    EXPECT_GT(refusals, 0);
+  }
+}
+
+TEST(SpanAlignedAdd, BoundaryPairsMatchScalarOracleOnEveryTier) {
+  // Every pair of boundary operands, plus the sums at the carrier's
+  // extremes: the largest magnitude (2^25 - 2) and odd ones just below it
+  // (carry-out with a rounding tie), and FLT_MAX + FLT_MAX (inf).
+  std::vector<float> x;
+  std::vector<float> y;
+  const std::vector<float> bounds = boundary_operands();
+  for (const float a : bounds) {
+    for (const float b : bounds) {
+      x.push_back(a);
+      y.push_back(b);
+    }
+  }
+  const float all_ones = std::nextafterf(2.0F, 0.0F);
+  for (const float a : {all_ones, std::nextafterf(all_ones, 0.0F),
+                        std::nextafterf(std::nextafterf(all_ones, 0.0F), 0.0F),
+                        std::numeric_limits<float>::max()}) {
+    for (const float b : {all_ones, std::nextafterf(all_ones, 0.0F),
+                          std::numeric_limits<float>::max()}) {
+      x.push_back(a);
+      y.push_back(b);
+      x.push_back(-a);
+      y.push_back(-b);
+    }
+  }
+  const TierGuard guard;
+  for (const KernelTier tier : available_kernel_tiers()) {
+    set_active_kernel_tier(tier);
+    expect_span_matches_scalar(x, y, to_string(tier));
+  }
+}
+
+TEST(SpanAlignedAdd, RefusesUnequalLengths) {
+  const std::vector<float> x(9, 1.0F);
+  std::vector<float> out(8);
+  EXPECT_THROW(fp32_add_aligned(x, std::span(x).first(8), out), Error);
+  EXPECT_THROW(fp32_add_aligned(x, x, out), Error);
 }
 
 }  // namespace
