@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster_serving.hpp"
@@ -903,9 +905,86 @@ TEST(ServeBytePins, AutoscaledTwoClassTwoTenantFleet) {
   const Session::FleetServeResult r =
       session.serve_fleet(id, fspec, trace, policy, nullptr, &events);
   EXPECT_FALSE(r.report.scale_events.empty());
-  expect_pins(r.report.to_json(), events, 
+  expect_pins(r.report.to_json(), events,
               {0x6b689ec01c56436eULL, 0x2a1307ba552e7088ULL,
                0x43e3ee909a56b8ecULL});
+}
+
+/// A long churny day on two classes whose relative cost depends on the
+/// request: "2xtensor" is cheaper for two ids in three and dearer for the
+/// third, so placement, spawn-class and retire choices all matter. Three
+/// tenants with quotas share a small queue, and initial replica 1 dies
+/// mid-run.
+FleetSpec scale_heavy_fleet_spec(int requests) {
+  const auto n = static_cast<std::size_t>(requests);
+  ReplicaClassSpec pipe;
+  pipe.name = "1xpipeline";
+  pipe.cards = 1;
+  pipe.strategy = "pipeline";
+  pipe.passes.assign(n, PassSpec{2000, 30000, 2000});
+  pipe.initial_replicas = 2;
+  pipe.max_replicas = 8;
+  ReplicaClassSpec tensor;
+  tensor.name = "2xtensor";
+  tensor.cards = 2;
+  tensor.strategy = "tensor";
+  for (std::size_t i = 0; i < n; ++i) {
+    tensor.passes.push_back(
+        PassSpec{1000, 16000 + 10000 * static_cast<std::uint64_t>(i % 3), 1000});
+  }
+  tensor.initial_replicas = 1;
+  tensor.max_replicas = 3;
+
+  FleetSpec spec;
+  spec.classes = {pipe, tensor};
+  spec.tenants.tenants = {{"gold", 0, 1.0, 4.0},
+                          {"silver", 1, 2.0, 0.0},
+                          {"bronze", 2, 3.0, 0.0}};
+  spec.failures = {{1, 400000}};
+  AutoscalerPolicy& a = spec.autoscaler;
+  a.enabled = true;
+  a.interval_cycles = 75000;
+  a.cold_start_cycles = 150000;
+  a.cooldown_cycles = 75000;
+  a.up_queue_per_replica = 3.0;
+  a.min_replicas = 1;
+  return spec;
+}
+
+TEST(ServeBytePins, ScaleHeavyAutoscaledFleet) {
+  const int n = 20000;
+  const FleetSpec spec = scale_heavy_fleet_spec(n);
+  const double peak = 0.85 * 8 * kDefaultFreqHz / 34000.0;
+  ArrivalTrace trace = diurnal_trace(n, peak / 6.0, peak, 4e-3, 3);
+  assign_tenants(&trace, spec.tenants);
+  ServePolicy policy;
+  policy.queue_capacity = 24;
+  Trace events;
+  events.enable(true);
+  const FleetReport rep = serve_fleet(spec, trace, policy, &events);
+  EXPECT_GT(rep.replicas.size(), 300u);
+  // Both classes are spawned and retired over the day.
+  bool up[2] = {false, false}, down[2] = {false, false};
+  for (const FleetScaleEvent& e : rep.scale_events) {
+    (e.up ? up : down)[e.cls] = true;
+  }
+  EXPECT_TRUE(up[0] && up[1] && down[0] && down[1]);
+  const std::map<std::string, std::uint64_t> counters = {
+      {"fleet.quota_rejected", 2517}, {"fleet.scale_downs", 349},
+      {"fleet.scale_ups", 349},        {"serve.admitted", 17464},
+      {"serve.batches", 4859},         {"serve.completed", 17464},
+      {"serve.dispatched", 17466},     {"serve.executor_failures", 1},
+      {"serve.makespan_cycles", 170119000},
+      {"serve.peak_queue_depth", 24},  {"serve.rejected", 19},
+      {"serve.requests", 20000},       {"serve.retried", 2},
+      {"serve.slo_violations", 0},     {"serve.timers", 7308},
+  };
+  EXPECT_EQ(rep.serve.counters.snapshot(), counters);
+  expect_pins(rep.to_json(), events,
+              {0x92a7aa0eb51bd881ULL, 0xd0a3faf3c8e4679bULL,
+               0x8218389adf5e7b97ULL});
+  // Tracing observes the run without steering it.
+  EXPECT_EQ(serve_fleet(spec, trace, policy).to_json(), rep.to_json());
 }
 
 // ---- input checks ----------------------------------------------------------
