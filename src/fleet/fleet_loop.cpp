@@ -60,19 +60,19 @@ class FleetScaler final : public Scaler {
                std::uint64_t slo_cycles, ReplicaTable& table) override {
     int ready = 0;
     int pending = 0;
-    for (const ReplicaInstance& r : table.replicas) {
-      if (r.retired) continue;
+    for (const int id : table.active) {
+      const ReplicaInstance& r = table.replicas[static_cast<std::size_t>(id)];
       (r.ready_cycle <= now ? ready : pending) += 1;
     }
     const ScaleDecision d =
         scaler_.evaluate(now, queue_depth, ready, pending, slo_cycles);
     for (int s = 0; s < d.spawn; ++s) {
-      const int cls = pick_spawn_class(table.replicas, passes_, max_);
+      const int cls = pick_spawn_class(table, passes_, max_);
       if (cls < 0) break;  // every class at its cap
       table.spawn(cls, now, now + cold_start_);
     }
     if (d.retire) {
-      const int inst = pick_retire(table.replicas, passes_, now);
+      const int inst = pick_retire(table, passes_, now);
       if (inst >= 0) table.retire(inst, now);
     }
   }

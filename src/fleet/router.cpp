@@ -2,12 +2,13 @@
 
 namespace bfpsim {
 
-int pick_spawn_class(const std::vector<ReplicaInstance>& replicas,
+int pick_spawn_class(const ReplicaTable& table,
                      std::span<const PassTable> class_passes,
                      const std::vector<int>& class_max) {
   std::vector<int> live(class_passes.size(), 0);
-  for (const ReplicaInstance& r : replicas) {
-    if (!r.retired) ++live[static_cast<std::size_t>(r.cls)];
+  for (const int id : table.active) {
+    ++live[static_cast<std::size_t>(
+        table.replicas[static_cast<std::size_t>(id)].cls)];
   }
   int best = -1;
   std::uint64_t best_est = 0;
@@ -22,15 +23,17 @@ int pick_spawn_class(const std::vector<ReplicaInstance>& replicas,
   return best;
 }
 
-int pick_retire(const std::vector<ReplicaInstance>& replicas,
+int pick_retire(const ReplicaTable& table,
                 std::span<const PassTable> class_passes, std::uint64_t now) {
   int best = -1;
   std::uint64_t best_est = 0;
-  for (const ReplicaInstance& r : replicas) {
-    if (r.retired || r.ready_cycle > now || r.busy_until > now) continue;
+  for (const int id : table.active) {
+    const ReplicaInstance& r = table.replicas[static_cast<std::size_t>(id)];
+    if (r.ready_cycle > now || r.busy_until > now) continue;
     const std::uint64_t est = class_service_estimate(
         class_passes[static_cast<std::size_t>(r.cls)], 0);
-    // >= : on equal cost prefer the higher instance id (the newest).
+    // >= : on equal cost prefer the higher instance id (the newest;
+    // `active` is ascending).
     if (best < 0 || est >= best_est) {
       best = r.instance;
       best_est = est;

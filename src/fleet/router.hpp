@@ -4,7 +4,9 @@
 // serving loop's own: pick_replica in serving/event_loop.hpp.)
 //
 // Pure functions over the loop's replica table, with every tie broken
-// explicitly, so scaling is a deterministic function of its inputs:
+// explicitly, so scaling is a deterministic function of its inputs. Both
+// walk only the table's live index (ReplicaTable::active), so a tick costs
+// O(live replicas) however many instances the run has created:
 //
 //  * spawn class — the cheapest class (per-request service estimate at
 //    request 0's pass, a stable proxy) that still has headroom under its
@@ -24,13 +26,13 @@ namespace bfpsim {
 /// Class to spawn the next replica from: cheapest class with live-count
 /// (non-retired instances, ready or cold) below `class_max[c]`; -1 when
 /// every class is at its cap.
-int pick_spawn_class(const std::vector<ReplicaInstance>& replicas,
+int pick_spawn_class(const ReplicaTable& table,
                      std::span<const PassTable> class_passes,
                      const std::vector<int>& class_max);
 
 /// Idle ready replica to retire (most expensive class, then highest
 /// instance id); -1 if none is idle.
-int pick_retire(const std::vector<ReplicaInstance>& replicas,
+int pick_retire(const ReplicaTable& table,
                 std::span<const PassTable> class_passes, std::uint64_t now);
 
 }  // namespace bfpsim

@@ -1,6 +1,7 @@
 #include "serving/event_loop.hpp"
 
 #include <algorithm>
+#include <array>
 #include <queue>
 #include <span>
 #include <string>
@@ -35,20 +36,19 @@ std::uint64_t class_service_estimate(PassTable passes, int id) {
   return p.load_cycles + p.compute_cycles + p.store_cycles;
 }
 
-int pick_replica(const std::vector<ReplicaInstance>& replicas,
+int pick_replica(const ReplicaTable& table,
                  std::span<const PassTable> class_passes, std::uint64_t now,
                  int head_id) {
   int best = -1;
   std::uint64_t best_est = 0;
-  for (const ReplicaInstance& r : replicas) {
-    if (r.retired || r.dead || r.ready_cycle > now || r.busy_until > now) {
-      continue;
-    }
+  for (const int id : table.active) {
+    const ReplicaInstance& r = table.replicas[static_cast<std::size_t>(id)];
+    if (r.dead || r.ready_cycle > now || r.busy_until > now) continue;
     const std::uint64_t est = class_service_estimate(
         class_passes[static_cast<std::size_t>(r.cls)], head_id);
-    // Strict < keeps the lowest instance id on ties (the table is in
-    // instance order): the lowest-free-unit scan when all classes cost
-    // the same.
+    // Strict < keeps the lowest instance id on ties (`active` is
+    // ascending): the lowest-free-unit scan when all classes cost the
+    // same.
     if (best < 0 || est < best_est) {
       best = r.instance;
       best_est = est;
@@ -64,7 +64,8 @@ int ReplicaTable::add(int cls, std::uint64_t now, std::uint64_t ready_at) {
   r.provisioned_cycle = now;
   r.ready_cycle = ready_at;
   replicas.push_back(r);
-  peak = std::max(peak, ++live);
+  active.push_back(r.instance);  // ids are monotone: stays ascending
+  peak = std::max(peak, static_cast<int>(active.size()));
   return r.instance;
 }
 
@@ -75,10 +76,13 @@ int ReplicaTable::spawn(int cls, std::uint64_t now, std::uint64_t ready_at) {
 }
 
 void ReplicaTable::retire(int instance, std::uint64_t now) {
+  const auto it = std::lower_bound(active.begin(), active.end(), instance);
+  BFPSIM_REQUIRE(it != active.end() && *it == instance,
+                 "ReplicaTable::retire: instance is not live");
+  active.erase(it);
   ReplicaInstance& r = replicas[static_cast<std::size_t>(instance)];
   r.retired = true;
   r.retired_cycle = now;
-  --live;
   scale_events.push_back({now, false, instance, r.cls});
 }
 
@@ -115,6 +119,21 @@ struct EventAfter {
 std::uint64_t ms_to_cycles(double ms, double freq) {
   return static_cast<std::uint64_t>(ms * 1e-3 * freq);
 }
+
+/// The loop's per-event counters, tallied in plain integers and added to
+/// the report's Counters once, after the loop.
+enum Tally : std::size_t {
+  kRequests, kAdmitted, kCompleted, kBatches, kDispatched, kTimers, kShed,
+  kRejected, kRetried, kFailed, kExecutorFailures, kQuotaRejected,
+  kScaleUps, kScaleDowns, kNumTallies
+};
+
+constexpr std::array<const char*, kNumTallies> kTallyNames = {
+    "serve.requests",       "serve.admitted",  "serve.completed",
+    "serve.batches",        "serve.dispatched", "serve.timers",
+    "serve.shed",           "serve.rejected",  "serve.retried",
+    "serve.failed",         "serve.executor_failures",
+    "fleet.quota_rejected", "fleet.scale_ups", "fleet.scale_downs"};
 
 }  // namespace
 
@@ -204,18 +223,21 @@ ServeLoopRun serve_loop(const ServeLoopSpec& spec, const ArrivalTrace& trace,
   std::vector<int> retries(un, 0);
   int resolved = 0;  ///< completed, rejected, shed or abandoned ids
 
-  auto trace_ev = [&](std::uint64_t cycle, std::string component,
-                      std::string message, int pid = -1) {
-    if (event_trace != nullptr) {
-      event_trace->record_pid(cycle, std::move(component),
-                              std::move(message), pid);
-    }
+  std::array<std::uint64_t, kNumTallies> tally{};
+  // Event text is built only under `tracing`: a disabled or absent trace
+  // records nothing, so skipping the strings changes no output.
+  const bool tracing = event_trace != nullptr && event_trace->enabled();
+  auto trace_queue = [&](std::uint64_t cycle, std::string message) {
+    event_trace->record_pid(cycle, "queue", std::move(message), -1);
+  };
+  auto trace_replica = [&](std::uint64_t cycle, int instance,
+                           std::string message) {
+    event_trace->record_pid(cycle,
+                            spec.replica_prefix + std::to_string(instance),
+                            std::move(message), instance);
   };
   auto sample_depth = [&](std::uint64_t cycle) {
     rep.queue_depth.push_back({cycle, queue.size()});
-  };
-  auto replica_name = [&](int instance) {
-    return spec.replica_prefix + std::to_string(instance);
   };
 
   // Per-dispatch scratch. The loop is serial, so one arena serves every
@@ -233,7 +255,7 @@ ServeLoopRun serve_loop(const ServeLoopSpec& spec, const ArrivalTrace& trace,
   auto try_dispatch = [&](std::uint64_t now) {
     while (!queue.empty()) {
       const QueueEntry& head = queue.front();
-      const int inst = pick_replica(table.replicas, class_passes, now, head.id);
+      const int inst = pick_replica(table, class_passes, now, head.id);
       if (inst < 0) return;  // all busy/cold/dead; a later event revisits
       const auto ui = static_cast<std::size_t>(inst);
       ReplicaInstance& unit = table.replicas[ui];
@@ -252,7 +274,7 @@ ServeLoopRun serve_loop(const ServeLoopSpec& spec, const ArrivalTrace& trace,
         const std::uint64_t slo_at = head.deadline_cycle - est;
         // The revisit is > now because neither bound has been hit yet.
         push_event(std::min(wait_at, slo_at), Event::Kind::kTimer, 0);
-        rep.counters.add("serve.timers");
+        ++tally[kTimers];
         return;
       }
 
@@ -299,12 +321,13 @@ ServeLoopRun serve_loop(const ServeLoopSpec& spec, const ArrivalTrace& trace,
       rep.unit_busy_cycles[ui] += pipe.total_cycles;
       push_event(unit.busy_until, Event::Kind::kReplicaFree, inst);
 
-      rep.counters.add("serve.batches");
-      rep.counters.add("serve.dispatched", batch.size());
-      trace_ev(now, replica_name(inst),
-               "dispatch batch=" + std::to_string(batch.size()) + " head=req" +
-                   std::to_string(batch.front().id),
-               inst);
+      ++tally[kBatches];
+      tally[kDispatched] += batch.size();
+      if (tracing) {
+        trace_replica(now, inst,
+                      "dispatch batch=" + std::to_string(batch.size()) +
+                          " head=req" + std::to_string(batch.front().id));
+      }
     }
   };
 
@@ -338,31 +361,34 @@ ServeLoopRun serve_loop(const ServeLoopSpec& spec, const ArrivalTrace& trace,
         const int id = ev.payload;
         const int tenant = tenant_by_id[static_cast<std::size_t>(id)];
         const auto ut = static_cast<std::size_t>(tenant);
-        rep.counters.add("serve.requests");
-        trace_ev(now, "queue", "arrive req" + std::to_string(id));
+        ++tally[kRequests];
+        if (tracing) trace_queue(now, "arrive req" + std::to_string(id));
         const PushOutcome got = queue.push(
             {id, now, now + tenant_slo[ut], tenant, spec.tenants[ut].tier});
         if (got.had_victim) {
           rep.rejected_ids.push_back(got.victim.id);
           ++resolved;
-          rep.counters.add("serve.shed");
-          trace_ev(now, "queue", "shed req" + std::to_string(got.victim.id));
+          ++tally[kShed];
+          if (tracing) {
+            trace_queue(now, "shed req" + std::to_string(got.victim.id));
+          }
           // Closed loop: a shed request still releases its client.
           release_client(now);
         }
         if (got.admitted) {
-          rep.counters.add("serve.admitted");
+          ++tally[kAdmitted];
         } else {
           rep.rejected_ids.push_back(id);
           ++resolved;
           if (got.quota_rejected) {
-            rep.counters.add("fleet.quota_rejected");
-            trace_ev(now, "queue",
-                     "quota-reject req" + std::to_string(id) + " tenant" +
-                         std::to_string(tenant));
+            ++tally[kQuotaRejected];
+            if (tracing) {
+              trace_queue(now, "quota-reject req" + std::to_string(id) +
+                                   " tenant" + std::to_string(tenant));
+            }
           } else {
-            rep.counters.add("serve.rejected");
-            trace_ev(now, "queue", "reject req" + std::to_string(id));
+            ++tally[kRejected];
+            if (tracing) trace_queue(now, "reject req" + std::to_string(id));
           }
           release_client(now);
         }
@@ -378,12 +404,13 @@ ServeLoopRun serve_loop(const ServeLoopSpec& spec, const ArrivalTrace& trace,
         if (!completed[uid] || ev.aux != dispatch_gen[uid]) break;
         const LatencyRecord& r = records[uid];
         ++resolved;
-        rep.counters.add("serve.completed");
+        ++tally[kCompleted];
         if (spec.scaler != nullptr) {
           spec.scaler->on_completion(r.total_cycles());
         }
-        trace_ev(now, replica_name(r.unit),
-                 "complete req" + std::to_string(id), r.unit);
+        if (tracing) {
+          trace_replica(now, r.unit, "complete req" + std::to_string(id));
+        }
         release_client(now);
         break;
       }
@@ -393,8 +420,8 @@ ServeLoopRun serve_loop(const ServeLoopSpec& spec, const ArrivalTrace& trace,
         ReplicaInstance& unit = table.replicas[uu];
         if (unit.dead) break;
         unit.dead = true;
-        rep.counters.add("serve.executor_failures");
-        trace_ev(now, replica_name(u), "executor failed", u);
+        ++tally[kExecutorFailures];
+        if (tracing) trace_replica(now, u, "executor failed");
         if (unit.busy_until > now) {
           // The aborted batch's remaining service never happened.
           rep.unit_busy_cycles[uu] -= unit.busy_until - now;
@@ -409,12 +436,12 @@ ServeLoopRun serve_loop(const ServeLoopSpec& spec, const ArrivalTrace& trace,
           if (retries[ie] < policy.max_retries) {
             ++retries[ie];
             queue.requeue(e);  // original arrival & deadline preserved
-            rep.counters.add("serve.retried");
-            trace_ev(now, "queue", "requeue req" + std::to_string(e.id));
+            ++tally[kRetried];
+            if (tracing) trace_queue(now, "requeue req" + std::to_string(e.id));
           } else {
             ++resolved;
-            rep.counters.add("serve.failed");
-            trace_ev(now, "queue", "abandon req" + std::to_string(e.id));
+            ++tally[kFailed];
+            if (tracing) trace_queue(now, "abandon req" + std::to_string(e.id));
             release_client(now);
           }
         }
@@ -433,14 +460,16 @@ ServeLoopRun serve_loop(const ServeLoopSpec& spec, const ArrivalTrace& trace,
                 table.replicas[static_cast<std::size_t>(s.instance)]
                     .ready_cycle,
                 Event::Kind::kReplicaReady, s.instance);
-            rep.counters.add("fleet.scale_ups");
-            trace_ev(now, replica_name(s.instance),
-                     "spawn class=" +
-                         spec.classes[static_cast<std::size_t>(s.cls)].name,
-                     s.instance);
+            ++tally[kScaleUps];
+            if (tracing) {
+              trace_replica(
+                  now, s.instance,
+                  "spawn class=" +
+                      spec.classes[static_cast<std::size_t>(s.cls)].name);
+            }
           } else {
-            rep.counters.add("fleet.scale_downs");
-            trace_ev(now, replica_name(s.instance), "retire", s.instance);
+            ++tally[kScaleDowns];
+            if (tracing) trace_replica(now, s.instance, "retire");
           }
         }
         rep.unit_busy_cycles.resize(table.replicas.size(), 0);
@@ -452,7 +481,7 @@ ServeLoopRun serve_loop(const ServeLoopSpec& spec, const ArrivalTrace& trace,
         break;
       }
       case Event::Kind::kReplicaReady:
-        trace_ev(now, replica_name(ev.payload), "ready", ev.payload);
+        if (tracing) trace_replica(now, ev.payload, "ready");
         try_dispatch(now);
         break;
       case Event::Kind::kReplicaFree:
@@ -460,6 +489,11 @@ ServeLoopRun serve_loop(const ServeLoopSpec& spec, const ArrivalTrace& trace,
         try_dispatch(now);
         break;
     }
+  }
+  // Only nonzero tallies are added: a counter no event bumped stays absent
+  // from the report.
+  for (std::size_t t = 0; t < kNumTallies; ++t) {
+    if (tally[t] != 0) rep.counters.add(kTallyNames[t], tally[t]);
   }
   if (!queue.empty()) {
     // Admitted work stranded because every executor died.

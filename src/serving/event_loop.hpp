@@ -135,13 +135,6 @@ struct ReplicaInstance {
 /// pass.load + compute + store for request `id` in one class's table.
 std::uint64_t class_service_estimate(PassTable passes, int id);
 
-/// Free replica (ready, idle, neither retired nor dead) whose class serves
-/// request `head_id` cheapest, tie-broken by lowest instance id; -1 if
-/// none is free. `class_passes[c]` is class c's per-request pass table.
-int pick_replica(const std::vector<ReplicaInstance>& replicas,
-                 std::span<const PassTable> class_passes, std::uint64_t now,
-                 int head_id);
-
 /// One scaler action, in decision order.
 struct ScaleEvent {
   std::uint64_t cycle = 0;
@@ -151,19 +144,34 @@ struct ScaleEvent {
 };
 
 /// The replica table plus the ledger of scaler actions on it.
+///
+/// `replicas` is the full ledger of every instance ever created, which
+/// report assembly walks. A long autoscaled run creates far more instances
+/// than are ever live at once, so everything that picks or counts per
+/// event (placement, spawn class, retirement, the scaler tick) walks
+/// `active` instead and costs O(live replicas), not O(fleet history).
 struct ReplicaTable {
   std::vector<ReplicaInstance> replicas;  ///< instance-id order
+  /// Ids of the instances not retired (ready, cold or dead), ascending:
+  /// walking it in order keeps every lowest/highest-id tie rule.
+  std::vector<int> active;
   std::vector<ScaleEvent> scale_events;   ///< spawn()/retire() calls
-  int live = 0;  ///< instances not retired (ready, cold or dead)
-  int peak = 0;  ///< max of `live` over the run
+  int peak = 0;  ///< max of active.size() over the run
 
   /// Provision one replica of class `cls`, dispatchable from `ready_at`.
   int add(int cls, std::uint64_t now, std::uint64_t ready_at);
   /// add() as a scaler action, recorded in the ledger.
   int spawn(int cls, std::uint64_t now, std::uint64_t ready_at);
-  /// Retire `instance` at `now`, recorded in the ledger.
+  /// Retire live `instance` at `now`, recorded in the ledger.
   void retire(int instance, std::uint64_t now);
 };
+
+/// Free replica (ready, idle, neither retired nor dead) whose class serves
+/// request `head_id` cheapest, tie-broken by lowest instance id; -1 if
+/// none is free. `class_passes[c]` is class c's per-request pass table.
+int pick_replica(const ReplicaTable& table,
+                 std::span<const PassTable> class_passes, std::uint64_t now,
+                 int head_id);
 
 /// The loop's one policy hook. The loop ticks it every interval_cycles()
 /// from one interval in, until every request is resolved, and reports
@@ -216,7 +224,10 @@ struct ServeLoopRun {
 };
 
 /// The one serving loop. Replica events in `event_trace` carry pid =
-/// instance id, a stable Chrome-trace lane per replica.
+/// instance id, a stable Chrome-trace lane per replica. Observation is
+/// free when off: with no enabled trace no event text is built, and the
+/// per-event counters are tallied in plain integers and added to
+/// report.counters once, after the loop.
 ServeLoopRun serve_loop(const ServeLoopSpec& spec, const ArrivalTrace& trace,
                         const ServePolicy& policy, Trace* event_trace);
 

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <string>
@@ -20,6 +21,7 @@
 
 #include "cluster/cluster_serving.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "fleet/autoscaler.hpp"
 #include "fleet/router.hpp"
 #include "fleet/tenant.hpp"
@@ -307,25 +309,26 @@ TEST(FleetAutoscaler, PolicyValidation) {
 
 // ---- router ----------------------------------------------------------------
 
-std::vector<ReplicaInstance> three_replicas() {
+ReplicaTable three_replicas() {
   // instance 0: class 0, ready; 1: class 1, ready; 2: class 0, cold.
-  ReplicaInstance r0{0, 0, 0, 0, false, 0, 0};
-  ReplicaInstance r1{1, 1, 0, 0, false, 0, 0};
-  ReplicaInstance r2{2, 0, 1000, 0, false, 0, 0};
-  return {r0, r1, r2};
+  ReplicaTable t;
+  t.add(0, 0, 0);
+  t.add(1, 0, 0);
+  t.add(0, 0, 1000);
+  return t;
 }
 
 TEST(FleetRouter, PlacementPrefersCheapestClassThenLowestInstance) {
   const std::vector<PassSpec> c0 = {{10, 100, 10}};  // 120 cycles for req 0
   const std::vector<PassSpec> c1 = {{10, 50, 10}};   // 70 cycles
   const std::vector<PassTable> passes = {c0, c1};
-  auto reps = three_replicas();
-  EXPECT_EQ(pick_replica(reps, passes, 0, 0), 1);  // cheaper class wins
-  reps[1].busy_until = 2000;                       // class-1 replica busy
-  EXPECT_EQ(pick_replica(reps, passes, 0, 0), 0);  // lowest free id
-  reps[0].busy_until = 2000;
-  EXPECT_EQ(pick_replica(reps, passes, 0, 0), -1);  // instance 2 still cold
-  EXPECT_EQ(pick_replica(reps, passes, 1000, 0), 2);  // warm now, rest busy
+  ReplicaTable t = three_replicas();
+  EXPECT_EQ(pick_replica(t, passes, 0, 0), 1);  // cheaper class wins
+  t.replicas[1].busy_until = 2000;              // class-1 replica busy
+  EXPECT_EQ(pick_replica(t, passes, 0, 0), 0);  // lowest free id
+  t.replicas[0].busy_until = 2000;
+  EXPECT_EQ(pick_replica(t, passes, 0, 0), -1);    // instance 2 still cold
+  EXPECT_EQ(pick_replica(t, passes, 1000, 0), 2);  // warm now, rest busy
 }
 
 TEST(FleetRouter, HomogeneousPlacementIsLowestFreeInstance) {
@@ -333,29 +336,167 @@ TEST(FleetRouter, HomogeneousPlacementIsLowestFreeInstance) {
   // the lowest free instance id, every time.
   const std::vector<PassSpec> c0 = {{10, 100, 10}};
   const std::vector<PassTable> passes = {c0};
-  std::vector<ReplicaInstance> reps;
-  for (int i = 0; i < 3; ++i) reps.push_back({i, 0, 0, 0, false, 0, 0});
-  EXPECT_EQ(pick_replica(reps, passes, 0, 0), 0);
-  reps[0].busy_until = 10;
-  EXPECT_EQ(pick_replica(reps, passes, 0, 0), 1);
+  ReplicaTable t;
+  for (int i = 0; i < 3; ++i) t.add(0, 0, 0);
+  EXPECT_EQ(pick_replica(t, passes, 0, 0), 0);
+  t.replicas[0].busy_until = 10;
+  EXPECT_EQ(pick_replica(t, passes, 0, 0), 1);
 }
 
 TEST(FleetRouter, SpawnAndRetireChoices) {
   const std::vector<PassSpec> c0 = {{10, 100, 10}};  // expensive
   const std::vector<PassSpec> c1 = {{10, 50, 10}};   // cheap
   const std::vector<PassTable> passes = {c0, c1};
-  auto reps = three_replicas();
+  ReplicaTable t = three_replicas();
   // Cheapest class with headroom; class 1 at cap -> class 0.
-  EXPECT_EQ(pick_spawn_class(reps, passes, {4, 2}), 1);
-  EXPECT_EQ(pick_spawn_class(reps, passes, {4, 1}), 0);
-  EXPECT_EQ(pick_spawn_class(reps, passes, {2, 1}), -1);  // all at cap
+  EXPECT_EQ(pick_spawn_class(t, passes, {4, 2}), 1);
+  EXPECT_EQ(pick_spawn_class(t, passes, {4, 1}), 0);
+  EXPECT_EQ(pick_spawn_class(t, passes, {2, 1}), -1);  // all at cap
   // Retire the most expensive idle replica, newest first on ties.
-  EXPECT_EQ(pick_retire(reps, passes, 0), 0);  // class 0 costs more
-  reps.push_back({3, 0, 0, 0, false, 0, 0});
-  EXPECT_EQ(pick_retire(reps, passes, 0), 3);  // tie -> highest instance
-  reps[0].retired = true;
-  reps[3].busy_until = 99;
-  EXPECT_EQ(pick_retire(reps, passes, 0), 1);  // only the cheap one idle
+  EXPECT_EQ(pick_retire(t, passes, 0), 0);  // class 0 costs more
+  t.add(0, 0, 0);
+  EXPECT_EQ(pick_retire(t, passes, 0), 3);  // tie -> highest instance
+  t.retire(0, 0);
+  t.replicas[3].busy_until = 99;
+  EXPECT_EQ(pick_retire(t, passes, 0), 1);  // only the cheap one idle
+}
+
+// Brute-force oracles for the indexed router: full scans over every
+// instance ever created, skipping the retired ones.
+
+int scan_pick_replica(const std::vector<ReplicaInstance>& reps,
+                      std::span<const PassTable> passes, std::uint64_t now,
+                      int head) {
+  int best = -1;
+  std::uint64_t best_est = 0;
+  for (const ReplicaInstance& r : reps) {
+    if (r.retired || r.dead || r.ready_cycle > now || r.busy_until > now) {
+      continue;
+    }
+    const std::uint64_t est = class_service_estimate(
+        passes[static_cast<std::size_t>(r.cls)], head);
+    if (best < 0 || est < best_est) {
+      best = r.instance;
+      best_est = est;
+    }
+  }
+  return best;
+}
+
+int scan_pick_spawn_class(const std::vector<ReplicaInstance>& reps,
+                          std::span<const PassTable> passes,
+                          const std::vector<int>& class_max) {
+  int best = -1;
+  std::uint64_t best_est = 0;
+  for (std::size_t c = 0; c < passes.size(); ++c) {
+    int live = 0;
+    for (const ReplicaInstance& r : reps) {
+      if (!r.retired && r.cls == static_cast<int>(c)) ++live;
+    }
+    if (live >= class_max[c]) continue;
+    const std::uint64_t est = class_service_estimate(passes[c], 0);
+    if (best < 0 || est < best_est) {
+      best = static_cast<int>(c);
+      best_est = est;
+    }
+  }
+  return best;
+}
+
+int scan_pick_retire(const std::vector<ReplicaInstance>& reps,
+                     std::span<const PassTable> passes, std::uint64_t now) {
+  int best = -1;
+  std::uint64_t best_est = 0;
+  for (const ReplicaInstance& r : reps) {
+    if (r.retired || r.ready_cycle > now || r.busy_until > now) continue;
+    const std::uint64_t est = class_service_estimate(
+        passes[static_cast<std::size_t>(r.cls)], 0);
+    if (best < 0 || est >= best_est) {
+      best = r.instance;
+      best_est = est;
+    }
+  }
+  return best;
+}
+
+TEST(FleetRouter, IndexedChoicesMatchFullScans) {
+  // Seeded random sequences of spawns (cold or ready), retirements,
+  // executor deaths, busy replicas and clock steps, driven through
+  // ReplicaTable. After every step the indexed choices must equal the full
+  // scans, and the live index must be exactly the ascending non-retired ids.
+  constexpr int kRequests = 6;
+  constexpr int kClasses = 3;
+  std::vector<std::vector<PassSpec>> tables(kClasses);
+  for (int c = 0; c < kClasses; ++c) {
+    for (int id = 0; id < kRequests; ++id) {
+      // Class costs interleave by request, with ties between classes.
+      tables[static_cast<std::size_t>(c)].push_back(
+          PassSpec{10, static_cast<std::uint64_t>(100 + 40 * ((c + id) % 3)),
+                   10});
+    }
+  }
+  const std::vector<PassTable> passes(tables.begin(), tables.end());
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed);
+    ReplicaTable t;
+    t.add(0, 0, 0);
+    std::uint64_t now = 0;
+    std::size_t peak = 1;
+    for (int step = 0; step < 300; ++step) {
+      const auto pick_live = [&] {
+        return t.active[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(t.active.size()) - 1))];
+      };
+      switch (rng.uniform_int(0, 6)) {
+        case 0:
+        case 1: {  // spawn, ready now or cold for a while
+          const auto cls = static_cast<int>(rng.uniform_int(0, kClasses - 1));
+          const auto cold = static_cast<std::uint64_t>(rng.uniform_int(0, 2));
+          t.spawn(cls, now, now + 150 * cold);
+          break;
+        }
+        case 2:  // retire any live instance
+          if (t.active.size() > 1) t.retire(pick_live(), now);
+          break;
+        case 3: {  // retire the router's choice
+          const int inst = pick_retire(t, passes, now);
+          if (inst >= 0 && t.active.size() > 1) t.retire(inst, now);
+          break;
+        }
+        case 4:  // executor death
+          t.replicas[static_cast<std::size_t>(pick_live())].dead = true;
+          break;
+        case 5:  // busy for a while
+          t.replicas[static_cast<std::size_t>(pick_live())].busy_until =
+              now + static_cast<std::uint64_t>(rng.uniform_int(1, 400));
+          break;
+        default:  // the clock moves
+          now += static_cast<std::uint64_t>(rng.uniform_int(0, 200));
+          break;
+      }
+      peak = std::max(peak, t.active.size());
+
+      std::vector<int> live;
+      for (const ReplicaInstance& r : t.replicas) {
+        if (!r.retired) live.push_back(r.instance);
+      }
+      ASSERT_EQ(t.active, live) << "seed " << seed << " step " << step;
+      ASSERT_EQ(t.peak, static_cast<int>(peak));
+      for (int head = 0; head < kRequests; ++head) {
+        ASSERT_EQ(pick_replica(t, passes, now, head),
+                  scan_pick_replica(t.replicas, passes, now, head))
+            << "seed " << seed << " step " << step << " head " << head;
+      }
+      const std::vector<int> caps = {
+          static_cast<int>(rng.uniform_int(0, 4)),
+          static_cast<int>(rng.uniform_int(0, 4)),
+          static_cast<int>(rng.uniform_int(0, 4))};
+      ASSERT_EQ(pick_spawn_class(t, passes, caps),
+                scan_pick_spawn_class(t.replicas, passes, caps));
+      ASSERT_EQ(pick_retire(t, passes, now),
+                scan_pick_retire(t.replicas, passes, now));
+    }
+  }
 }
 
 // ---- the fleet loop --------------------------------------------------------
@@ -929,8 +1070,7 @@ FleetSpec scale_heavy_fleet_spec(int requests) {
   tensor.cards = 2;
   tensor.strategy = "tensor";
   for (std::size_t i = 0; i < n; ++i) {
-    tensor.passes.push_back(
-        PassSpec{1000, 16000 + 10000 * static_cast<std::uint64_t>(i % 3), 1000});
+    tensor.passes.push_back(PassSpec{1000, 16000 + 10000 * (i % 3), 1000});
   }
   tensor.initial_replicas = 1;
   tensor.max_replicas = 3;
