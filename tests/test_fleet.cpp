@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <map>
 #include <string>
@@ -857,6 +858,38 @@ void expect_pins(const std::string& report_json, const Trace& events,
       << "text 0x" << std::hex << fnv1a(events.to_string());
 }
 
+/// Pins ServeReport::records, which to_json does not print: an FNV-1a
+/// digest over every field of every record, in list order. The list must
+/// hold exactly the completed requests, one each, in ascending id order.
+void expect_records_pin(const ServeReport& rep, std::uint64_t want) {
+  std::uint64_t h = 14695981039346656037ULL;
+  auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffU;
+      h *= 1099511628211ULL;
+    }
+  };
+  auto mix_int = [&mix](int v) {
+    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
+  };
+  for (std::size_t i = 0; i < rep.records.size(); ++i) {
+    const LatencyRecord& r = rep.records[i];
+    if (i > 0) {
+      ASSERT_LT(rep.records[i - 1].id, r.id) << "record " << i;
+    }
+    mix_int(r.id);
+    mix(r.arrival_cycle);
+    mix(r.dispatch_cycle);
+    mix(r.complete_cycle);
+    mix_int(r.unit);
+    mix_int(r.batch_size);
+    mix(r.slo_met ? 1U : 0U);
+    mix_int(r.tenant);
+  }
+  EXPECT_EQ(rep.records.size(), rep.counters.get("serve.completed"));
+  EXPECT_EQ(h, want) << "records 0x" << std::hex << h;
+}
+
 /// `executors` identical executors; every request costs the same pass.
 BackendSpec uniform_backend(int executors, int requests,
                             std::uint64_t cycles) {
@@ -953,6 +986,8 @@ TEST(ServeBytePins, ServeFailoverOneExecutorDies) {
   expect_pins(rep.to_json(), events, 
               {0x70f5eca4aa591aaeULL, 0xbcb1fd4c6db72b1fULL,
                0xfd6c8b2e82967be4ULL});
+  ASSERT_GE(policy.max_retries, 1);
+  expect_records_pin(rep, 0x556d026014167763ULL);
 }
 
 TEST(ServeBytePins, ServeFailoverAllExecutorsDie) {
@@ -968,6 +1003,9 @@ TEST(ServeBytePins, ServeFailoverAllExecutorsDie) {
   expect_pins(rep.to_json(), events, 
               {0x2a0994953fbbe7d4ULL, 0x64a8d1544279c5b4ULL,
                0xe21b6bf6527dac54ULL});
+  // Nothing completes: the stranded ids' stale dispatch records must not
+  // leak into the list (the digest is FNV-1a's empty-input basis).
+  expect_records_pin(rep, 0xcbf29ce484222325ULL);
 }
 
 TEST(ServeBytePins, ClusterTensorSplitWithCardFailure) {
@@ -1123,6 +1161,7 @@ TEST(ServeBytePins, ScaleHeavyAutoscaledFleet) {
   expect_pins(rep.to_json(), events,
               {0x92a7aa0eb51bd881ULL, 0xd0a3faf3c8e4679bULL,
                0x8218389adf5e7b97ULL});
+  expect_records_pin(rep.serve, 0xd1af0073619ee0d4ULL);
   // Tracing observes the run without steering it.
   EXPECT_EQ(serve_fleet(spec, trace, policy).to_json(), rep.to_json());
 }
