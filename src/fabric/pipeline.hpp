@@ -33,10 +33,13 @@ struct PassTimeline {
   std::uint64_t store_end = 0;
 };
 
-struct PipelineResult {
+struct PipelineTotals {
   std::uint64_t total_cycles = 0;
   double compute_busy_fraction = 0.0;  ///< compute-engine occupancy
   double dma_busy_fraction = 0.0;      ///< DMA-engine occupancy
+};
+
+struct PipelineResult : PipelineTotals {
   std::vector<PassTimeline> passes;
 };
 
@@ -51,6 +54,15 @@ struct PipelineResult {
 ///    and compute(i-1) done;
 ///  * `double_buffered`: with two operand banks, load(i+1) may start while
 ///    compute(i) runs; single-buffered, load(i+1) waits for compute(i).
+///
+/// Pass i's intervals go to `timeline[i]`; `timeline` must hold exactly
+/// passes.size() entries and is overwritten whole, so callers can reuse
+/// one buffer across calls. Allocates nothing.
+PipelineTotals simulate_pipeline(std::span<const PassSpec> passes,
+                                 bool double_buffered,
+                                 std::span<PassTimeline> timeline);
+
+/// The same simulation into a freshly allocated timeline.
 PipelineResult simulate_pipeline(std::span<const PassSpec> passes,
                                  bool double_buffered);
 

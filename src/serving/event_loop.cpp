@@ -296,9 +296,10 @@ ServeLoopRun serve_loop(const ServeLoopSpec& spec, const ArrivalTrace& trace,
       for (const QueueEntry& e : batch) {
         passes.push_back(passes_of[static_cast<std::size_t>(e.id)]);
       }
-      const PipelineResult pipe = simulate_pipeline(
-          std::span<const PassSpec>(passes.data(), passes.size()),
-          /*double_buffered=*/true);
+      std::vector<PassTimeline, ArenaAllocator<PassTimeline>> timeline(
+          batch.size(), ArenaAllocator<PassTimeline>(&dispatch_arena));
+      const PipelineTotals pipe =
+          simulate_pipeline(passes, /*double_buffered=*/true, timeline);
 
       for (std::size_t j = 0; j < batch.size(); ++j) {
         const QueueEntry& e = batch[j];
@@ -307,7 +308,7 @@ ServeLoopRun serve_loop(const ServeLoopSpec& spec, const ArrivalTrace& trace,
         r.id = e.id;
         r.arrival_cycle = e.arrival_cycle;
         r.dispatch_cycle = now;
-        r.complete_cycle = now + pipe.passes[j].store_end;
+        r.complete_cycle = now + timeline[j].store_end;
         r.unit = inst;
         r.batch_size = static_cast<int>(batch.size());
         r.slo_met = r.complete_cycle <= e.deadline_cycle;
@@ -500,21 +501,28 @@ ServeLoopRun serve_loop(const ServeLoopSpec& spec, const ArrivalTrace& trace,
     rep.counters.add("serve.stranded", queue.size());
   }
 
-  // ---- report assembly (serial, id order) ----
-  std::vector<std::uint64_t> total, wait, service;
+  // ---- report assembly (serial, id order, linear time) ----
+  // The completed records move to the front of `records`, in id order,
+  // and the vector moves into the report. One scratch buffer then holds
+  // each latency population in turn while its ranks are selected.
+  std::size_t kept = 0;
   for (std::size_t i = 0; i < un; ++i) {
     if (!completed[i]) continue;
     const LatencyRecord& r = records[i];
-    rep.records.push_back(r);
-    total.push_back(r.total_cycles());
-    wait.push_back(r.queue_cycles());
-    service.push_back(r.service_cycles());
     rep.makespan_cycles = std::max(rep.makespan_cycles, r.complete_cycle);
     if (!r.slo_met) ++rep.slo_violations;
+    records[kept++] = r;
   }
-  rep.latency = summarize_latencies(std::move(total));
-  rep.queue_wait = summarize_latencies(std::move(wait));
-  rep.service = summarize_latencies(std::move(service));
+  records.resize(kept);
+  rep.records = std::move(records);
+  std::vector<std::uint64_t> scratch(kept);
+  auto summarize = [&](std::uint64_t (LatencyRecord::*cycles)() const) {
+    std::ranges::transform(rep.records, scratch.begin(), cycles);
+    return summarize_latencies(scratch);
+  };
+  rep.latency = summarize(&LatencyRecord::total_cycles);
+  rep.queue_wait = summarize(&LatencyRecord::queue_cycles);
+  rep.service = summarize(&LatencyRecord::service_cycles);
   rep.max_queue_depth = queue.peak_depth();
   if (num_tenants > 1) {
     // Single-tenant runs leave this empty, keeping the report (and its

@@ -11,17 +11,14 @@ namespace bfpsim {
 
 namespace {
 
-std::uint64_t nearest_rank(const std::vector<std::uint64_t>& sorted,
-                           double pct) {
+std::size_t nearest_rank(std::size_t n, double pct) {
   // ceil(pct/100 * N), 1-indexed, clamped to [1, N] on both sides (the
-  // ceil can round past N, and pct <= 0 would index rank 0). An empty
-  // sample has no percentile — report 0 rather than touching sorted[-1].
-  if (sorted.empty()) return 0;
-  const auto n = static_cast<double>(sorted.size());
-  auto rank = static_cast<std::size_t>(std::ceil(pct / 100.0 * n));
+  // ceil can round past N, and pct <= 0 would give rank 0).
+  auto rank = static_cast<std::size_t>(
+      std::ceil(pct / 100.0 * static_cast<double>(n)));
   if (rank < 1) rank = 1;
-  if (rank > sorted.size()) rank = sorted.size();
-  return sorted[rank - 1];
+  if (rank > n) rank = n;
+  return rank;
 }
 
 std::string fmt(double v) {
@@ -32,18 +29,30 @@ std::string fmt(double v) {
 
 }  // namespace
 
-PercentileSummary summarize_latencies(std::vector<std::uint64_t> cycles) {
+PercentileSummary summarize_latencies(std::span<std::uint64_t> cycles) {
   PercentileSummary s;
   s.count = cycles.size();
+  // An empty sample has no percentile: report zeros.
   if (cycles.empty()) return s;
-  std::sort(cycles.begin(), cycles.end());
-  s.p50 = nearest_rank(cycles, 50.0);
-  s.p95 = nearest_rank(cycles, 95.0);
-  s.p99 = nearest_rank(cycles, 99.0);
-  s.max = cycles.back();
   std::uint64_t sum = 0;
   for (const std::uint64_t c : cycles) sum += c;
   s.mean = static_cast<double>(sum) / static_cast<double>(cycles.size());
+  // Ranks ascend, so each selection searches only the suffix the previous
+  // one left: everything before it is already no larger. An equal rank
+  // selects the suffix's first element again.
+  auto first = cycles.begin();
+  auto select = [&](double pct) {
+    const auto nth =
+        cycles.begin() +
+        static_cast<std::ptrdiff_t>(nearest_rank(cycles.size(), pct) - 1);
+    std::nth_element(first, nth, cycles.end());
+    first = nth;
+    return *nth;
+  };
+  s.p50 = select(50.0);
+  s.p95 = select(95.0);
+  s.p99 = select(99.0);
+  s.max = *std::max_element(first, cycles.end());
   return s;
 }
 
@@ -131,8 +140,6 @@ std::vector<TenantBreakdown> tenant_breakdowns(
     return (t >= 0 && t < num_tenants) ? t : 0;
   };
   std::vector<TenantBreakdown> out(static_cast<std::size_t>(num_tenants));
-  std::vector<std::vector<std::uint64_t>> totals(
-      static_cast<std::size_t>(num_tenants));
   for (int k = 0; k < num_tenants; ++k) {
     out[static_cast<std::size_t>(k)].tenant = k;
     out[static_cast<std::size_t>(k)].name = "tenant" + std::to_string(k);
@@ -141,14 +148,25 @@ std::vector<TenantBreakdown> tenant_breakdowns(
     auto& row = out[static_cast<std::size_t>(tenant_of(r.id))];
     ++row.completed;
     if (!r.slo_met) ++row.slo_violations;
-    totals[static_cast<std::size_t>(row.tenant)].push_back(r.total_cycles());
   }
   for (const int id : report.rejected_ids) {
     ++out[static_cast<std::size_t>(tenant_of(id))].rejected;
   }
-  for (int k = 0; k < num_tenants; ++k) {
-    out[static_cast<std::size_t>(k)].latency =
-        summarize_latencies(std::move(totals[static_cast<std::size_t>(k)]));
+  // Each tenant's totals fill one contiguous slice of a single buffer:
+  // offsets from the counts, then the totals in record order.
+  std::vector<std::size_t> next(out.size());
+  for (std::size_t k = 1; k < out.size(); ++k) {
+    next[k] = next[k - 1] + out[k - 1].completed;
+  }
+  std::vector<std::uint64_t> totals(report.records.size());
+  for (const LatencyRecord& r : report.records) {
+    totals[next[static_cast<std::size_t>(tenant_of(r.id))]++] =
+        r.total_cycles();
+  }
+  std::span<std::uint64_t> rest(totals);
+  for (TenantBreakdown& row : out) {
+    row.latency = summarize_latencies(rest.first(row.completed));
+    rest = rest.subspan(row.completed);
   }
   return out;
 }

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,10 +44,13 @@ struct PercentileSummary {
   double mean = 0.0;
 };
 
-/// Summarize a population of cycle counts (copied: sorting is internal).
-PercentileSummary summarize_latencies(std::vector<std::uint64_t> cycles);
+/// Summarize a population of cycle counts in linear time. The ranks are
+/// selected in place (std::nth_element), so `cycles` comes back reordered;
+/// the values equal those read off a full sort.
+PercentileSummary summarize_latencies(std::span<std::uint64_t> cycles);
 
-/// One queue-depth observation (recorded whenever the depth changes).
+/// One queue-depth observation, taken after every arrival, dispatch and
+/// executor failure, whether or not the depth moved.
 struct QueueSample {
   std::uint64_t cycle = 0;
   std::size_t depth = 0;

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
+#include "common/error.hpp"
 #include "fabric/memory_interface.hpp"
 #include "pu/processing_unit.hpp"
 
@@ -112,6 +114,34 @@ TEST(Pipeline, DoubleBufferingNeverLoses) {
       }
     }
   }
+}
+
+TEST(Pipeline, CallerTimelineIsOverwrittenWhole) {
+  // One buffer reused across calls of different lengths: every entry is
+  // rewritten, so stale intervals never leak into a later schedule.
+  const std::vector<PassSpec> passes = {
+      {50, 60, 50}, {10, 100, 5}, {70, 20, 30}, {0, 40, 0}};
+  std::vector<PassTimeline> buf(passes.size(),
+                                {999, 999, 999, 999, 999, 999});
+  for (const std::size_t n : {4U, 2U, 4U}) {
+    const std::span<const PassSpec> head(passes.data(), n);
+    const PipelineResult want = simulate_pipeline(head, true);
+    const PipelineTotals got = simulate_pipeline(
+        head, true, std::span<PassTimeline>(buf.data(), n));
+    EXPECT_EQ(got.total_cycles, want.total_cycles);
+    EXPECT_EQ(got.compute_busy_fraction, want.compute_busy_fraction);
+    EXPECT_EQ(got.dma_busy_fraction, want.dma_busy_fraction);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(buf[i].load_start, want.passes[i].load_start) << i;
+      EXPECT_EQ(buf[i].load_end, want.passes[i].load_end) << i;
+      EXPECT_EQ(buf[i].compute_start, want.passes[i].compute_start) << i;
+      EXPECT_EQ(buf[i].compute_end, want.passes[i].compute_end) << i;
+      EXPECT_EQ(buf[i].store_start, want.passes[i].store_start) << i;
+      EXPECT_EQ(buf[i].store_end, want.passes[i].store_end) << i;
+    }
+  }
+  std::vector<PassTimeline> short_buf(passes.size() - 1);
+  EXPECT_THROW(simulate_pipeline(passes, true, short_buf), Error);
 }
 
 }  // namespace

@@ -7,9 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "runtime/session.hpp"
 #include "serving/metrics.hpp"
 #include "serving/queue.hpp"
@@ -57,18 +63,168 @@ TEST(ServingMetrics, PercentilesOfSmallPopulations) {
   const PercentileSummary empty = summarize_latencies({});
   EXPECT_EQ(empty.count, 0u);
   EXPECT_EQ(empty.p99, 0u);
-  const PercentileSummary one = summarize_latencies({42});
+  std::vector<std::uint64_t> one_sample = {42};
+  const PercentileSummary one = summarize_latencies(one_sample);
   EXPECT_EQ(one.p50, 42u);
   EXPECT_EQ(one.p99, 42u);
   EXPECT_EQ(one.max, 42u);
   // n=2: nearest-rank gives the lower sample at p50 (ceil(0.5*2)=1) and
   // the upper one from p95 on (ceil(0.95*2)=2).
-  const PercentileSummary two = summarize_latencies({10, 30});
+  std::vector<std::uint64_t> two_samples = {10, 30};
+  const PercentileSummary two = summarize_latencies(two_samples);
   EXPECT_EQ(two.count, 2u);
   EXPECT_EQ(two.p50, 10u);
   EXPECT_EQ(two.p95, 30u);
   EXPECT_EQ(two.p99, 30u);
   EXPECT_EQ(two.max, 30u);
+}
+
+// ---- differential checks of the rank selector ------------------------------
+
+/// The sorting definition summarize_latencies must reproduce: sort, then
+/// read element ceil(p/100 * N), 1-indexed and clamped to [1, N].
+PercentileSummary sorted_oracle(std::vector<std::uint64_t> v) {
+  PercentileSummary s;
+  s.count = v.size();
+  if (v.empty()) return s;
+  std::sort(v.begin(), v.end());
+  auto at_rank = [&v](double pct) {
+    const auto rank = static_cast<std::size_t>(
+        std::ceil(pct / 100.0 * static_cast<double>(v.size())));
+    return v[std::clamp<std::size_t>(rank, 1, v.size()) - 1];
+  };
+  s.p50 = at_rank(50.0);
+  s.p95 = at_rank(95.0);
+  s.p99 = at_rank(99.0);
+  s.max = v.back();
+  std::uint64_t sum = 0;
+  for (const std::uint64_t c : v) sum += c;
+  s.mean = static_cast<double>(sum) / static_cast<double>(v.size());
+  return s;
+}
+
+void expect_same_summary(const PercentileSummary& got,
+                         const PercentileSummary& want,
+                         const std::string& what) {
+  EXPECT_EQ(got.count, want.count) << what;
+  EXPECT_EQ(got.p50, want.p50) << what;
+  EXPECT_EQ(got.p95, want.p95) << what;
+  EXPECT_EQ(got.p99, want.p99) << what;
+  EXPECT_EQ(got.max, want.max) << what;
+  EXPECT_EQ(got.mean, want.mean) << what;  // same integer sum: exact
+}
+
+enum class Family { kRandom, kFewValues, kAllEqual, kAscending, kDescending };
+
+std::vector<std::uint64_t> population(Family f, std::size_t n, Rng& rng) {
+  std::vector<std::uint64_t> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (f) {
+      case Family::kRandom: v[i] = rng.bits64() % 1000000000U; break;
+      case Family::kFewValues: v[i] = rng.bits64() % 4U; break;
+      case Family::kAllEqual: v[i] = 7; break;
+      case Family::kAscending: v[i] = i; break;
+      case Family::kDescending: v[i] = n - i; break;
+    }
+  }
+  return v;
+}
+
+TEST(ServingMetrics, SelectedRanksMatchASortedOracle) {
+  // Every size up to 128 covers the nearest-rank edges (n = 1, 2, 19, 20,
+  // 21, 99, 100, 101), then the 1000s and seeded sizes up to 2000.
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 128; ++n) sizes.push_back(n);
+  for (const std::size_t n : {199, 200, 201, 999, 1000, 1001, 1999, 2000}) {
+    sizes.push_back(n);
+  }
+  Rng rng(2024);
+  for (int i = 0; i < 40; ++i) sizes.push_back(rng.bits64() % 2001U);
+  for (const Family f : {Family::kRandom, Family::kFewValues,
+                         Family::kAllEqual, Family::kAscending,
+                         Family::kDescending}) {
+    for (const std::size_t n : sizes) {
+      const std::vector<std::uint64_t> input = population(f, n, rng);
+      std::vector<std::uint64_t> buf = input;
+      const std::string what = "family " +
+                               std::to_string(static_cast<int>(f)) +
+                               " n=" + std::to_string(n);
+      expect_same_summary(summarize_latencies(buf), sorted_oracle(input),
+                          what);
+      // Selection reorders the caller's buffer but keeps its multiset.
+      std::vector<std::uint64_t> a = input;
+      std::sort(a.begin(), a.end());
+      std::sort(buf.begin(), buf.end());
+      EXPECT_EQ(buf, a) << what;
+    }
+  }
+}
+
+TEST(ServingMetrics, TenantBreakdownsMatchAPerTenantOracle) {
+  Rng rng(77);
+  for (int trial = 0; trial < 60; ++trial) {
+    const int num_tenants = static_cast<int>(rng.bits64() % 6U);  // 0 -> 1
+    const int rows = std::max(num_tenants, 1);
+    // Tags come from a subset of the tenants, so some rows stay empty.
+    const int tagged = 1 + static_cast<int>(rng.bits64() % static_cast<
+                                                std::uint64_t>(rows));
+    const std::size_t known = rng.bits64() % 400U;
+    std::vector<int> tenant_of_id(known);
+    for (int& t : tenant_of_id) {
+      t = static_cast<int>(rng.bits64() % static_cast<std::uint64_t>(tagged));
+    }
+    // Ids past tenant_of_id (and negative rejected ids) are tenant 0's.
+    auto oracle_tenant = [&](int id) {
+      return id >= 0 && static_cast<std::size_t>(id) < known
+                 ? tenant_of_id[static_cast<std::size_t>(id)]
+                 : 0;
+    };
+    ServeReport rep;
+    const int ids = static_cast<int>(known) + 40;
+    for (int id = 0; id < ids; ++id) {
+      switch (rng.bits64() % 3U) {
+        case 0: {
+          LatencyRecord r;
+          r.id = id;
+          r.arrival_cycle = rng.bits64() % 100000U;
+          r.dispatch_cycle = r.arrival_cycle + rng.bits64() % 50U;
+          r.complete_cycle = r.dispatch_cycle + rng.bits64() % 5000U;
+          r.slo_met = rng.bits64() % 4U != 0;
+          rep.records.push_back(r);
+          break;
+        }
+        case 1: rep.rejected_ids.push_back(id); break;
+        default: break;
+      }
+    }
+    rep.rejected_ids.push_back(-3);
+    rep.rejected_ids.push_back(ids + 5);
+
+    const std::vector<TenantBreakdown> got =
+        tenant_breakdowns(rep, tenant_of_id, num_tenants);
+    ASSERT_EQ(got.size(), static_cast<std::size_t>(rows));
+    for (int k = 0; k < rows; ++k) {
+      const TenantBreakdown& row = got[static_cast<std::size_t>(k)];
+      std::vector<std::uint64_t> totals;
+      std::size_t violations = 0, rejected = 0;
+      for (const LatencyRecord& r : rep.records) {
+        if (oracle_tenant(r.id) != k) continue;
+        totals.push_back(r.total_cycles());
+        if (!r.slo_met) ++violations;
+      }
+      for (const int id : rep.rejected_ids) {
+        if (oracle_tenant(id) == k) ++rejected;
+      }
+      const std::string what =
+          "trial " + std::to_string(trial) + " tenant " + std::to_string(k);
+      EXPECT_EQ(row.tenant, k) << what;
+      EXPECT_EQ(row.name, "tenant" + std::to_string(k)) << what;
+      EXPECT_EQ(row.completed, totals.size()) << what;
+      EXPECT_EQ(row.slo_violations, violations) << what;
+      EXPECT_EQ(row.rejected, rejected) << what;
+      expect_same_summary(row.latency, sorted_oracle(totals), what);
+    }
+  }
 }
 
 TEST(ServingWorkload, PoissonTraceIsSeededAndSorted) {
