@@ -16,9 +16,9 @@
 
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
+#include "compiler/partition.hpp"
 #include "runtime/session.hpp"
 #include "serving/event_loop.hpp"
-#include "transformer/latency.hpp"
 
 int main(int argc, char** argv) {
   using namespace bfpsim;
@@ -38,14 +38,15 @@ int main(int argc, char** argv) {
             << " independent units\n\n";
 
   const double freq = sys.config().pu.freq_hz;
-  // One image on ONE unit: a single-unit system, so the workload analysis
-  // does not spread the image across units.
+  // One image on ONE unit: the program compiled for a single-unit system,
+  // less its DMA moves — what Session::infer_batch charges per image.
   SystemConfig one = sys.config();
   one.num_units = 1;
   const AcceleratorSystem single(one);
   for (const VitConfig& cfg : {deit_tiny(), deit_small()}) {
-    const auto image_cycles = static_cast<std::uint64_t>(
-        analyze_workload(cfg, single).total_latency_ms * 1e-3 * freq);
+    const ExecutionStats price = compile_vit(cfg, single).price();
+    const std::uint64_t image_cycles =
+        price.device_cycles - price.move_cycles;
     std::cout << cfg.name << " (per-image latency "
               << fmt_double(static_cast<double>(image_cycles) / freq * 1e3,
                             2)

@@ -10,7 +10,7 @@
 
 #include "common/table.hpp"
 #include "resource/energy.hpp"
-#include "transformer/latency.hpp"
+#include "transformer/config.hpp"
 
 int main() {
   using namespace bfpsim;

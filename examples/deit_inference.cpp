@@ -1,7 +1,8 @@
 // End-to-end mixed-precision DeiT inference (the paper's Section III-D
 // case study): run a synthetic DeiT encoder with every matrix multiply in
 // bfp8 and every non-linear layer in fp32 vector mode, compare against the
-// fp32 reference, and print the workload/latency partition.
+// fp32 reference, and print the Table IV partition of the compiled
+// program's priced cycles.
 //
 // Usage: ./build/examples/deit_inference [tiny|small|test]
 //   test (default): a miniature encoder — runs in well under a second.
@@ -14,10 +15,10 @@
 
 #include "common/stats.hpp"
 #include "compiler/compile.hpp"
+#include "compiler/partition.hpp"
 #include "compiler/spec_graph.hpp"
 #include "compiler/spec_registry.hpp"
 #include "fabric/system.hpp"
-#include "transformer/latency.hpp"
 #include "transformer/model.hpp"
 
 int main(int argc, char** argv) {
@@ -82,11 +83,12 @@ int main(int argc, char** argv) {
   std::printf("  fp32 latency share  : %.1f%%  (the Table IV effect)\n",
               100.0 * fp32_share);
 
-  std::printf("\nTable IV-style analysis for %s:\n", cfg.name.c_str());
-  const WorkloadBreakdown b = analyze_workload(cfg, sys);
+  std::printf("\nTable IV partition of the compiled %s program:\n",
+              cfg.name.c_str());
+  const WorkloadBreakdown b = workload_breakdown(compile_vit(cfg, sys), f);
   for (const auto& r : b.rows) {
-    std::printf("  %-16s %10.1f MOPs (%6.3f%%)  %8.3f ms (%6.3f%%)\n",
-                r.partition.c_str(), r.mega_ops, 100.0 * r.ops_proportion,
+    std::printf("  %-18s %10.1f MOPs (%6.3f%%)  %8.3f ms (%6.3f%%)\n",
+                r.partition, r.mega_ops, 100.0 * r.ops_proportion,
                 r.latency_ms, 100.0 * r.latency_proportion);
   }
 

@@ -246,10 +246,10 @@ CompiledModel compile(const Graph& graph, const AcceleratorSystem& system,
       case GraphOp::kSoftmax: {
         if (options.macro_kernels) {
           pb.softmax_m(dst, reg_of(n.inputs[0]), n.shape.rows,
-                       n.shape.cols);
+                       n.shape.cols, options.softermax);
           break;
         }
-        kernels::softmax(pb, n.shape.rows, n.shape.cols, false,
+        kernels::softmax(pb, n.shape.rows, n.shape.cols, options.softermax,
                          unary_frame(reg_of(n.inputs[0]), dst));
         break;
       }
@@ -355,10 +355,17 @@ CompiledModel compile(const Graph& graph, const AcceleratorSystem& system,
   if (!vr.clean()) {
     throw Error("compile: static verification failed: " + vr.summary());
   }
+  const auto& insts = m.program_.instructions();
   for (NodePlan& p : m.plan_) {
     const auto id = static_cast<std::size_t>(p.id);
     for (int i = emit_begin[id]; i < emit_end[id]; ++i) {
-      p.cycles += vr.instruction_cycles[static_cast<std::size_t>(i)];
+      const auto at = static_cast<std::size_t>(i);
+      const Instruction& inst = insts[at];
+      const InstructionCost& cost = vr.instruction_costs[at];
+      p.cycles += cost.device_cycles;
+      p.ops += inst.op == Opcode::kBfpMatmul
+                   ? 2ULL * inst.m * inst.k * inst.n
+                   : cost.ops.device_flops();
     }
   }
   m.price_ = std::move(vr.price);

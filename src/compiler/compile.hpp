@@ -27,6 +27,9 @@ struct CompileOptions {
   /// encoders bit- and cycle-identical to VitModel::forward_mixed. Off by
   /// default to keep legacy compiled programs byte-stable.
   bool macro_kernels = false;
+  /// Lower every softmax with the Softermax split exp (the exp2-unit
+  /// option): the split-exp bit on softmax.macro or the kernel's vec.exp.
+  bool softermax = false;
 };
 
 /// Per-node scheduling decision and price.
@@ -37,6 +40,9 @@ struct NodePlan {
   TensorShape shape;
   std::string mode;          ///< "bfp8-matmul" / "fp32-vector" / ...
   std::uint64_t cycles = 0;  ///< device cycles of the node's instructions
+  /// Operations of the node's instructions: 2·m·k·n per GEMM, the device
+  /// flops (fp32 mul/add and exponent-unit ops) of every vector pass.
+  std::uint64_t ops = 0;
 };
 
 /// Result of executing a compiled model.

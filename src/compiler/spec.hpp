@@ -91,11 +91,11 @@ struct ModelSpec {
   /// Per-layer-kind NumericMode annotations ("qkv" / "attention" /
   /// "proj" / "mlp" -> a registered numeric-mode name). Absent kinds run
   /// the system default (bfp8).
-  std::map<std::string, std::string> modes;
+  std::map<std::string, std::string> modes{};
 
   /// Explicit layer stack in topological order (resolved by the parser;
   /// empty means the default depth x [attention, mlp] stack).
-  std::vector<SpecLayer> layers;
+  std::vector<SpecLayer> layers{};
 
   int tokens() const {
     const int p = image_size / patch_size;

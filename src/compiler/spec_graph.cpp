@@ -374,6 +374,14 @@ VitConfig vit_config_of(const ModelSpec& spec) {
   return cfg;
 }
 
+ModelSpec spec_of(const VitConfig& cfg) {
+  cfg.validate();
+  return {.name = cfg.name, .d_model = cfg.embed_dim, .depth = cfg.depth,
+          .heads = cfg.num_heads, .kv_heads = cfg.num_heads,
+          .mlp_hidden = cfg.mlp_hidden(), .image_size = cfg.image_size,
+          .patch_size = cfg.patch_size, .num_classes = cfg.num_classes};
+}
+
 DecoderConfig decoder_config_of(const ModelSpec& spec) {
   if (spec.family != SpecFamily::kDecoder) {
     throw ConfigError("decoder_config_of: spec '" + spec.name +

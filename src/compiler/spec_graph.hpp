@@ -36,6 +36,10 @@ namespace bfpsim {
 /// not a multiple of d_model — VitConfig stores the ratio).
 VitConfig vit_config_of(const ModelSpec& spec);
 
+/// The encoder spec `cfg` describes, seed 42: the inverse of
+/// vit_config_of (the registered deit-small spec is spec_of(deit_small())).
+ModelSpec spec_of(const VitConfig& cfg);
+
 /// Map a decoder spec onto the legacy DecoderConfig the analytic decode
 /// model consumes (ffn_mult = mlp_hidden / d_model). Throws ConfigError
 /// for encoder specs or when mlp_hidden % d_model != 0.

@@ -373,7 +373,7 @@ class ProgramVerifier {
   /// (a rejected program has no price to be exact about).
   void interpret() {
     const auto& insts = prog_.instructions();
-    rep_.instruction_cycles.assign(static_cast<std::size_t>(halt_pos_), 0);
+    rep_.instruction_costs.assign(static_cast<std::size_t>(halt_pos_), {});
     rep_.price.instructions = static_cast<std::uint64_t>(halt_pos_);
     for (int i = 0; i < halt_pos_; ++i) {
       ++rep_.instructions_checked;
@@ -566,7 +566,7 @@ class ProgramVerifier {
     const InstructionCost cost =
         instruction_cost(inst, shapes[0], shapes[1], sys_);
     rep_.price.charge(cost);
-    rep_.instruction_cycles[static_cast<std::size_t>(i)] = cost.device_cycles;
+    rep_.instruction_costs[static_cast<std::size_t>(i)] = cost;
   }
 
 

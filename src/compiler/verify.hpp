@@ -140,8 +140,8 @@ struct VerifyReport {
   std::string context;                    ///< spec/program label for JSON
   /// The program's static price (exact when clean()).
   ExecutionStats price;
-  /// Device cycles of each instruction, indexed like the program.
-  std::vector<std::uint64_t> instruction_cycles;
+  /// What each instruction charges, indexed like the program.
+  std::vector<InstructionCost> instruction_costs;
 
   [[nodiscard]] std::size_t errors() const;
   [[nodiscard]] std::size_t warnings() const;

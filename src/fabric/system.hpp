@@ -37,9 +37,6 @@ struct WorkloadResult {
   std::uint64_t ops = 0;     ///< useful operations performed
   double freq_hz = kDefaultFreqHz;
 
-  double seconds() const {
-    return static_cast<double>(cycles) / freq_hz;
-  }
   double ops_per_sec() const {
     return cycles == 0 ? 0.0
                        : static_cast<double>(ops) * freq_hz /

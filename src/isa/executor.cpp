@@ -669,11 +669,9 @@ InstructionCost instruction_cost(const Instruction& inst, TensorShape a,
       pass({.fp_add = e});
       break;
     case Opcode::kVecExp:
-      // The exp's clamp and snap comparators stay in the op mix but, as
-      // they always have been, off the host-op tally.
       pass((inst.flags & 1) != 0 ? approx_exp_split_ops(e)
                                  : approx_exp_ops(e));
-      return c;
+      break;
     case Opcode::kVecTanh:
       pass(approx_tanh_ops(e));
       break;

@@ -78,8 +78,7 @@ NonlinearElemCounts count_nonlinear_elems(const VitConfig& cfg) {
   return c;
 }
 
-NonlinearCostModel measure_nonlinear_costs(int softmax_row, int ln_row,
-                                           bool fast_exp) {
+NonlinearCostModel measure_nonlinear_costs(int softmax_row, int ln_row) {
   BFP_REQUIRE(softmax_row > 0 && ln_row > 0,
               "measure_nonlinear_costs: row sizes must be positive");
   // Per-element device and host ops of one row of `cols` elements.
@@ -89,7 +88,7 @@ NonlinearCostModel measure_nonlinear_costs(int softmax_row, int ln_row,
     host = static_cast<double>(ops.host_div + ops.host_other) / cols;
   };
   NonlinearCostModel m;
-  per_elem(approx_softmax_ops(1, softmax_row, fast_exp), softmax_row,
+  per_elem(approx_softmax_ops(1, softmax_row), softmax_row,
            m.softmax_device_ops_per_elem, m.softmax_host_ops_per_elem);
   per_elem(approx_layernorm_ops(1, ln_row), ln_row,
            m.layernorm_device_ops_per_elem, m.layernorm_host_ops_per_elem);

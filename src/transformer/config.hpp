@@ -1,5 +1,7 @@
-// Vision-transformer architecture configuration and analytic operation
-// counting for the mixed-precision workload partition of Table IV.
+// Vision-transformer architecture configuration, its analytic GEMM MAC and
+// nonlinear element counts, and the nonlinear layers' per-element op costs
+// (the schedule search's block prices). Table IV itself is the priced
+// compiled program (compiler/partition.hpp).
 #pragma once
 
 #include <cstdint>
@@ -74,10 +76,7 @@ struct NonlinearCostModel {
 };
 
 /// The cost model at the given row lengths (row length matters for the
-/// per-row reductions; pass the model's realistic row sizes). `fast_exp`
-/// prices the Softermax-style split-exp softmax (the exp2-unit hardware
-/// option).
-NonlinearCostModel measure_nonlinear_costs(int softmax_row, int ln_row,
-                                           bool fast_exp = false);
+/// per-row reductions; pass the model's realistic row sizes).
+NonlinearCostModel measure_nonlinear_costs(int softmax_row, int ln_row);
 
 }  // namespace bfpsim

@@ -15,9 +15,9 @@
 // cycles.
 //
 // No pretrained checkpoints are involved (see DESIGN.md substitutions):
-// Table IV is an op-count/latency analysis and the accuracy experiments
-// compare the two modes of the *same* synthetic network, which is exactly
-// what "no-retraining deployment" claims require.
+// Table IV prices the compiled program, whose cycles never depend on the
+// weights, and the accuracy experiments compare the two modes of the
+// *same* synthetic network, as "no-retraining deployment" claims require.
 #pragma once
 
 #include <cstdint>

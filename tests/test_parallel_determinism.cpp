@@ -12,10 +12,10 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "compiler/partition.hpp"
 #include "pu/processing_unit.hpp"
 #include "runtime/session.hpp"
 #include "serving/event_loop.hpp"
-#include "transformer/latency.hpp"
 
 namespace bfpsim {
 namespace {
@@ -112,13 +112,14 @@ ServeReport serve_burst(const SystemConfig& sys,
                       {.queue_capacity = n, .max_batch = 1});
 }
 
-/// The analytic batch of bfpsim batch: one image priced on one unit.
+/// The analytic batch of bfpsim batch: one image priced on one unit, the
+/// compiled program less its DMA moves.
 ServeReport analytic_batch(const VitConfig& cfg, int batch) {
   SystemConfig one;
   one.num_units = 1;
-  const auto cycles = static_cast<std::uint64_t>(
-      analyze_workload(cfg, AcceleratorSystem(one)).total_latency_ms * 1e-3 *
-      one.pu.freq_hz);
+  const AcceleratorSystem unit(one);
+  const ExecutionStats price = compile_vit(cfg, unit).price();
+  const std::uint64_t cycles = price.device_cycles - price.move_cycles;
   return serve_burst(SystemConfig{},
                      std::vector<PassSpec>(static_cast<std::size_t>(batch),
                                            {0, cycles, 0}));

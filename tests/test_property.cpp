@@ -258,6 +258,9 @@ TEST(CostModel, EveryOpcodeChargesTheSameForAnyValues) {
     EXPECT_EQ(a.move_cycles, c.move_cycles) << op;
     EXPECT_EQ(a.host_ops, c.host_ops) << op;
     EXPECT_EQ(a.ops, c.ops) << op;
+    // Every host op of the mix is on the host-op tally (vec.exp's clamp
+    // and snap compares included).
+    EXPECT_EQ(c.host_ops, c.ops.host_div + c.ops.host_other) << op;
   }
   EXPECT_EQ(covered.size(), static_cast<std::size_t>(kMaxOpcode) + 1);
 }

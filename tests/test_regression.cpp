@@ -7,11 +7,11 @@
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "compiler/partition.hpp"
 #include "fabric/system.hpp"
 #include "numerics/quantizer.hpp"
 #include "pu/processing_unit.hpp"
 #include "resource/designs.hpp"
-#include "transformer/latency.hpp"
 
 namespace bfpsim {
 namespace {
@@ -54,15 +54,17 @@ TEST(Regression, Fig7Series) {
 
 TEST(Regression, TableIvShares) {
   const AcceleratorSystem sys;
-  const WorkloadBreakdown b = analyze_workload(deit_small(), sys);
-  // The nonlinear op counts are closed forms in the layer shapes (GELU is
-  // 28 device ops per element), so these pins depend on no data.
-  EXPECT_NEAR(b.total_latency_ms, 46.51, 0.05);
-  EXPECT_NEAR(b.fp32_latency_share, 0.8429, 0.002);
-  EXPECT_NEAR(b.fp32_ops_share, 0.0293, 0.0005);
-  const WorkloadBreakdown fast =
-      analyze_workload(deit_small(), sys, false, /*softermax=*/true);
-  EXPECT_NEAR(fast.total_latency_ms, 31.30, 0.05);
+  const double freq = sys.config().pu.freq_hz;
+  const WorkloadBreakdown b =
+      workload_breakdown(compile_vit(deit_small(), sys), freq);
+  // Every cost is a closed form in the instruction shapes (GELU is 28
+  // device ops per element), so these pins depend on no data.
+  EXPECT_NEAR(b.total_latency_ms, 50.50, 0.05);
+  EXPECT_NEAR(b.fp32_latency_share, 0.8166, 0.002);
+  EXPECT_NEAR(b.fp32_ops_share, 0.0306, 0.0005);
+  const WorkloadBreakdown fast = workload_breakdown(
+      compile_vit(deit_small(), sys, /*softermax=*/true), freq);
+  EXPECT_NEAR(fast.total_latency_ms, 34.50, 0.05);
 }
 
 TEST(Regression, GemmNumericsPinned) {

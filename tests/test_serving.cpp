@@ -7,10 +7,10 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "compiler/partition.hpp"
 #include "runtime/session.hpp"
 #include "serving/event_loop.hpp"
 #include "transformer/checkpoint.hpp"
-#include "transformer/latency.hpp"
 
 namespace bfpsim {
 namespace {
@@ -34,32 +34,31 @@ struct BatchNumbers {
 };
 
 /// One image of `cfg` priced on a one-unit system, as bfpsim batch and
-/// bench_batch_serving price it.
+/// bench_batch_serving price it: the compiled program less its DMA moves.
 std::uint64_t image_cycles(const VitConfig& cfg) {
   SystemConfig one;
   one.num_units = 1;
-  return static_cast<std::uint64_t>(
-      analyze_workload(cfg, AcceleratorSystem(one)).total_latency_ms * 1e-3 *
-      one.pu.freq_hz);
+  const AcceleratorSystem unit(one);
+  const ExecutionStats price = compile_vit(cfg, unit).price();
+  return price.device_cycles - price.move_cycles;
 }
 
-/// `batch` such images served as a cycle-0 burst on the default system,
-/// each alone on the lowest free unit.
-ServeReport serve_batch(const VitConfig& cfg, int batch) {
+/// `batch` images of `cycles` each served as a cycle-0 burst on the
+/// default system, each alone on the lowest free unit.
+ServeReport serve_batch(std::uint64_t cycles, int batch) {
   const SystemConfig sys;
   BackendSpec units;
   units.executors = sys.num_units;
   units.freq_hz = sys.pu.freq_hz;
-  units.passes.assign(static_cast<std::size_t>(batch),
-                      {0, image_cycles(cfg), 0});
+  units.passes.assign(static_cast<std::size_t>(batch), {0, cycles, 0});
   return serve_events(
       units, batch_trace(batch, units.freq_hz),
       {.queue_capacity = static_cast<std::size_t>(batch), .max_batch = 1});
 }
 
-BatchNumbers analytic_batch(const VitConfig& cfg, int batch) {
-  const ServeReport r = serve_batch(cfg, batch);
-  return {image_cycles(cfg), r.makespan_cycles,
+BatchNumbers analytic_batch(std::uint64_t cycles, int batch) {
+  const ServeReport r = serve_batch(cycles, batch);
+  return {cycles, r.makespan_cycles,
           std::bit_cast<std::uint64_t>(r.completed_rps),
           std::bit_cast<std::uint64_t>(r.utilization)};
 }
@@ -73,42 +72,43 @@ struct AnalyticPin {
 TEST(BatchPins, AnalyticBatch) {
   const AnalyticPin pins[] = {
       {"deit-tiny", 1,
-       {93998652u, 93998652u, 0x4009884391efe110u, 0x3fb1111111111111u}},
+       {98141472u, 98141472u, 0x40087459b17b914au, 0x3fb1111111111111u}},
       {"deit-tiny", 4,
-       {93998652u, 93998652u, 0x4029884391efe110u, 0x3fd1111111111111u}},
+       {98141472u, 98141472u, 0x40287459b17b914au, 0x3fd1111111111111u}},
       {"deit-tiny", 8,
-       {93998652u, 93998652u, 0x4039884391efe110u, 0x3fe1111111111111u}},
+       {98141472u, 98141472u, 0x40387459b17b914au, 0x3fe1111111111111u}},
       {"deit-tiny", 15,
-       {93998652u, 93998652u, 0x4047efbf58d0e2ffu, 0x3ff0000000000000u}},
+       {98141472u, 98141472u, 0x4046ed141663d836u, 0x3ff0000000000000u}},
       {"deit-tiny", 16,
-       {93998652u, 187997304u, 0x4039884391efe110u, 0x3fe1111111111111u}},
+       {98141472u, 196282944u, 0x40387459b17b914au, 0x3fe1111111111111u}},
       {"deit-tiny", 20,
-       {93998652u, 187997304u, 0x403fea54766bd954u, 0x3fe5555555555555u}},
+       {98141472u, 196282944u, 0x403e91701dda759du, 0x3fe5555555555555u}},
       {"deit-tiny", 30,
-       {93998652u, 187997304u, 0x4047efbf58d0e2ffu, 0x3ff0000000000000u}},
+       {98141472u, 196282944u, 0x4046ed141663d836u, 0x3ff0000000000000u}},
       {"deit-tiny", 60,
-       {93998652u, 375994608u, 0x4047efbf58d0e2ffu, 0x3ff0000000000000u}},
+       {98141472u, 392565888u, 0x4046ed141663d836u, 0x3ff0000000000000u}},
       {"deit-small", 1,
-       {197768856u, 197768856u, 0x3ff8455061b9786au, 0x3fb1111111111111u}},
+       {206034696u, 206034696u, 0x3ff74c0b45fa9d3bu, 0x3fb1111111111111u}},
       {"deit-small", 4,
-       {197768856u, 197768856u, 0x4018455061b9786au, 0x3fd1111111111111u}},
+       {206034696u, 206034696u, 0x40174c0b45fa9d3bu, 0x3fd1111111111111u}},
       {"deit-small", 8,
-       {197768856u, 197768856u, 0x4028455061b9786au, 0x3fe1111111111111u}},
+       {206034696u, 206034696u, 0x40274c0b45fa9d3bu, 0x3fe1111111111111u}},
       {"deit-small", 15,
-       {197768856u, 197768856u, 0x4036c0fb5b9de0e4u, 0x3ff0000000000000u}},
+       {206034696u, 206034696u, 0x4035d74a919af367u, 0x3ff0000000000000u}},
       {"deit-small", 16,
-       {197768856u, 395537712u, 0x4028455061b9786au, 0x3fe1111111111111u}},
+       {206034696u, 412069392u, 0x40274c0b45fa9d3bu, 0x3fe1111111111111u}},
       {"deit-small", 20,
-       {197768856u, 395537712u, 0x402e56a47a27d685u, 0x3fe5555555555555u}},
+       {206034696u, 412069392u, 0x402d1f0e17794489u, 0x3fe5555555555555u}},
       {"deit-small", 30,
-       {197768856u, 395537712u, 0x4036c0fb5b9de0e4u, 0x3ff0000000000000u}},
+       {206034696u, 412069392u, 0x4035d74a919af367u, 0x3ff0000000000000u}},
       {"deit-small", 60,
-       {197768856u, 791075424u, 0x4036c0fb5b9de0e4u, 0x3ff0000000000000u}},
+       {206034696u, 824138784u, 0x4035d74a919af367u, 0x3ff0000000000000u}},
   };
+  const std::uint64_t tiny = image_cycles(deit_tiny());
+  const std::uint64_t small = image_cycles(deit_small());
   for (const AnalyticPin& p : pins) {
-    const VitConfig cfg =
-        std::string(p.model) == "deit-tiny" ? deit_tiny() : deit_small();
-    const BatchNumbers got = analytic_batch(cfg, p.batch);
+    const BatchNumbers got = analytic_batch(
+        std::string(p.model) == "deit-tiny" ? tiny : small, p.batch);
     const std::string row = std::string("{\"") + p.model + "\", " +
                             std::to_string(p.batch) + ", {" +
                             std::to_string(got.per_image_cycles) + "u, " +
@@ -124,14 +124,14 @@ TEST(BatchPins, AnalyticBatch) {
 }
 
 TEST(BatchServing, ThroughputScalesUpToUnitCount) {
-  const VitConfig cfg = deit_small();
-  const ServeReport b1 = serve_batch(cfg, 1);
-  const ServeReport b15 = serve_batch(cfg, 15);
-  const ServeReport b30 = serve_batch(cfg, 30);
+  const std::uint64_t cycles = image_cycles(deit_small());
+  const ServeReport b1 = serve_batch(cycles, 1);
+  const ServeReport b15 = serve_batch(cycles, 15);
+  const ServeReport b30 = serve_batch(cycles, 30);
   // Per-image latency is batch-independent (each image owns one unit).
   for (const ServeReport* r : {&b1, &b15}) {
     for (const LatencyRecord& rec : r->records) {
-      EXPECT_EQ(rec.service_cycles(), image_cycles(cfg));
+      EXPECT_EQ(rec.service_cycles(), cycles);
     }
   }
   // Throughput scales linearly to 15 images, then holds (two rounds).
@@ -141,9 +141,22 @@ TEST(BatchServing, ThroughputScalesUpToUnitCount) {
 }
 
 TEST(BatchServing, PartialBatchWastesUnits) {
-  const ServeReport b20 = serve_batch(deit_small(), 20);
+  const ServeReport b20 = serve_batch(image_cycles(deit_small()), 20);
   // 20 images on 15 units: two rounds, 10 units idle in round 2.
   EXPECT_NEAR(b20.utilization, 20.0 / 30.0, 1e-9);
+}
+
+TEST(BatchPins, AnalyticImageIsSessionImage) {
+  // bfpsim batch prices an image as Session::infer_batch charges it: the
+  // one-unit program's cycles less its moves are forward_mixed's cycles.
+  const VitConfig cfg = deit_tiny();
+  Session session;
+  const ModelId id = session.deploy(random_weights(cfg, 42));
+  const std::vector<std::vector<float>> images = {random_embeddings(cfg, 1)};
+  const Session::BatchInference b = session.infer_batch(id, images);
+  ASSERT_EQ(b.results.size(), 1u);
+  EXPECT_EQ(image_cycles(cfg), b.results[0].stats.total_cycles());
+  EXPECT_EQ(b.makespan_cycles, b.results[0].stats.total_cycles());
 }
 
 struct SessionPin {

@@ -256,6 +256,31 @@ TEST(SpecCompile, UnfusedProgramLeavesUnreadRegisterFieldsZero) {
   }
 }
 
+TEST(SpecCompile, SoftermaxSetsTheSplitExpBitOnEveryExp) {
+  // CompileOptions::softermax is the one switch for the split exp: on
+  // softmax.macro when fused, on the micro-kernel's vec.exp under
+  // --no-fuse.
+  const ModelSpec spec = load_model_spec("vit-tiny-test");
+  const AcceleratorSystem sys;
+  for (const bool fuse : {true, false}) {
+    for (const bool softermax : {false, true}) {
+      const CompiledModel cm =
+          compile(fuse ? build_fused_spec_graph(spec) : build_spec_graph(spec),
+                  sys, {.macro_kernels = fuse, .softermax = softermax});
+      int exps = 0;
+      for (const Instruction& inst : cm.program().instructions()) {
+        if (inst.op != Opcode::kSoftmaxM && inst.op != Opcode::kVecExp) {
+          continue;
+        }
+        ++exps;
+        EXPECT_EQ((inst.flags & 1) != 0, softermax)
+            << opcode_name(inst.op) << (fuse ? "" : " no-fuse");
+      }
+      EXPECT_EQ(exps, spec.depth * spec.heads);
+    }
+  }
+}
+
 TEST(SpecDecode, LlmDecodeDegenerateParityWithAnalyzeDecode) {
   const ModelSpec spec = load_model_spec("llm-decode");
   ASSERT_EQ(spec.kv_heads, spec.heads);  // degenerate: plain MHA

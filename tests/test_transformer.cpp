@@ -1,12 +1,16 @@
-// Tests for the transformer substrate: op counting, the workload/latency
-// breakdown behind Table IV, and mixed-precision forward accuracy on a
-// small model.
+// Tests for the transformer substrate: op counting, Table IV as the priced
+// program rolled up by graph-op family, and mixed-precision forward
+// accuracy on a small model.
 #include "transformer/model.hpp"
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "common/stats.hpp"
-#include "transformer/latency.hpp"
+#include "compiler/partition.hpp"
+#include "compiler/spec_graph.hpp"
+#include "compiler/spec_registry.hpp"
 
 namespace bfpsim {
 namespace {
@@ -60,24 +64,18 @@ TEST(OpCounts, NonlinearCostModelSane) {
 
 TEST(TableIV, ShapeMatchesPaperClaims) {
   const AcceleratorSystem sys;
-  const WorkloadBreakdown b = analyze_workload(deit_small(), sys);
-  ASSERT_EQ(b.rows.size(), 4u);
-  EXPECT_EQ(b.rows[0].partition, "bfp8 MatMul");
+  const WorkloadBreakdown b = workload_breakdown(
+      compile_vit(deit_small(), sys), sys.config().pu.freq_hz);
+  ASSERT_EQ(b.rows.size(), 6u);
+  EXPECT_STREQ(b.rows[0].partition, "bfp8 MatMul");
   // The paper's headline claims: fp32 is a tiny share of the operations...
   EXPECT_LT(b.fp32_ops_share, 0.05);
   // ...but dominates the end-to-end latency.
   EXPECT_GT(b.fp32_latency_share, 0.60);
-  // SoftMax is the largest fp32 latency contributor (Table IV: 65.9%).
-  double softmax_lat = 0.0;
-  double max_other = 0.0;
-  for (const auto& r : b.rows) {
-    if (r.partition == "fp32 SoftMax") {
-      softmax_lat = r.latency_ms;
-    } else if (r.partition != "bfp8 MatMul") {
-      max_other = std::max(max_other, r.latency_ms);
-    }
+  // SoftMax is the largest latency contributor (Table IV: 65.9%).
+  for (const WorkloadRow& r : b.rows) {
+    EXPECT_LE(r.cycles, b.row(Partition::kSoftmax).cycles) << r.partition;
   }
-  EXPECT_GT(softmax_lat, max_other);
   // Proportions sum to one.
   double ops_sum = 0.0;
   double lat_sum = 0.0;
@@ -89,11 +87,123 @@ TEST(TableIV, ShapeMatchesPaperClaims) {
   EXPECT_NEAR(lat_sum, 1.0, 1e-9);
 }
 
-TEST(TableIV, ResidualRowIsExtra) {
+TEST(TableIV, EveryGraphOpLandsInOneDocumentedRow) {
+  const struct {
+    GraphOp op;
+    Partition row;
+  } table[] = {
+      {GraphOp::kInput, Partition::kDataMovement},
+      {GraphOp::kConstant, Partition::kDataMovement},
+      {GraphOp::kMatMul, Partition::kMatMul},
+      {GraphOp::kAdd, Partition::kResidualBias},
+      {GraphOp::kMul, Partition::kResidualBias},
+      {GraphOp::kScale, Partition::kResidualBias},
+      {GraphOp::kBiasAdd, Partition::kResidualBias},
+      {GraphOp::kTranspose, Partition::kDataMovement},
+      {GraphOp::kSliceCols, Partition::kDataMovement},
+      {GraphOp::kConcatCols, Partition::kDataMovement},
+      {GraphOp::kLayerNorm, Partition::kLayerNorm},
+      {GraphOp::kSoftmax, Partition::kSoftmax},
+      {GraphOp::kGelu, Partition::kGelu},
+      {GraphOp::kSilu, Partition::kGelu},
+      {GraphOp::kRmsNorm, Partition::kLayerNorm},
+      {GraphOp::kRope, Partition::kResidualBias},
+      {GraphOp::kFusedBiasGelu, Partition::kGelu},
+      {GraphOp::kFusedBiasSilu, Partition::kGelu},
+      {GraphOp::kFusedBiasResidual, Partition::kResidualBias},
+  };
+  // One entry per GraphOp, in declaration order.
+  ASSERT_EQ(std::size(table),
+            static_cast<std::size_t>(GraphOp::kFusedBiasResidual) + 1);
+  for (std::size_t i = 0; i < std::size(table); ++i) {
+    EXPECT_EQ(static_cast<std::size_t>(table[i].op), i);
+    EXPECT_EQ(partition_of(table[i].op), table[i].row)
+        << graph_op_name(table[i].op);
+  }
+}
+
+/// The rows of `cfg`'s Table IV are the cycles the Executor charges: they
+/// sum to the program's price, and split it into forward_mixed's linear
+/// and vector cycles plus the program's DMA moves.
+WorkloadBreakdown expect_rows_are_priced_program(const VitConfig& cfg) {
   const AcceleratorSystem sys;
+  const CompiledModel cm = compile_vit(cfg, sys);
   const WorkloadBreakdown b =
-      analyze_workload(deit_small(), sys, /*include_residuals=*/true);
-  EXPECT_EQ(b.rows.size(), 5u);
+      workload_breakdown(cm, sys.config().pu.freq_hz);
+  ForwardStats fs;
+  (void)VitModel(random_weights(cfg, 42))
+      .forward_mixed(random_embeddings(cfg, 1), sys, &fs);
+  std::uint64_t sum = 0;
+  std::uint64_t fp32 = 0;
+  for (const WorkloadRow& r : b.rows) sum += r.cycles;
+  for (const Partition p : {Partition::kLayerNorm, Partition::kSoftmax,
+                            Partition::kGelu, Partition::kResidualBias}) {
+    fp32 += b.row(p).cycles;
+  }
+  EXPECT_EQ(sum, cm.price().device_cycles) << cfg.name;
+  EXPECT_EQ(b.total_cycles, cm.price().device_cycles) << cfg.name;
+  EXPECT_EQ(b.row(Partition::kMatMul).cycles, fs.linear_cycles) << cfg.name;
+  EXPECT_EQ(fp32, fs.vector_cycles) << cfg.name;
+  EXPECT_EQ(b.row(Partition::kDataMovement).cycles, cm.price().move_cycles)
+      << cfg.name;
+  EXPECT_EQ(b.row(Partition::kDataMovement).mega_ops, 0.0) << cfg.name;
+  return b;
+}
+
+TEST(TableIV, RowsArePricedProgramVitTinyTest) {
+  const VitConfig cfg = vit_config_of(load_model_spec("vit-tiny-test"));
+  const WorkloadBreakdown b = expect_rows_are_priced_program(cfg);
+  EXPECT_EQ(b.row(Partition::kMatMul).cycles, 6440u);
+  EXPECT_EQ(b.row(Partition::kDataMovement).cycles, 1088u);
+  EXPECT_EQ(b.total_cycles, 6440u + 23100u + 1088u);
+}
+
+TEST(TableIV, RowsArePricedProgramDeitSmall) {
+  const WorkloadBreakdown b = expect_rows_are_priced_program(deit_small());
+  // The bfp8 MatMul row: every MAC of the 12 blocks, at the GEMM cycles.
+  EXPECT_EQ(b.row(Partition::kMatMul).cycles, 2191968u);
+  EXPECT_NEAR(b.row(Partition::kMatMul).mega_ops, 9081.4, 0.05);
+  EXPECT_EQ(b.row(Partition::kDataMovement).cycles, 586272u);
+  EXPECT_EQ(b.total_cycles, 15149280u);
+}
+
+TEST(TableIV, DeitTinyMatMulOps) {
+  const AcceleratorSystem sys;
+  const WorkloadBreakdown b = workload_breakdown(
+      compile_vit(deit_tiny(), sys), sys.config().pu.freq_hz);
+  EXPECT_NEAR(b.row(Partition::kMatMul).mega_ops, 2449.2, 0.05);
+}
+
+TEST(TableIV, SpecOfInvertsVitConfigOf) {
+  for (const char* name : {"deit-small", "vit-tiny-test"}) {
+    const ModelSpec spec = load_model_spec(name);
+    const ModelSpec back = spec_of(vit_config_of(spec));
+    EXPECT_EQ(back.name, spec.name);
+    EXPECT_EQ(back.d_model, spec.d_model);
+    EXPECT_EQ(back.depth, spec.depth);
+    EXPECT_EQ(back.heads, spec.heads);
+    EXPECT_EQ(back.kv_heads, spec.kv_heads);
+    EXPECT_EQ(back.mlp_hidden, spec.mlp_hidden);
+    EXPECT_EQ(back.image_size, spec.image_size);
+    EXPECT_EQ(back.patch_size, spec.patch_size);
+    EXPECT_EQ(back.num_classes, spec.num_classes);
+    EXPECT_EQ(back.seed, spec.seed);
+  }
+}
+
+TEST(TableIV, SoftermaxLowersSoftmaxOnlyToTheSplitExp) {
+  const AcceleratorSystem sys;
+  const double freq = sys.config().pu.freq_hz;
+  const WorkloadBreakdown plain =
+      workload_breakdown(compile_vit(vit_test_tiny(), sys), freq);
+  const WorkloadBreakdown fast = workload_breakdown(
+      compile_vit(vit_test_tiny(), sys, /*softermax=*/true), freq);
+  EXPECT_LT(fast.row(Partition::kSoftmax).cycles,
+            plain.row(Partition::kSoftmax).cycles);
+  for (std::size_t i = 0; i < kNumPartitions; ++i) {
+    if (i == static_cast<std::size_t>(Partition::kSoftmax)) continue;
+    EXPECT_EQ(fast.rows[i].cycles, plain.rows[i].cycles) << i;
+  }
 }
 
 TEST(VitModel, ReferenceForwardIsDeterministic) {

@@ -28,6 +28,7 @@
 #include "cluster/cluster_executor.hpp"
 #include "compiler/compile.hpp"
 #include "compiler/fuse.hpp"
+#include "compiler/partition.hpp"
 #include "compiler/schedule.hpp"
 #include "compiler/spec_graph.hpp"
 #include "compiler/spec_registry.hpp"
@@ -49,7 +50,6 @@
 #include "reliability/abft.hpp"
 #include "resource/designs.hpp"
 #include "serving/event_loop.hpp"
-#include "transformer/latency.hpp"
 
 namespace {
 
@@ -270,11 +270,10 @@ int cmd_softmax(int rows, int cols, bool softermax) {
   return 0;
 }
 
-int cmd_deit(const std::string& which, bool softermax) {
+int cmd_deit(const VitConfig& cfg, bool softermax) {
   const AcceleratorSystem sys;
-  const VitConfig cfg = pick_config(which);
-  const WorkloadBreakdown b =
-      analyze_workload(cfg, sys, false, softermax);
+  const WorkloadBreakdown b = workload_breakdown(
+      compile_vit(cfg, sys, softermax), sys.config().pu.freq_hz);
   std::printf("%s workload partition%s:\n\n", cfg.name.c_str(),
               softermax ? " (with exp2 unit)" : "");
   TextTable t({"partition", "MOPs", "ops %", "latency (ms)", "latency %"});
@@ -310,17 +309,16 @@ int cmd_throughput() {
   return 0;
 }
 
-int cmd_batch(const std::string& which, int batch) {
+int cmd_batch(const std::string& which, const VitConfig& cfg, int batch) {
   const AcceleratorSystem sys;
   const double freq = sys.config().pu.freq_hz;
-  // One image on ONE unit: a single-unit system, so the workload analysis
-  // does not spread the image across units.
+  // One image on ONE unit: the program compiled for a single-unit system,
+  // less its DMA moves — what Session::infer_batch charges per image.
   SystemConfig one = sys.config();
   one.num_units = 1;
-  const auto image_cycles = static_cast<std::uint64_t>(
-      analyze_workload(pick_config(which), AcceleratorSystem(one))
-          .total_latency_ms *
-      1e-3 * freq);
+  const AcceleratorSystem unit(one);
+  const ExecutionStats price = compile_vit(cfg, unit).price();
+  const std::uint64_t image_cycles = price.device_cycles - price.move_cycles;
   // The batch arrives at once; each image runs alone on the lowest free
   // unit.
   BackendSpec units;
@@ -1407,18 +1405,26 @@ int main(int argc, char** argv) {
     }
     if (cmd == "deit") {
       if (argc < 3) return bad_args("deit needs <tiny|small|base>");
-      return cmd_deit(argv[2], has_flag(argc, argv, "--softermax"));
+      VitConfig cfg;
+      try {
+        cfg = pick_config(argv[2]);
+      } catch (const Error& e) {
+        return bad_args(e.what());
+      }
+      return cmd_deit(cfg, has_flag(argc, argv, "--softermax"));
     }
     if (cmd == "throughput") return cmd_throughput();
     if (cmd == "batch") {
       if (argc < 4) return bad_args("batch needs <tiny|small|base> <BATCH>");
+      VitConfig cfg;
       int batch = 0;
       try {
+        cfg = pick_config(argv[2]);
         batch = parse_int(argv[3], "batch <BATCH>", 1, 1 << 20);
       } catch (const Error& e) {
         return bad_args(e.what());
       }
-      return cmd_batch(argv[2], batch);
+      return cmd_batch(argv[2], cfg, batch);
     }
     if (cmd == "compile") {
       if (argc < 3) return bad_args("compile needs <spec|spec.json>");
