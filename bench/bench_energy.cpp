@@ -6,11 +6,12 @@
 //   * the saving from clock-gating the idle PE columns in fp32 mode
 //     (Section II-C: "keeping the remaining PEs idle to save power"),
 //   * the DeiT-Small end-to-end energy split.
+#include <cmath>
 #include <iostream>
 
 #include "common/table.hpp"
+#include "compiler/partition.hpp"
 #include "resource/energy.hpp"
-#include "transformer/config.hpp"
 
 int main() {
   using namespace bfpsim;
@@ -73,23 +74,21 @@ int main() {
   std::cout << "D) DeiT-Small end-to-end energy split\n\n";
   {
     const VitConfig cfg = deit_small();
-    const LinearOpCounts lin = count_linear_macs(cfg);
-    const NonlinearElemCounts nl = count_nonlinear_elems(cfg);
-    const NonlinearCostModel costs =
-        measure_nonlinear_costs(cfg.tokens(), cfg.embed_dim);
+    // The compiled DeiT-Small program's Table IV rows: MatMul ops are
+    // 2 x MACs, the four fp32 rows' ops are vector-pass device flops.
+    const WorkloadBreakdown b =
+        workload_breakdown(compile_vit(cfg, accel), sys.pu.freq_hz);
+    auto ops_of = [&](Partition p) { return b.row(p).mega_ops * 1e6; };
     // One representative GEMM shape re-scaled to the total MACs.
     const EnergyEstimate per_block =
         em.gemm_energy(cfg.tokens(), cfg.embed_dim, 3 * cfg.embed_dim);
     const double block_macs = static_cast<double>(cfg.tokens()) *
                               cfg.embed_dim * 3 * cfg.embed_dim;
-    const double lin_uj = per_block.total_uj() *
-                          static_cast<double>(lin.total_macs()) / block_macs;
-    const auto fp32_ops = static_cast<std::uint64_t>(
-        static_cast<double>(nl.softmax_elems) *
-            costs.softmax_device_ops_per_elem +
-        static_cast<double>(nl.gelu_elems) * costs.gelu_device_ops_per_elem +
-        static_cast<double>(nl.layernorm_elems) *
-            costs.layernorm_device_ops_per_elem);
+    const double lin_uj =
+        per_block.total_uj() * ops_of(Partition::kMatMul) / 2.0 / block_macs;
+    const auto fp32_ops = static_cast<std::uint64_t>(std::llround(
+        ops_of(Partition::kLayerNorm) + ops_of(Partition::kSoftmax) +
+        ops_of(Partition::kGelu) + ops_of(Partition::kResidualBias)));
     const double fp32_uj = em.vector_energy(fp32_ops, 0, true).total_uj();
     TextTable t4({"partition", "energy (uJ)", "share"});
     t4.add_row({"bfp8 MatMul", fmt_double(lin_uj, 1),

@@ -168,4 +168,14 @@ StreamTiming ClusterExecutor::project_stream(const ClusterStats& per_request,
   return timing;
 }
 
+StreamTiming probe_stream(const VitWeights& weights,
+                          const ClusterTopology& topology,
+                          PartitionStrategy strategy, int requests,
+                          ThreadPool* pool) {
+  const ClusterExecutor exec(weights, topology, strategy);
+  ClusterStats stats;
+  (void)exec.forward(random_embeddings(weights.cfg, 1), &stats, pool);
+  return exec.project_stream(stats, requests);
+}
+
 }  // namespace bfpsim

@@ -131,4 +131,14 @@ class ClusterExecutor {
   std::shared_ptr<Resident> resident_ = std::make_shared<Resident>();
 };
 
+/// One functional probe forward (random_embeddings seed 1) of `weights`
+/// split `strategy`-wise over `topology`, projected over a
+/// `requests`-long stream: the price `bfpsim cluster` reports per
+/// configuration and `bfpsim compile --cards` compares per strategy.
+/// Throws ShapeError when partition_model rejects the split.
+StreamTiming probe_stream(const VitWeights& weights,
+                          const ClusterTopology& topology,
+                          PartitionStrategy strategy, int requests,
+                          ThreadPool* pool = nullptr);
+
 }  // namespace bfpsim

@@ -22,11 +22,6 @@ namespace {
 
 PartitionPlan partition_pipeline(const VitWeights& w, int cards) {
   const VitConfig& cfg = w.cfg;
-  if (cfg.depth % cards != 0) {
-    throw ShapeError("partition_model: depth " + std::to_string(cfg.depth) +
-                     " not divisible by " + std::to_string(cards) +
-                     " pipeline stages");
-  }
   PartitionPlan plan;
   plan.strategy = PartitionStrategy::kPipeline;
   plan.cards = cards;
@@ -75,20 +70,8 @@ PartitionPlan partition_tensor(const VitWeights& w, int cards) {
   const VitConfig& cfg = w.cfg;
   const int d = cfg.embed_dim;
   const int m = cfg.mlp_hidden();
-  const int block_w = bfp8_format().cols;
-  if (cfg.num_heads % cards != 0) {
-    throw ShapeError("partition_model: " + std::to_string(cfg.num_heads) +
-                     " heads not divisible by " + std::to_string(cards) +
-                     " tensor shards");
-  }
   const int dc = d / cards;
   const int mc = m / cards;
-  if (dc % block_w != 0 || mc % block_w != 0) {
-    throw ShapeError(
-        "partition_model: per-card column widths (" + std::to_string(dc) +
-        ", " + std::to_string(mc) + ") must be multiples of the bfp block "
-        "width " + std::to_string(block_w));
-  }
 
   PartitionPlan plan;
   plan.strategy = PartitionStrategy::kTensor;
@@ -150,6 +133,26 @@ PartitionPlan partition_tensor(const VitWeights& w, int cards) {
 
 }  // namespace
 
+std::string partition_infeasibility(const VitConfig& cfg,
+                                    PartitionStrategy strategy, int cards) {
+  if (strategy == PartitionStrategy::kPipeline) {
+    if (cfg.depth % cards == 0) return {};
+    return "depth " + std::to_string(cfg.depth) + " not divisible by " +
+           std::to_string(cards) + " pipeline stages";
+  }
+  if (cfg.num_heads % cards != 0) {
+    return std::to_string(cfg.num_heads) + " heads not divisible by " +
+           std::to_string(cards) + " tensor shards";
+  }
+  const int block_w = bfp8_format().cols;
+  const int dc = cfg.embed_dim / cards;
+  const int mc = cfg.mlp_hidden() / cards;
+  if (dc % block_w == 0 && mc % block_w == 0) return {};
+  return "per-card column widths (" + std::to_string(dc) + ", " +
+         std::to_string(mc) + ") must be multiples of the bfp block width " +
+         std::to_string(block_w);
+}
+
 PartitionPlan partition_model(const VitWeights& w, PartitionStrategy strategy,
                               int cards) {
   w.cfg.validate();
@@ -157,6 +160,8 @@ PartitionPlan partition_model(const VitWeights& w, PartitionStrategy strategy,
               "partition_model: cards must be in [1,64]");
   BFP_REQUIRE(w.blocks.size() == static_cast<std::size_t>(w.cfg.depth),
               "partition_model: weight count must match depth");
+  const std::string why = partition_infeasibility(w.cfg, strategy, cards);
+  if (!why.empty()) throw ShapeError("partition_model: " + why);
   return strategy == PartitionStrategy::kPipeline
              ? partition_pipeline(w, cards)
              : partition_tensor(w, cards);

@@ -32,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "transformer/model.hpp"
@@ -76,11 +77,17 @@ struct PartitionPlan {
   std::uint64_t collective_bytes_per_forward = 0;
 };
 
-/// Partition `w` across `cards`. Throws ShapeError when the model does not
-/// divide: pipeline needs depth % cards == 0; tensor needs
+/// Why `cfg` does not split `strategy`-wise across `cards` cards, or ""
+/// when it does: pipeline needs depth % cards == 0; tensor needs
 /// heads % cards == 0 and both d/cards and mlp_hidden/cards to be
 /// multiples of the bfp block width (8) so column splits stay on
-/// quantization-block boundaries.
+/// quantization-block boundaries. Needs no weights, so spec-level checks
+/// ask it before anything is materialized.
+std::string partition_infeasibility(const VitConfig& cfg,
+                                    PartitionStrategy strategy, int cards);
+
+/// Partition `w` across `cards`. Throws ShapeError, carrying
+/// partition_infeasibility's reason, when the model does not divide.
 PartitionPlan partition_model(const VitWeights& w, PartitionStrategy strategy,
                               int cards);
 

@@ -51,18 +51,6 @@ struct JsonValue {
   }
 };
 
-const char* kind_name(JsonValue::Kind k) {
-  switch (k) {
-    case JsonValue::Kind::kNull: return "null";
-    case JsonValue::Kind::kBool: return "boolean";
-    case JsonValue::Kind::kNumber: return "number";
-    case JsonValue::Kind::kString: return "string";
-    case JsonValue::Kind::kObject: return "object";
-    case JsonValue::Kind::kArray: return "array";
-  }
-  return "?";
-}
-
 class JsonParser {
  public:
   explicit JsonParser(const std::string& text) : text_(text) {}

@@ -4,9 +4,11 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <span>
 #include <sstream>
 
+#include "cluster/partitioner.hpp"
 #include "compiler/compile.hpp"
 #include "compiler/spec_graph.hpp"
 #include "fabric/hbm.hpp"
@@ -670,8 +672,11 @@ std::string VerifyReport::to_json() const {
      << "\",\"instructions\":" << instructions_checked
      << ",\"peak_live_values\":" << peak_live_values
      << ",\"peak_resident_bytes\":" << peak_resident_bytes
-     << ",\"errors\":" << errors() << ",\"warnings\":" << warnings()
-     << ",\"findings\":[";
+     << ",\"errors\":" << errors() << ",\"warnings\":" << warnings();
+  if (!skipped.empty()) {
+    os << ",\"skipped\":\"" << json_escape(skipped) << "\"";
+  }
+  os << ",\"findings\":[";
   for (std::size_t i = 0; i < findings.size(); ++i) {
     const VerifyFinding& f = findings[i];
     if (i != 0) os << ",";
@@ -687,6 +692,11 @@ std::string VerifyReport::to_json() const {
 
 std::string VerifyReport::summary() const {
   std::ostringstream os;
+  if (findings.empty() && !skipped.empty()) {
+    os << "verify: clean at the spec level (program-level check skipped: "
+       << skipped << ")";
+    return os.str();
+  }
   if (findings.empty()) {
     os << "verify: clean (" << instructions_checked << " instructions, "
        << peak_live_values << " peak live values, " << peak_resident_bytes
@@ -699,6 +709,7 @@ std::string VerifyReport::summary() const {
     os << "\n  [" << severity_name(f.severity) << "] "
        << verify_kind_name(f.kind) << " @" << f.inst << ": " << f.message;
   }
+  if (!skipped.empty()) os << "\n  program-level check skipped: " << skipped;
   return os.str();
 }
 
@@ -900,6 +911,36 @@ VerifyReport verify_model_spec(const ModelSpec& spec,
     spec_finding(rep, VerifyKind::kShapeMismatch, VerifySeverity::kError,
                  "cards must be >= 1, got " + std::to_string(cards),
                  spec.name);
+  } else if (cards > 1 && spec.family == SpecFamily::kEncoder) {
+    // partition_model's own rule, asked without weights. A spec that does
+    // not map onto a VitConfig fails its lowering below instead.
+    std::optional<VitConfig> cfg;
+    try {
+      cfg = vit_config_of(spec);
+    } catch (const Error&) {
+    }
+    if (cfg) {
+      const std::string pipe = partition_infeasibility(
+          *cfg, PartitionStrategy::kPipeline, cards);
+      const std::string tens = partition_infeasibility(
+          *cfg, PartitionStrategy::kTensor, cards);
+      if (!pipe.empty() && !tens.empty()) {
+        spec_finding(rep, VerifyKind::kShapeMismatch, VerifySeverity::kError,
+                     "no feasible partitioning across " +
+                         std::to_string(cards) + " cards (pipeline: " + pipe +
+                         "; tensor: " + tens + ")",
+                     spec.name);
+      } else if (!pipe.empty() || !tens.empty()) {
+        spec_finding(rep, VerifyKind::kMisalignedSplit,
+                     VerifySeverity::kWarning,
+                     std::string(pipe.empty() ? "tensor" : "pipeline") +
+                         " partitioning is infeasible across " +
+                         std::to_string(cards) + " cards (" +
+                         (pipe.empty() ? tens : pipe) + "); only " +
+                         (pipe.empty() ? "pipeline" : "tensor") + " splits",
+                     spec.name);
+      }
+    }
   } else if (cards > 1) {
     if (spec.heads < cards && spec.depth < cards) {
       spec_finding(rep, VerifyKind::kShapeMismatch, VerifySeverity::kError,
@@ -920,8 +961,12 @@ VerifyReport verify_model_spec(const ModelSpec& spec,
   }
 
   // ---- program-level: compile the graph and verify the instructions ----
-  if (spec.family == SpecFamily::kEncoder ||
-      approx_spec_params(spec) <= kMaxCompileParams) {
+  const std::int64_t params = approx_spec_params(spec);
+  if (spec.family == SpecFamily::kDecoder && params > kMaxCompileParams) {
+    rep.skipped = std::to_string(params) + " parameters exceed the " +
+                  std::to_string(kMaxCompileParams) +
+                  "-parameter compile limit";
+  } else {
     const int tokens = spec.family == SpecFamily::kDecoder
                            ? std::min(spec.context, 32)
                            : 0;

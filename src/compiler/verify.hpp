@@ -138,6 +138,9 @@ struct VerifyReport {
   int peak_live_values = 0;              ///< declared-value holder peak
   std::uint64_t peak_resident_bytes = 0;  ///< register-file footprint
   std::string context;                    ///< spec/program label for JSON
+  /// Why verify_model_spec did not compile and check the program ("" when
+  /// it did): the report then covers the spec-level checks only.
+  std::string skipped;
   /// The program's static price (exact when clean()).
   ExecutionStats price;
   /// What each instruction charges, indexed like the program.
@@ -150,7 +153,8 @@ struct VerifyReport {
 
   /// Machine-readable report, same shape as bfpsim-lint's: {"version",
   /// "findings":[{"rule","file","line","message","snippet"}]} with "file"
-  /// carrying the program/spec context and "line" the instruction index.
+  /// carrying the program/spec context and "line" the instruction index,
+  /// plus "skipped" when the program-level check did not run.
   [[nodiscard]] std::string to_json() const;
 
   /// One-line human summary ("verify: 2 errors, 1 warning ...").

@@ -1,7 +1,6 @@
 #include "transformer/config.hpp"
 
 #include "common/error.hpp"
-#include "numerics/nonlinear.hpp"
 
 namespace bfpsim {
 
@@ -61,40 +60,6 @@ LinearOpCounts count_linear_macs(const VitConfig& cfg) {
   c.proj = blocks * t * d * d;
   c.mlp = blocks * (t * d * m + t * m * d);
   return c;
-}
-
-NonlinearElemCounts count_nonlinear_elems(const VitConfig& cfg) {
-  cfg.validate();
-  const auto t = static_cast<std::uint64_t>(cfg.tokens());
-  const auto d = static_cast<std::uint64_t>(cfg.embed_dim);
-  const auto h = static_cast<std::uint64_t>(cfg.num_heads);
-  const auto m = static_cast<std::uint64_t>(cfg.mlp_hidden());
-  const auto blocks = static_cast<std::uint64_t>(cfg.depth);
-  NonlinearElemCounts c;
-  c.layernorm_elems = blocks * 2 * t * d;
-  c.softmax_elems = blocks * h * t * t;
-  c.gelu_elems = blocks * t * m;
-  c.residual_elems = blocks * 2 * t * d;
-  return c;
-}
-
-NonlinearCostModel measure_nonlinear_costs(int softmax_row, int ln_row) {
-  BFP_REQUIRE(softmax_row > 0 && ln_row > 0,
-              "measure_nonlinear_costs: row sizes must be positive");
-  // Per-element device and host ops of one row of `cols` elements.
-  auto per_elem = [](const OpCounter& ops, int cols, double& device,
-                     double& host) {
-    device = static_cast<double>(ops.device_flops()) / cols;
-    host = static_cast<double>(ops.host_div + ops.host_other) / cols;
-  };
-  NonlinearCostModel m;
-  per_elem(approx_softmax_ops(1, softmax_row), softmax_row,
-           m.softmax_device_ops_per_elem, m.softmax_host_ops_per_elem);
-  per_elem(approx_layernorm_ops(1, ln_row), ln_row,
-           m.layernorm_device_ops_per_elem, m.layernorm_host_ops_per_elem);
-  per_elem(approx_gelu_ops(1), 1, m.gelu_device_ops_per_elem,
-           m.gelu_host_ops_per_elem);
-  return m;
 }
 
 }  // namespace bfpsim

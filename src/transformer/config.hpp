@@ -1,7 +1,7 @@
-// Vision-transformer architecture configuration, its analytic GEMM MAC and
-// nonlinear element counts, and the nonlinear layers' per-element op costs
-// (the schedule search's block prices). Table IV itself is the priced
-// compiled program (compiler/partition.hpp).
+// Vision-transformer architecture configuration and its analytic GEMM MAC
+// counts (the independent oracle the compiled programs' MatMul ops are
+// tested against). Table IV itself is the priced compiled program
+// (compiler/partition.hpp).
 #pragma once
 
 #include <cstdint>
@@ -51,32 +51,5 @@ struct LinearOpCounts {
 };
 
 LinearOpCounts count_linear_macs(const VitConfig& cfg);
-
-/// Element counts of each non-linear (fp32) workload, per full model.
-struct NonlinearElemCounts {
-  std::uint64_t layernorm_elems = 0;  ///< 2 LayerNorms per block
-  std::uint64_t softmax_elems = 0;    ///< heads x tokens x tokens per block
-  std::uint64_t gelu_elems = 0;       ///< MLP hidden activations
-  std::uint64_t residual_elems = 0;   ///< 2 residual adds per block
-};
-
-NonlinearElemCounts count_nonlinear_elems(const VitConfig& cfg);
-
-/// Device-op cost per element of each non-linear function, from the
-/// approximations' closed-form op counts (numerics/nonlinear.hpp): what one
-/// element costs in fp32 mul/add (+ exponent-unit) operations on the PU,
-/// and in host operations (divisions, comparisons).
-struct NonlinearCostModel {
-  double softmax_device_ops_per_elem = 0.0;
-  double softmax_host_ops_per_elem = 0.0;
-  double layernorm_device_ops_per_elem = 0.0;
-  double layernorm_host_ops_per_elem = 0.0;
-  double gelu_device_ops_per_elem = 0.0;
-  double gelu_host_ops_per_elem = 0.0;
-};
-
-/// The cost model at the given row lengths (row length matters for the
-/// per-row reductions; pass the model's realistic row sizes).
-NonlinearCostModel measure_nonlinear_costs(int softmax_row, int ln_row);
 
 }  // namespace bfpsim

@@ -176,5 +176,26 @@ TEST(OpCounters, SoftmaxCountsScaleLinearlyWithElements) {
   EXPECT_EQ(big.host_div, 4 * small.host_div);
 }
 
+// The per-row op counts instruction_cost charges the nonlinear macros,
+// pinned at DeiT-Small's row lengths.
+TEST(OpCounters, NonlinearMacroCountsPinned) {
+  auto host = [](const OpCounter& c) { return c.host_div + c.host_other; };
+  // exp-dominated softmax: the degree-16 Chebyshev exp costs 54 device
+  // ops per element, plus subtract, sum and scale (the paper's Table IV
+  // implies ~52). Host: a max compare and two exp clamp compares per
+  // element, one division per row.
+  const OpCounter sm = approx_softmax_ops(1, 197);
+  EXPECT_EQ(sm.device_flops(), 57u * 197);
+  EXPECT_EQ(host(sm), 3u * 197 + 1);
+  // GELU: the tanh polynomial and its comparator on every element.
+  const OpCounter ge = approx_gelu_ops(1);
+  EXPECT_EQ(ge.device_flops(), 28u);
+  EXPECT_EQ(host(ge), 1u);
+  // LayerNorm: 7 ops per element plus 5 per row, one host rsqrt per row.
+  const OpCounter ln = approx_layernorm_ops(1, 384);
+  EXPECT_EQ(ln.device_flops(), 7u * 384 + 5);
+  EXPECT_EQ(host(ln), 1u);
+}
+
 }  // namespace
 }  // namespace bfpsim

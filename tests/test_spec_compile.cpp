@@ -7,7 +7,8 @@
 //   * compilation is deterministic across reruns and thread counts,
 //   * the static price of every compiled program equals what the executor
 //     charges, node by node,
-//   * the schedule search never loses to either uniform strategy, and
+//   * the multi-card price `bfpsim compile --cards` reports is the cluster
+//     executor's charge, and
 //   * the seeded weight materialization is byte-pinned (one initializer
 //     shared by random_weights, checkpointing, and the spec frontend).
 #include <gtest/gtest.h>
@@ -17,11 +18,10 @@
 #include <sstream>
 #include <vector>
 
-#include "cluster/topology.hpp"
+#include "cluster/cluster_executor.hpp"
 #include "common/thread_pool.hpp"
 #include "compiler/compile.hpp"
 #include "compiler/fuse.hpp"
-#include "compiler/schedule.hpp"
 #include "compiler/spec_graph.hpp"
 #include "compiler/spec_registry.hpp"
 #include "numerics/format/registry.hpp"
@@ -312,28 +312,43 @@ TEST(SpecDecode, GqaShrinksKvStreamAndQkvGemm) {
   EXPECT_LE(a.compute_cycles, b.compute_cycles);
 }
 
-TEST(ScheduleSearch, NeverLosesToEitherUniformStrategy) {
-  const VitConfig cfg = deit_small();
-  for (const int cards : {2, 3, 4}) {
+// `bfpsim compile --cards` prices each strategy with probe_stream, the
+// probe `bfpsim cluster` runs: its per-request cycles are
+// ClusterExecutor::forward's charge, and a strategy partition_model
+// rejects is reported infeasible, never priced.
+TEST(CardsPrice, ProbeIsTheClusterExecutorCharge) {
+  struct Case {
+    const char* spec;
+    int cards;
+    std::uint64_t pipeline;  ///< 0: partition_model rejects it
+    std::uint64_t tensor;
+  };
+  for (const Case& c : {Case{"vit-tiny-test", 2, 30376, 27264},
+                        Case{"deit-small", 4, 14628348, 0}}) {
+    const ModelSpec spec = load_model_spec(c.spec);
+    const VitConfig cfg = vit_config_of(spec);
+    const VitWeights w = random_weights(cfg, spec.seed);
     const ClusterTopology topo =
-        ClusterTopology::ring(cards, LinkConfig{}, SystemConfig{});
-    const ScheduleDecision dec = search_schedule(cfg, topo);
-    EXPECT_EQ(dec.blocks.size(), static_cast<std::size_t>(cfg.depth));
-    EXPECT_LE(dec.cycles, dec.uniform_pipeline_cycles) << cards;
-    EXPECT_LE(dec.cycles, dec.uniform_tensor_cycles) << cards;
-    EXPECT_EQ(dec.pipeline_blocks + dec.tensor_blocks, cfg.depth);
-    // Deterministic: same inputs, same plan.
-    const ScheduleDecision again = search_schedule(cfg, topo);
-    EXPECT_EQ(again.cycles, dec.cycles);
-    EXPECT_EQ(again.to_json(), dec.to_json());
+        ClusterTopology::ring(c.cards, LinkConfig{}, SystemConfig{});
+    for (const auto& [strategy, want] :
+         {std::pair{PartitionStrategy::kPipeline, c.pipeline},
+          std::pair{PartitionStrategy::kTensor, c.tensor}}) {
+      SCOPED_TRACE(std::string(c.spec) + " " + to_string(strategy));
+      const bool feasible =
+          partition_infeasibility(cfg, strategy, c.cards).empty();
+      ASSERT_EQ(feasible, want != 0);
+      if (!feasible) {
+        EXPECT_THROW((void)ClusterExecutor(w, topo, strategy), ShapeError);
+        continue;
+      }
+      const ClusterExecutor exec(w, topo, strategy);
+      ClusterStats stats;
+      (void)exec.forward(random_embeddings(cfg, 1), &stats);
+      EXPECT_EQ(stats.total_cycles(), want);
+      EXPECT_EQ(probe_stream(w, topo, strategy, 1).request_cycles,
+                stats.total_cycles());
+    }
   }
-}
-
-TEST(ScheduleSearch, SingleCardIsPipelineOnly) {
-  const ScheduleDecision dec = search_schedule(
-      vit_test_tiny(), ClusterTopology::ring(1, LinkConfig{}, SystemConfig{}));
-  EXPECT_EQ(dec.cycles,
-            std::min(dec.uniform_pipeline_cycles, dec.uniform_tensor_cycles));
 }
 
 // One seeded initializer feeds random_weights, the checkpoint codec, and

@@ -39,29 +39,6 @@ TEST(OpCounts, DeitSmallLinearMacs) {
   EXPECT_EQ(c.mlp, 12ull * 2 * 197 * 384 * 1536);
 }
 
-TEST(OpCounts, NonlinearElementCounts) {
-  const NonlinearElemCounts e = count_nonlinear_elems(deit_small());
-  EXPECT_EQ(e.layernorm_elems, 12ull * 2 * 197 * 384);
-  EXPECT_EQ(e.softmax_elems, 12ull * 6 * 197 * 197);
-  EXPECT_EQ(e.gelu_elems, 12ull * 197 * 1536);
-}
-
-TEST(OpCounts, NonlinearCostModelSane) {
-  const NonlinearCostModel m = measure_nonlinear_costs(197, 384);
-  // exp-dominated softmax: the degree-16 Chebyshev exp costs 54 device
-  // ops per element, plus subtract, sum and scale (the paper's Table IV
-  // implies ~52). Host: a max compare and two exp clamp compares per
-  // element, one division per row.
-  EXPECT_DOUBLE_EQ(m.softmax_device_ops_per_elem, 57.0);
-  EXPECT_DOUBLE_EQ(m.softmax_host_ops_per_elem, (3.0 * 197 + 1) / 197);
-  // GELU: the tanh polynomial and its comparator on every element.
-  EXPECT_DOUBLE_EQ(m.gelu_device_ops_per_elem, 28.0);
-  EXPECT_DOUBLE_EQ(m.gelu_host_ops_per_elem, 1.0);
-  // LayerNorm: 7 ops per element plus 5 per row, one host rsqrt per row.
-  EXPECT_DOUBLE_EQ(m.layernorm_device_ops_per_elem, (7.0 * 384 + 5) / 384);
-  EXPECT_DOUBLE_EQ(m.layernorm_host_ops_per_elem, 1.0 / 384);
-}
-
 TEST(TableIV, ShapeMatchesPaperClaims) {
   const AcceleratorSystem sys;
   const WorkloadBreakdown b = workload_breakdown(

@@ -1045,7 +1045,48 @@ TEST(VerifySpecs, UnevenHeadSplitWarnsWithoutFailing) {
   AcceleratorSystem system;
   const VerifyReport rep = verify_model_spec(spec, system, /*cards=*/4);
   EXPECT_TRUE(rep.clean()) << rep.summary();
-  EXPECT_TRUE(has_kind(rep, VerifyKind::kMisalignedSplit));
+  // One warning, naming the strategy partition_model rejects.
+  ASSERT_EQ(rep.findings.size(), 1u) << rep.summary();
+  EXPECT_EQ(rep.findings[0].kind, VerifyKind::kMisalignedSplit);
+  EXPECT_EQ(rep.findings[0].severity, VerifySeverity::kWarning);
+  EXPECT_EQ(rep.findings[0].message.rfind("tensor partitioning", 0), 0u)
+      << rep.findings[0].message;
+}
+
+// Encoder specs ask partition_model's own feasibility rule: when neither
+// strategy splits, nothing can run across those cards.
+TEST(VerifySpecs, EncoderPartitioningFollowsPartitionModel) {
+  AcceleratorSystem system;
+  // depth 12 % 5 and 6 heads % 5: both strategies rejected.
+  const VerifyReport five =
+      verify_model_spec(load_model_spec("deit-small"), system, /*cards=*/5);
+  EXPECT_FALSE(five.clean());
+  EXPECT_TRUE(has_error_kind(five, VerifyKind::kShapeMismatch));
+  // Both strategies split vit-tiny-test two ways.
+  const VerifyReport two =
+      verify_model_spec(load_model_spec("vit-tiny-test"), system, 2);
+  EXPECT_TRUE(two.findings.empty()) << two.summary();
+}
+
+// A decoder too large to compile keeps its spec-level checks, and its
+// report says the program-level check did not run.
+TEST(VerifySpecs, OversizedDecoderReportsSkippedProgramCheck) {
+  AcceleratorSystem system;
+  const VerifyReport big =
+      verify_model_spec(load_model_spec("llm-decode"), system);
+  EXPECT_TRUE(big.clean()) << big.summary();
+  EXPECT_EQ(big.instructions_checked, 0u);
+  EXPECT_NE(big.skipped.find("compile limit"), std::string::npos);
+  EXPECT_NE(big.summary().find("program-level check skipped"),
+            std::string::npos)
+      << big.summary();
+  EXPECT_NE(big.to_json().find("\"skipped\":"), std::string::npos);
+
+  const VerifyReport small =
+      verify_model_spec(load_model_spec("llama-tiny"), system);
+  EXPECT_TRUE(small.skipped.empty());
+  EXPECT_GT(small.instructions_checked, 0u);
+  EXPECT_EQ(small.to_json().find("\"skipped\":"), std::string::npos);
 }
 
 TEST(VerifySpecs, InfeasiblePartitioningRejected) {

@@ -29,7 +29,6 @@
 #include "compiler/compile.hpp"
 #include "compiler/fuse.hpp"
 #include "compiler/partition.hpp"
-#include "compiler/schedule.hpp"
 #include "compiler/spec_graph.hpp"
 #include "compiler/spec_registry.hpp"
 #include "runtime/decode_serve.hpp"
@@ -355,11 +354,39 @@ int cmd_resources(const std::string& scope) {
   return 0;
 }
 
-/// Online serving demo: replay a seeded arrival trace through the
-/// virtual-time event loop and print the latency-percentile report.
+/// One partition strategy's price for `bfpsim compile --cards`.
+struct CardsPrice {
+  PartitionStrategy strategy = PartitionStrategy::kPipeline;
+  std::string infeasible;    ///< partition_model's reason, or ""
+  std::uint64_t cycles = 0;  ///< per request, when feasible
+};
+
+/// Each strategy's per-request cycles on a `cards`-card ring of `card`
+/// accelerators: one probe_stream (the probe `bfpsim cluster` runs) on the
+/// encoder spec's seeded weights, or why partition_model rejects it.
+std::vector<CardsPrice> price_cards(const ModelSpec& spec,
+                                    const SystemConfig& card, int cards) {
+  const VitConfig cfg = vit_config_of(spec);
+  const VitWeights weights = random_weights(cfg, spec.seed);
+  std::vector<CardsPrice> prices;
+  for (const PartitionStrategy s :
+       {PartitionStrategy::kPipeline, PartitionStrategy::kTensor}) {
+    CardsPrice p{s, partition_infeasibility(cfg, s, cards)};
+    if (p.infeasible.empty()) {
+      p.cycles =
+          probe_stream(weights, ClusterTopology::ring(cards, {}, card), s, 1)
+              .request_cycles;
+    }
+    prices.push_back(std::move(p));
+  }
+  return prices;
+}
+
 /// `bfpsim compile <spec>`: front-end smoke surface. Encoders build the
-/// fused graph, compile it, and print the program's static price (plus
-/// the pipeline/tensor schedule search when --cards > 1). Decoders print
+/// fused graph, compile it, and print the program's static price (plus,
+/// when --cards > 1, each partition strategy's per-request cycles from one
+/// ClusterExecutor probe forward on the spec's seeded weights, and the
+/// cheaper strategy). Decoders print
 /// the analytic per-token decode costs — the big bench models' graphs
 /// would not fit host memory, and decode is the regime that matters.
 int cmd_compile(int argc, char** argv) {
@@ -416,30 +443,49 @@ int cmd_compile(int argc, char** argv) {
     return 0;
   }
 
+  // Price the cards first: the probe's weights are freed before compile()
+  // materializes its own copy, and --json still emits one document.
+  std::vector<CardsPrice> prices;
+  const CardsPrice* best = nullptr;
+  if (cards > 1) {
+    prices = price_cards(spec, sys.config(), cards);
+    for (const CardsPrice& p : prices) {
+      if (p.infeasible.empty() &&
+          (best == nullptr || p.cycles < best->cycles)) {
+        best = &p;
+      }
+    }
+    if (best == nullptr) {
+      throw ShapeError("compile: neither strategy partitions " + spec.name +
+                       " across " + std::to_string(cards) + " cards (" +
+                       prices[0].infeasible + "; " + prices[1].infeasible +
+                       ")");
+    }
+  }
+
   FusionStats fs;
   const Graph g = fuse ? build_fused_spec_graph(spec, 0, &fs)
                        : build_spec_graph(spec);
   CompileOptions opts;
   opts.macro_kernels = fuse;
   const CompiledModel cm = compile(g, sys, opts);
-  // Run the schedule search up front so --json can emit one document.
-  std::string schedule_json;
-  std::string schedule_report;
-  if (cards > 1) {
-    const VitConfig cfg = vit_config_of(spec);
-    const ClusterTopology topo =
-        ClusterTopology::ring(cards, LinkConfig{}, sys.config());
-    const ScheduleDecision dec = search_schedule(cfg, topo);
-    schedule_json = dec.to_json();
-    schedule_report = dec.report();
-  }
   if (json) {
+    auto json_cycles = [](const CardsPrice& p) {
+      return p.infeasible.empty() ? std::to_string(p.cycles)
+                                  : std::string("null");
+    };
     std::printf("{\"model\":\"%s\",\"nodes\":%zu,\"instructions\":%zu,"
                 "\"cycles\":%llu",
                 spec.name.c_str(), g.size(), cm.program().size(),
                 static_cast<unsigned long long>(cm.price().device_cycles));
-    if (!schedule_json.empty()) {
-      std::printf(",\"schedule_search\":%s", schedule_json.c_str());
+    if (best != nullptr) {
+      std::printf(",\"schedule_search\":{\"cards\":%d,\"strategy\":\"%s\","
+                  "\"cycles\":%llu,\"uniform_pipeline_cycles\":%s,"
+                  "\"uniform_tensor_cycles\":%s}",
+                  cards, to_string(best->strategy),
+                  static_cast<unsigned long long>(best->cycles),
+                  json_cycles(prices[0]).c_str(),
+                  json_cycles(prices[1]).c_str());
     }
     std::printf("}\n");
   } else {
@@ -453,7 +499,19 @@ int cmd_compile(int argc, char** argv) {
     }
     std::printf("  cycles/request: %llu\n",
                 static_cast<unsigned long long>(cm.price().device_cycles));
-    if (!schedule_report.empty()) std::printf("%s", schedule_report.c_str());
+    for (const CardsPrice& p : prices) {
+      if (p.infeasible.empty()) {
+        std::printf("  %d-card %-8s: %llu cycles/request\n", cards,
+                    to_string(p.strategy),
+                    static_cast<unsigned long long>(p.cycles));
+      } else {
+        std::printf("  %d-card %-8s: infeasible (%s)\n", cards,
+                    to_string(p.strategy), p.infeasible.c_str());
+      }
+    }
+    if (best != nullptr) {
+      std::printf("  cheaper strategy: %s\n", to_string(best->strategy));
+    }
   }
   return 0;
 }
@@ -643,6 +701,8 @@ class ChromeTraceFile {
   Trace events_;
 };
 
+/// Online serving demo: replay a seeded arrival trace through the
+/// virtual-time event loop and print the latency-percentile report.
 int cmd_serve(int argc, char** argv) {
   // argv[0] is the model name; flags follow.
   const std::string which = argv[0];
@@ -873,43 +933,34 @@ int cmd_cluster(int argc, char** argv) {
   const VitWeights weights = random_weights(cfg, 42);
   if (threads <= 0) threads = ThreadPool::hardware_threads();
   ThreadPool pool(threads);
-  const std::vector<float> probe_input = random_embeddings(cfg, 1);
 
   struct Row {
     int cards = 0;
     PartitionStrategy strategy = PartitionStrategy::kPipeline;
-    ClusterStats stats;
     StreamTiming timing;
   };
   std::vector<Row> rows;
-  double base_rps = 0.0;  // 1-card pipeline projection
-  {
-    const ClusterExecutor one(weights, ClusterTopology::ring(1, {}, card),
-                              PartitionStrategy::kPipeline);
-    ClusterStats stats;
-    (void)one.forward(probe_input, &stats, &pool);
-    base_rps = one.project_stream(stats, requests).requests_per_second;
-  }
+  // 1-card pipeline projection
+  const double base_rps =
+      probe_stream(weights, ClusterTopology::ring(1, {}, card),
+                   PartitionStrategy::kPipeline, requests, &pool)
+          .requests_per_second;
 
   for (const int cards : card_counts) {
     for (const PartitionStrategy strategy : strategies) {
       if (cards == 1 && strategy == PartitionStrategy::kTensor) continue;
-      Row row;
-      row.cards = cards;
-      row.strategy = strategy;
-      try {
-        const ClusterExecutor exec(
-            weights, ClusterTopology::ring(cards, {}, card), strategy);
-        (void)exec.forward(probe_input, &row.stats, &pool);
-        row.timing = exec.project_stream(row.stats, requests);
-      } catch (const ShapeError& e) {
+      const std::string why = partition_infeasibility(cfg, strategy, cards);
+      if (!why.empty()) {
         if (!json) {
-          std::fprintf(stderr, "skip %d-card %s: %s\n", cards,
-                       to_string(strategy), e.what());
+          std::fprintf(stderr, "skip %d-card %s: partition_model: %s\n",
+                       cards, to_string(strategy), why.c_str());
         }
         continue;
       }
-      rows.push_back(std::move(row));
+      rows.push_back({cards, strategy,
+                      probe_stream(weights,
+                                   ClusterTopology::ring(cards, {}, card),
+                                   strategy, requests, &pool)});
     }
   }
 
