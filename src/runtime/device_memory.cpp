@@ -1,8 +1,5 @@
 #include "runtime/device_memory.hpp"
 
-#include <algorithm>
-#include <cstring>
-
 #include "common/error.hpp"
 
 namespace bfpsim {
@@ -14,10 +11,6 @@ DeviceMemory::DeviceMemory(std::uint64_t capacity_bytes,
               "DeviceMemory: capacity too small");
   hbm_.validate();
   free_list_[0] = capacity_;
-}
-
-void DeviceMemory::ensure_backing(std::uint64_t end) const {
-  if (backing_.size() < end) backing_.resize(end, 0);
 }
 
 DeviceBuffer DeviceMemory::alloc(std::uint64_t bytes) {
@@ -65,29 +58,14 @@ void DeviceMemory::free(const DeviceBuffer& buf) {
   }
 }
 
-std::uint64_t DeviceMemory::write(const DeviceBuffer& buf,
-                                  std::uint64_t offset,
-                                  std::span<const std::uint8_t> data) {
+std::uint64_t DeviceMemory::transfer(const DeviceBuffer& buf,
+                                     std::uint64_t offset,
+                                     std::uint64_t bytes) const {
   BFP_REQUIRE(live_.count(buf.addr) != 0,
-              "DeviceMemory::write: not a live allocation");
-  BFP_REQUIRE(offset + data.size() <= buf.bytes,
-              "DeviceMemory::write: out of bounds");
-  ensure_backing(buf.addr + offset + data.size());
-  std::memcpy(backing_.data() + buf.addr + offset, data.data(),
-              data.size());
-  return transfer_cycles(hbm_, data.size(), hbm_.bfp_burst_bytes);
-}
-
-std::uint64_t DeviceMemory::read(const DeviceBuffer& buf,
-                                 std::uint64_t offset,
-                                 std::span<std::uint8_t> out) const {
-  BFP_REQUIRE(live_.count(buf.addr) != 0,
-              "DeviceMemory::read: not a live allocation");
-  BFP_REQUIRE(offset + out.size() <= buf.bytes,
-              "DeviceMemory::read: out of bounds");
-  ensure_backing(buf.addr + offset + out.size());
-  std::memcpy(out.data(), backing_.data() + buf.addr + offset, out.size());
-  return transfer_cycles(hbm_, out.size(), hbm_.bfp_burst_bytes);
+              "DeviceMemory::transfer: not a live allocation");
+  BFP_REQUIRE(offset <= buf.bytes && bytes <= buf.bytes - offset,
+              "DeviceMemory::transfer: out of bounds");
+  return transfer_cycles(hbm_, bytes, hbm_.bfp_burst_bytes);
 }
 
 }  // namespace bfpsim

@@ -3,14 +3,15 @@
 // accounting through the fabric's memory model.
 //
 // The Alveo U280 carries 8 GiB of HBM2; the runtime models it as a flat
-// byte space. Buffers are 64-byte aligned (one AXI beat across the unit's
-// channel pair) as a real shell would require.
+// address space. It holds no bytes: a transfer's price depends only on
+// its byte count, so DeviceMemory tracks which ranges are allocated and
+// meters each DMA in cycles, and host memory stays flat however much of
+// the simulated HBM is in use. Buffers are 64-byte aligned (one AXI beat
+// across the unit's channel pair) as a real shell would require.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <span>
-#include <vector>
 
 #include "fabric/hbm.hpp"
 
@@ -38,13 +39,11 @@ class DeviceMemory {
   /// Release an allocation (coalesces with free neighbours).
   void free(const DeviceBuffer& buf);
 
-  /// Host -> device copy; returns the modelled transfer cycles.
-  std::uint64_t write(const DeviceBuffer& buf, std::uint64_t offset,
-                      std::span<const std::uint8_t> data);
-
-  /// Device -> host copy; returns the modelled transfer cycles.
-  std::uint64_t read(const DeviceBuffer& buf, std::uint64_t offset,
-                     std::span<std::uint8_t> out) const;
+  /// A DMA of `bytes` at `offset` into `buf`, either direction; returns
+  /// the modelled transfer cycles. Throws bfpsim::Error when `buf` is not
+  /// a live allocation or the range overruns it.
+  std::uint64_t transfer(const DeviceBuffer& buf, std::uint64_t offset,
+                         std::uint64_t bytes) const;
 
   std::uint64_t capacity() const { return capacity_; }
   std::uint64_t allocated_bytes() const { return allocated_; }
@@ -57,13 +56,8 @@ class DeviceMemory {
   std::uint64_t allocated_ = 0;
   /// Free extents: addr -> bytes, disjoint and coalesced.
   std::map<std::uint64_t, std::uint64_t> free_list_;
-  /// Live allocations: addr -> bytes (for validation on free).
+  /// Live allocations: addr -> bytes (for validation on free/transfer).
   std::map<std::uint64_t, std::uint64_t> live_;
-  /// Backing store (sparse via pages would be nicer; a flat vector keeps
-  /// the model simple and the default capacity is lazily sized).
-  mutable std::vector<std::uint8_t> backing_;
-
-  void ensure_backing(std::uint64_t end) const;
 };
 
 }  // namespace bfpsim

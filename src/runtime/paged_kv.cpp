@@ -12,7 +12,6 @@ PagedKvCache::PagedKvCache(DeviceMemory& mem, const PagedKvConfig& cfg)
               "PagedKvCache: bytes_per_token must be positive");
   page_bytes_ =
       static_cast<std::uint64_t>(cfg.page_tokens) * cfg.bytes_per_token;
-  scratch_.assign(page_bytes_, 0);
 }
 
 PagedKvCache::~PagedKvCache() {
@@ -22,12 +21,11 @@ PagedKvCache::~PagedKvCache() {
   }
 }
 
-bool PagedKvCache::evict_one(const std::map<PageKey, char>& pinned,
-                             KvTouch& touch) {
+bool PagedKvCache::evict_one(int seq, int pinned_pages, KvTouch& touch) {
   const Page* victim = nullptr;
   PageKey victim_key;
   for (const auto& [key, page] : resident_) {
-    if (pinned.count(key) != 0) continue;
+    if (key.seq == seq && key.index < pinned_pages) continue;
     // Strict < keeps the tie-break on the map's (seq, index) order: the
     // first-seen page among equals wins, deterministically.
     if (victim == nullptr || page.last_touch < victim->last_touch) {
@@ -36,10 +34,9 @@ bool PagedKvCache::evict_one(const std::map<PageKey, char>& pinned,
     }
   }
   if (victim == nullptr) return false;
-  // Write the page back to the host before dropping it; the reload pays
-  // the mirror-image upload.
-  const std::uint64_t wb =
-      mem_.read(victim->buf, 0, std::span<std::uint8_t>(scratch_));
+  // Charge the page's writeback to the host before dropping it; the
+  // reload pays the mirror-image upload.
+  const std::uint64_t wb = mem_.transfer(victim->buf, 0, page_bytes_);
   touch.transfer_cycles += wb;
   stats_.transfer_cycles += wb;
   mem_.free(victim->buf);
@@ -53,9 +50,6 @@ KvTouch PagedKvCache::ensure(int seq, int token_count) {
   BFP_REQUIRE(token_count >= 0, "PagedKvCache: negative token count");
   const int pages =
       (token_count + cfg_.page_tokens - 1) / cfg_.page_tokens;
-
-  std::map<PageKey, char> pinned;
-  for (int p = 0; p < pages; ++p) pinned[{seq, p}] = 1;
 
   KvTouch touch;
   for (int p = 0; p < pages; ++p) {
@@ -79,12 +73,11 @@ KvTouch PagedKvCache::ensure(int seq, int token_count) {
           // Fragmented: fall through to evict.
         }
       }
-      BFP_REQUIRE(evict_one(pinned, touch),
+      BFP_REQUIRE(evict_one(seq, pages, touch),
                   "PagedKvCache: arena too small for one request's pages");
       ++touch.pages_evicted;
     }
-    const std::uint64_t up = mem_.write(
-        buf, 0, std::span<const std::uint8_t>(scratch_));
+    const std::uint64_t up = mem_.transfer(buf, 0, page_bytes_);
     touch.transfer_cycles += up;
     stats_.transfer_cycles += up;
     const bool reload = evicted_.erase(key) != 0;

@@ -5,19 +5,19 @@
 // an arena of fixed-size pages (page_tokens tokens each, all layers' K+V
 // for those tokens packed per page); a per-sequence page table maps token
 // positions to pages. When the arena is full, the least-recently-used
-// page is evicted (written back to host over the modelled DMA path) and
-// must be streamed back in on the next touch — a *reload miss*, the
-// multi-turn cost this model exists to expose.
+// page is evicted (charged a modelled DMA writeback to host) and must be
+// streamed back in on the next touch — a *reload miss*, the multi-turn
+// cost this model exists to expose. No page contents exist on the host:
+// uploads and writebacks are priced by byte count, not copied.
 //
 // Everything is deterministic: recency is a virtual touch counter, and
 // eviction ties break by (sequence id, page index). Transfer costs come
-// from DeviceMemory's modelled DMA cycles, so hits/misses/evictions are
-// all priced in device cycles.
+// from DeviceMemory::transfer, so hits/misses/evictions are all priced in
+// device cycles.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <vector>
 
 #include "runtime/device_memory.hpp"
 
@@ -90,9 +90,10 @@ class PagedKvCache {
     std::uint64_t last_touch = 0;
   };
 
-  /// Evict the LRU page not in the pinned set; returns false when nothing
-  /// is evictable. Writeback cycles are charged to `touch` and stats.
-  bool evict_one(const std::map<PageKey, char>& pinned, KvTouch& touch);
+  /// Evict the LRU page other than pages [0, pinned_pages) of `seq`;
+  /// returns false when nothing is evictable. Writeback cycles are charged
+  /// to `touch` and stats.
+  bool evict_one(int seq, int pinned_pages, KvTouch& touch);
 
   DeviceMemory& mem_;
   PagedKvConfig cfg_;
@@ -102,7 +103,6 @@ class PagedKvCache {
   /// Pages that were evicted and will reload (vs. never-seen cold pages).
   std::map<PageKey, char> evicted_;
   KvStats stats_;
-  std::vector<std::uint8_t> scratch_;  ///< zero payload for modelled DMA
 };
 
 }  // namespace bfpsim

@@ -1,6 +1,5 @@
 #include "runtime/session.hpp"
 
-#include <cstring>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -13,12 +12,12 @@ Session::Session(const SystemConfig& cfg)
 
 namespace {
 
-/// Serialize a quantized matrix to its device image.
-std::vector<std::uint8_t> to_image(const BfpMatrix& m) {
+/// Byte size of a quantized matrix's device image (its checkpoint
+/// serialization).
+std::uint64_t image_size(const BfpMatrix& m) {
   std::ostringstream os;
   save_bfp_matrix(os, m);
-  const std::string s = os.str();
-  return {s.begin(), s.end()};
+  return os.str().size();
 }
 
 }  // namespace
@@ -37,20 +36,17 @@ ModelId Session::deploy(const VitWeights& weights, const std::string& name) {
   auto upload_matrix = [&](const std::vector<float>& w, int rows,
                            int cols) {
     const BfpMatrix q = quantize_matrix(w, rows, cols, fmt);
-    const std::vector<std::uint8_t> image = to_image(q);
-    const DeviceBuffer buf = memory_.alloc(image.size());
-    const std::uint64_t cycles = memory_.write(buf, 0, image);
+    const std::uint64_t image_bytes = image_size(q);
+    const DeviceBuffer buf = memory_.alloc(image_bytes);
+    dep.info.upload_cycles += memory_.transfer(buf, 0, image_bytes);
     dep.buffers.push_back(buf);
-    dep.info.quantized_weight_bytes += image.size();
-    dep.info.upload_cycles += cycles;
+    dep.info.quantized_weight_bytes += image_bytes;
     fp32_weight_bytes += w.size() * sizeof(float);
   };
   auto upload_params = [&](const std::vector<float>& p) {
     const std::size_t bytes = p.size() * sizeof(float);
     const DeviceBuffer buf = memory_.alloc(bytes);
-    std::vector<std::uint8_t> raw(bytes);
-    std::memcpy(raw.data(), p.data(), bytes);
-    dep.info.upload_cycles += memory_.write(buf, 0, raw);
+    dep.info.upload_cycles += memory_.transfer(buf, 0, bytes);
     dep.buffers.push_back(buf);
     dep.info.fp32_param_bytes += bytes;
   };
@@ -103,9 +99,7 @@ InferenceResult Session::account_inference(
   // DMA activations in (scratch buffer, freed after the run).
   const std::uint64_t in_bytes = embeddings.size() * sizeof(float);
   const DeviceBuffer in_buf = memory_.alloc(in_bytes);
-  std::vector<std::uint8_t> raw(in_bytes);
-  std::memcpy(raw.data(), embeddings.data(), in_bytes);
-  const std::uint64_t in_cycles = memory_.write(in_buf, 0, raw);
+  const std::uint64_t in_cycles = memory_.transfer(in_buf, 0, in_bytes);
   log_.push_back(
       {CommandRecord::Kind::kDmaIn, "embeddings", in_bytes, in_cycles});
 
@@ -122,9 +116,7 @@ InferenceResult Session::account_inference(
   // DMA features out.
   const std::uint64_t out_bytes = r.features.size() * sizeof(float);
   const DeviceBuffer out_buf = memory_.alloc(out_bytes);
-  std::vector<std::uint8_t> out_raw(out_bytes);
-  std::memcpy(out_raw.data(), r.features.data(), out_bytes);
-  const std::uint64_t out_cycles = memory_.write(out_buf, 0, out_raw);
+  const std::uint64_t out_cycles = memory_.transfer(out_buf, 0, out_bytes);
   log_.push_back(
       {CommandRecord::Kind::kDmaOut, "features", out_bytes, out_cycles});
 

@@ -2,8 +2,11 @@
 // memory model, and the multi-turn decode-serving loop built on it.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -261,6 +264,37 @@ TEST(PagedKv, MatchesReferenceLruUnderRandomMix) {
     EXPECT_GT(a.reloads, 0U);
   }
   EXPECT_GT(throws, 0);
+}
+
+/// Resident set size of this process in bytes, from /proc/self/statm;
+/// 0 where that file is unavailable.
+std::uint64_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::uint64_t size_pages = 0;
+  std::uint64_t resident_pages = 0;
+  if (!(statm >> size_pages >> resident_pages)) return 0;
+  return resident_pages * static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
+// Device memory is an address space, not a byte store: paging ~1 GiB of
+// simulated KV into an 8 GiB HBM model must not cost host memory.
+TEST(PagedKv, SimulatedPagesHoldNoHostMemory) {
+  const std::uint64_t before = resident_bytes();
+  if (before == 0) GTEST_SKIP() << "/proc/self/statm unavailable";
+  DeviceMemory mem;  // 8 GiB
+  PagedKvConfig cfg;
+  cfg.page_tokens = 16;
+  cfg.bytes_per_token = 64 * 1024;  // 1 MiB pages
+  PagedKvCache cache(mem, cfg);
+  for (int seq = 0; seq < 4; ++seq) {
+    const KvTouch t = cache.ensure(seq, 256 * cfg.page_tokens);
+    EXPECT_EQ(t.pages_cold, 256U);
+  }
+  EXPECT_EQ(cache.resident_pages(), 1024U);
+  EXPECT_GE(mem.allocated_bytes(), 1ULL << 30);
+  const std::uint64_t after = resident_bytes();
+  EXPECT_LT(after, before + (64ULL << 20))
+      << "resident set grew by " << (after - before) / (1 << 20) << " MiB";
 }
 
 TEST(DecodeServe, MultiTurnContextsAccumulate) {

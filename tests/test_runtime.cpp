@@ -1,5 +1,6 @@
 // Tests for the host runtime: device memory allocator behaviour (first
-// fit, coalescing, OOM), DMA bounds, and the deploy/infer session flow.
+// fit, coalescing, OOM), DMA checks and pricing, and the deploy/infer
+// session flow.
 #include "runtime/session.hpp"
 
 #include <gtest/gtest.h>
@@ -65,21 +66,34 @@ TEST(DeviceMemory, DoubleFreeAndBogusFreeRejected) {
   EXPECT_THROW(mem.free(DeviceBuffer{12345, 64}), Error);
 }
 
-TEST(DeviceMemory, WriteReadRoundTripAndBounds) {
-  DeviceMemory mem(1 << 16);
+TEST(DeviceMemory, TransferChecksAndCycles) {
+  const HbmConfig hbm;
+  DeviceMemory mem(1 << 22, hbm);
   const DeviceBuffer a = mem.alloc(256);
-  std::vector<std::uint8_t> data(200);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<std::uint8_t>(i);
+  // In bounds up to the allocation's end; one byte past it is rejected.
+  EXPECT_NO_THROW(mem.transfer(a, 8, 248));
+  EXPECT_THROW(mem.transfer(a, 0, 257), Error);
+  EXPECT_THROW(mem.transfer(a, 200, 57), Error);
+  EXPECT_THROW(mem.transfer(a, 257, 0), Error);
+  EXPECT_THROW(mem.transfer(a, ~0ULL, 2), Error);  // offset + bytes wraps
+  // Only live allocations: a freed buffer and a made-up one are rejected.
+  const DeviceBuffer b = mem.alloc(64);
+  mem.free(b);
+  EXPECT_THROW(mem.transfer(b, 0, 1), Error);
+  EXPECT_THROW(mem.transfer(DeviceBuffer{12345, 64}, 0, 1), Error);
+
+  // The charge is the HBM model's price for the byte count: 1 B, one AXI
+  // beat, one burst, and an llm-decode 16-token KV page (~1.5 MiB).
+  const std::uint64_t page = 1597440;
+  const DeviceBuffer big = mem.alloc(page);
+  for (const std::uint64_t bytes :
+       {std::uint64_t{1}, std::uint64_t{64},
+        static_cast<std::uint64_t>(hbm.bfp_burst_bytes), page}) {
+    EXPECT_EQ(mem.transfer(big, 0, bytes),
+              transfer_cycles(hbm, bytes, hbm.bfp_burst_bytes))
+        << bytes << " B";
   }
-  const std::uint64_t wc = mem.write(a, 8, data);
-  EXPECT_GT(wc, 0u);
-  std::vector<std::uint8_t> back(200);
-  mem.read(a, 8, back);
-  EXPECT_EQ(back, data);
-  std::vector<std::uint8_t> too_big(300);
-  EXPECT_THROW(mem.write(a, 0, too_big), Error);
-  EXPECT_THROW(mem.read(a, 200, back), Error);
+  EXPECT_GT(mem.transfer(big, 0, page), mem.transfer(big, 0, 1));
 }
 
 TEST(Session, DeployReportsFootprintAndCompression) {
