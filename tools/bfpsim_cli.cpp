@@ -388,7 +388,9 @@ std::vector<CardsPrice> price_cards(const ModelSpec& spec,
 /// ClusterExecutor probe forward on the spec's seeded weights, and the
 /// cheaper strategy). Decoders print
 /// the analytic per-token decode costs — the big bench models' graphs
-/// would not fit host memory, and decode is the regime that matters.
+/// would not fit host memory, and decode is the regime that matters;
+/// --cards N > 1 on a decoder is a bad argument (multi-card pricing is
+/// encoder-only).
 int cmd_compile(int argc, char** argv) {
   const std::string which = argv[0];
   int cards = 1;
@@ -415,6 +417,10 @@ int cmd_compile(int argc, char** argv) {
   const AcceleratorSystem sys(system_config_for_mode("bfp8"));
 
   if (spec.family == SpecFamily::kDecoder) {
+    if (cards > 1) {
+      throw Error("compile --cards: '" + spec.name +
+                  "' is a decoder spec; multi-card pricing is encoder-only");
+    }
     const SpecDecodeCosts c = spec_decode_costs(spec, sys, spec.context);
     if (json) {
       std::printf("{\"model\":\"%s\",\"params\":%lld,"
